@@ -49,7 +49,10 @@ func TestFactoryCoversRegistry(t *testing.T) {
 }
 
 // TestIndexNamesAreCoreStrategies asserts every predmatchd -index
-// choice resolves CoreOptions and appears in the index flag help.
+// choice resolves CoreOptions and appears in the index flag help, and
+// that anything else — a whole-matcher strategy, a comparison-only
+// structure, the removed adaptive selector — is rejected with an error
+// naming exactly the served choices.
 func TestIndexNamesAreCoreStrategies(t *testing.T) {
 	help := strategy.IndexFlagHelp()
 	for _, name := range strategy.IndexNames() {
@@ -60,7 +63,16 @@ func TestIndexNamesAreCoreStrategies(t *testing.T) {
 			t.Errorf("index flag help omits %q: %s", name, help)
 		}
 	}
-	if _, ok := strategy.CoreOptions("rtree"); ok {
-		t.Error("CoreOptions accepted a whole-matcher strategy")
+	if want := "per-shard attribute index structure (one of ibs, hint, islist)"; help != want {
+		t.Errorf("index flag help = %q, want %q", help, want)
+	}
+	for _, name := range []string{"rtree", "pst", "meta"} {
+		if _, ok := strategy.CoreOptions(name); ok {
+			t.Errorf("CoreOptions accepted %q, which the daemon does not serve", name)
+		}
+		want := `unknown index "` + name + `" (want one of ibs, hint, islist)`
+		if got := strategy.UnknownIndexErr(name).Error(); got != want {
+			t.Errorf("UnknownIndexErr(%q) = %q, want %q", name, got, want)
+		}
 	}
 }

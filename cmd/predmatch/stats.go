@@ -89,24 +89,6 @@ func printStats(w io.Writer, st *wire.Stats) {
 			fmt.Fprintf(w, "\n")
 		}
 	}
-	if st.Meta != nil {
-		fmt.Fprintf(w, "adaptive index (default %s):\n", st.Meta.Default)
-		for _, d := range st.Meta.Rels {
-			// The reason is the decision sentence ("hint, because
-			// stab-heavy/low-write (…), est 0.3µs vs 2.1µs (ibs)"); it
-			// leads with the chosen structure, so the row only prefixes
-			// the relation and appends migration history.
-			why := d.Reason
-			if why == "" {
-				why = d.Structure
-			}
-			fmt.Fprintf(w, "  relation %s: %s", d.Rel, why)
-			if d.Migrations > 0 {
-				fmt.Fprintf(w, " [%d migrations, resident %.0fs]", d.Migrations, d.SinceSecs)
-			}
-			fmt.Fprintf(w, "\n")
-		}
-	}
 	if len(st.Trees) > 0 {
 		fmt.Fprintf(w, "ibs trees:\n")
 		fmt.Fprintf(w, "  %-12s %-12s %9s %6s %8s %7s\n",

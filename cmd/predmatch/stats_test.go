@@ -22,15 +22,6 @@ func TestPrintStats(t *testing.T) {
 		Shards: []wire.ShardStat{
 			{Rel: "emp", Predicates: 3, Version: 7, Structure: "hint"},
 		},
-		Meta: &wire.MetaStat{
-			Default: "ibs",
-			Rels: []wire.MetaRelStat{
-				{Rel: "emp", Structure: "hint",
-					Reason:     "hint, because stab-heavy/low-write (900 stabs/s, 3 writes/s), est 0.3µs vs 2.1µs (ibs)",
-					Migrations: 2, SinceSecs: 41,
-					EstNS: 300, AltName: "ibs", AltNS: 2100},
-			},
-		},
 		Trees: []wire.TreeStat{
 			{Rel: "emp", Attr: "salary", Intervals: 3, Nodes: 5, Markers: 8, Height: 3},
 		},
@@ -59,9 +50,6 @@ func TestPrintStats(t *testing.T) {
 		"salary",
 		"version 7",
 		"structure hint",
-		"adaptive index (default ibs):",
-		"relation emp: hint, because stab-heavy/low-write",
-		"[2 migrations, resident 41s]",
 		"127.0.0.1:50001",
 		"128/128", // queue pinned at capacity: the slow consumer
 		"228",

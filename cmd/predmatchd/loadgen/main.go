@@ -7,23 +7,15 @@
 //
 // Usage:
 //
-//	loadgen [-addr 127.0.0.1:7341 | -self] [-workers 4] [-duration 2s]
+//	loadgen [-addr 127.0.0.1:7341 | -self [-index ibs]] [-workers 4] [-duration 2s]
 //	        [-seed 1] [-suffix s] [-followers addr1,addr2]
-//	        [-trace-every 64] [-phases read-heavy,write-heavy,mixed]
-//
-// -phases splits -duration into equal consecutive phases, each shifting
-// the request mix: read-heavy is almost all match probes, write-heavy
-// is mutations plus predicate churn (addpred/rmpred pairs, the
-// structural index writes), mixed sits in between. The report then
-// breaks latency and throughput out per phase. This is the workload
-// that exercises `predmatchd -index meta`: the shifting stab/write mix
-// forces the adaptive engine through at least one online migration
-// (watch predmatch_meta_migrations_total, or `predmatch stats`).
+//	        [-trace-every 64]
 //
 // With -self, loadgen starts an in-process daemon on a loopback port
-// and tears it down afterwards — a single-binary smoke test. The target
-// daemon must not already hold the relations/rules loadgen declares;
-// use -suffix to namespace them when sharing a daemon.
+// and tears it down afterwards — a single-binary smoke test; -index
+// picks that daemon's per-shard index structure. The target daemon must
+// not already hold the relations/rules loadgen declares; use -suffix to
+// namespace them when sharing a daemon.
 //
 // Every -trace-every'th request per worker carries a client-minted
 // trace context, so the daemon traces it end to end regardless of its
@@ -53,7 +45,6 @@ import (
 	"time"
 
 	"predmatch/internal/client"
-	"predmatch/internal/interval"
 	"predmatch/internal/obs"
 	"predmatch/internal/pred"
 	"predmatch/internal/schema"
@@ -68,52 +59,25 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7341", "daemon address to drive")
 	self := flag.Bool("self", false, "start an in-process daemon on a loopback port instead of dialing -addr")
-	selfIndex := flag.String("index", "", "with -self: the daemon's per-shard index structure, or meta for the adaptive engine (same values as predmatchd -index)")
+	selfIndex := flag.String("index", "ibs", "with -self: the daemon's per-shard index structure (same values as predmatchd -index)")
 	workers := flag.Int("workers", 4, "concurrent mutation/match workers, one connection each")
 	duration := flag.Duration("duration", 2*time.Second, "how long to stream load")
 	seed := flag.Int64("seed", 1, "base seed for the deterministic workload")
 	suffix := flag.String("suffix", "", "suffix for relation and rule names (namespacing a shared daemon)")
 	followersFlag := flag.String("followers", "", "comma-separated follower addresses: match probes round-robin across them with read-your-writes tokens; mutations stay on -addr")
 	traceEvery := flag.Int("trace-every", 64, "send a trace context on every Nth request per worker (0 = never)")
-	phasesFlag := flag.String("phases", "", "comma-separated workload phases (read-heavy, write-heavy, mixed) run consecutively over -duration; empty = the steady default mix")
-	preds := flag.Int("preds", -1, "standing direct predicates registered at setup (-1 = auto: 64 with -phases, else 0)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "loadgen: ", 0)
 
-	specs, err := parsePhases(*phasesFlag)
-	if err != nil {
-		logger.Fatal(err)
-	}
-	if *preds < 0 {
-		// A phase-shifting run exists to exercise the adaptive engine,
-		// and its decisions only engage past the warm-up predicate count;
-		// seed a standing population like a real rule system would have.
-		if len(specs) > 1 {
-			*preds = 64
-		} else {
-			*preds = 0
-		}
-	}
-
 	target := *addr
 	var srv *server.Server
 	if *self {
-		cfg := server.Config{Addr: "127.0.0.1:0", MaxConns: *workers + 8}
-		switch *selfIndex {
-		case "", "ibs":
-		case "meta":
-			ac := strategy.MetaConfig("ibs")
-			cfg.Adaptive = &ac
-		default:
-			opts, ok := strategy.CoreOptions(*selfIndex)
-			if !ok {
-				logger.Fatalf("%v", strategy.UnknownIndexErr(*selfIndex))
-			}
-			cfg.IndexOptions = opts
-			cfg.MatcherName = "sharded-" + *selfIndex
+		opts, ok := strategy.CoreOptions(*selfIndex)
+		if !ok {
+			logger.Fatalf("%v", strategy.UnknownIndexErr(*selfIndex))
 		}
-		srv = server.New(cfg)
+		srv = server.New(server.Config{Addr: "127.0.0.1:0", MaxConns: *workers + 8, IndexOptions: opts})
 		errc := make(chan error, 1)
 		go func() { errc <- srv.ListenAndServe() }()
 		for srv.Addr() == nil {
@@ -173,18 +137,6 @@ func main() {
 			logger.Fatalf("rule: %v", err)
 		}
 	}
-	// Standing predicate population: varied salary bands, registered once
-	// and never removed — the index these predicates live in is what the
-	// adaptive engine migrates under the phase shifts.
-	setupRng := rand.New(rand.NewSource(*seed))
-	for i := 0; i < *preds; i++ {
-		lo := int64(10000 + setupRng.Intn(80000))
-		p := pred.New(0, emp, pred.IvClause("salary",
-			interval.Closed(value.Int(lo), value.Int(lo+int64(1000+setupRng.Intn(20000))))))
-		if _, err := admin.AddPredicate(p); err != nil {
-			logger.Fatalf("predicate %d: %v", i, err)
-		}
-	}
 
 	// Subscriber draining everything the daemon streams.
 	sub, err := client.Dial(target, client.WithNotifyBuffer(1<<14))
@@ -209,16 +161,8 @@ func main() {
 		mutations atomic.Uint64
 		probes    atomic.Uint64
 		matched   atomic.Uint64
-		churns    atomic.Uint64
 		errs      atomic.Uint64
 	)
-	// Per-phase accounting: workers read the current phase index and
-	// charge each request to its phase's counters and histogram.
-	var phaseIdx atomic.Int32
-	pcs := make([]*phaseCounters, len(specs))
-	for i := range pcs {
-		pcs[i] = &phaseCounters{lat: obs.NewHistogram(obs.DefBuckets...)}
-	}
 	// Read targets: the leader itself, or the follower fleet. Each gets
 	// its own latency histogram so per-replica tail latency is visible.
 	var followers []string
@@ -298,50 +242,30 @@ func main() {
 						tc.TraceNext(&wire.TraceContext{ID: traceID})
 					}
 				}
-				pi := int(phaseIdx.Load())
-				mix, pc := specs[pi].mix, pcs[pi]
 				var err error
 				t0 := time.Now()
-				switch r := rng.Intn(100); {
-				case r < mix.insert || len(live) < 5: // insert
+				switch r := rng.Intn(10); {
+				case r < 5 || len(live) < 5: // insert
 					arm(c, "insert")
 					var id tuple.ID
 					id, _, err = c.Insert(emp, tp)
 					if err == nil {
 						live = append(live, id)
 						mutations.Add(1)
-						pc.mutations.Add(1)
 					}
-				case r < mix.insert+mix.update: // update
+				case r < 7: // update
 					arm(c, "update")
 					_, err = c.Update(emp, live[rng.Intn(len(live))], tp)
 					if err == nil {
 						mutations.Add(1)
-						pc.mutations.Add(1)
 					}
-				case r < mix.insert+mix.update+mix.delete: // delete
+				case r < 8: // delete
 					arm(c, "delete")
 					k := rng.Intn(len(live))
 					_, err = c.Delete(emp, live[k])
 					if err == nil {
 						live = append(live[:k], live[k+1:]...)
 						mutations.Add(1)
-						pc.mutations.Add(1)
-					}
-				case r < mix.insert+mix.update+mix.delete+mix.churn:
-					// Predicate churn: an addpred/rmpred pair — the structural
-					// index write that a write-heavy phase uses to push the
-					// adaptive engine toward a write-friendly structure.
-					arm(c, "addpred")
-					var id pred.ID
-					id, err = c.AddPredicate(pred.New(0, emp, pred.IvClause("salary",
-						interval.AtLeast(value.Int(int64(10000+rng.Intn(90000)))))))
-					if err == nil {
-						err = c.RemovePredicate(id)
-					}
-					if err == nil {
-						churns.Add(1)
-						pc.churn.Add(1)
 					}
 				default: // match probe (lock-free path)
 					k := nextRead % len(readers)
@@ -353,7 +277,6 @@ func main() {
 					res, err = readers[k].MatchAt(emp, tp, c.LastSeq())
 					if err == nil {
 						probes.Add(1)
-						pc.probes.Add(1)
 						matched.Add(uint64(len(res)))
 						readLat[readTargets[k]].ObserveSince(t0)
 					}
@@ -371,17 +294,12 @@ func main() {
 					slowest.add(tracedReq{ID: traceID, Op: tracedOp, Elapsed: time.Since(t0)})
 				}
 				lat.ObserveSince(t0)
-				pc.lat.ObserveSince(t0)
 			}
 		}(w)
 	}
 
 	start := time.Now()
-	per := *duration / time.Duration(len(specs))
-	for i := range specs {
-		phaseIdx.Store(int32(i))
-		time.Sleep(per)
-	}
+	time.Sleep(*duration)
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start)
@@ -412,20 +330,8 @@ report:
 	fmt.Printf("loadgen: %d workers, %s\n", *workers, elapsed.Round(time.Millisecond))
 	fmt.Printf("  mutations   %8d  (%.0f/s)\n", muts, float64(muts)/elapsed.Seconds())
 	fmt.Printf("  match probes%8d  (%.0f/s), %d predicate hits\n", prb, float64(prb)/elapsed.Seconds(), matched.Load())
-	if n := churns.Load(); n > 0 {
-		fmt.Printf("  pred churn  %8d  (%.0f/s) addpred/rmpred pairs\n", n, float64(n)/elapsed.Seconds())
-	}
 	fmt.Printf("  latency     p50 %s  p95 %s  p99 %s  (%d requests)\n",
 		quantile(lat, 0.50), quantile(lat, 0.95), quantile(lat, 0.99), lat.Count())
-	if len(specs) > 1 {
-		fmt.Printf("  phases (%s each):\n", per.Round(time.Millisecond))
-		for i, sp := range specs {
-			pc := pcs[i]
-			fmt.Printf("    %-12s mut %6d  churn %5d  probes %7d  p50 %s  p95 %s  p99 %s\n",
-				sp.name, pc.mutations.Load(), pc.churn.Load(), pc.probes.Load(),
-				quantile(pc.lat, 0.50), quantile(pc.lat, 0.95), quantile(pc.lat, 0.99))
-		}
-	}
 	if rs := slowest.list(); len(rs) > 0 {
 		fmt.Printf("  slowest traced requests (pull spans with `predmatch trace -id <id>`):\n")
 		for _, r := range rs {
@@ -438,18 +344,6 @@ report:
 			h := readLat[a]
 			fmt.Printf("    %-22s p50 %s  p95 %s  p99 %s  (%d probes)\n",
 				a, quantile(h, 0.50), quantile(h, 0.95), quantile(h, 0.99), h.Count())
-		}
-	}
-	if st.Meta != nil {
-		var migs uint64
-		for _, d := range st.Meta.Rels {
-			migs += d.Migrations
-		}
-		fmt.Printf("  adaptive    %d online migrations (default %s)\n", migs, st.Meta.Default)
-		for _, d := range st.Meta.Rels {
-			if d.Reason != "" {
-				fmt.Printf("    relation %s: %s\n", d.Rel, d.Reason)
-			}
 		}
 	}
 	fmt.Printf("  firings     %8d generated, %d received, %d dropped\n", generated, received.Load(), dropped)
@@ -466,51 +360,6 @@ report:
 		logger.Printf("%d request errors", n)
 		os.Exit(1)
 	}
-}
-
-// opMix is a request-mix as percentage thresholds over [0,100); the
-// remainder after insert+update+delete+churn is match probes.
-type opMix struct {
-	insert, update, delete, churn int
-}
-
-// phaseSpec names one workload phase and its mix.
-type phaseSpec struct {
-	name string
-	mix  opMix
-}
-
-// phaseCounters is one phase's throughput and latency accounting.
-type phaseCounters struct {
-	mutations atomic.Uint64
-	probes    atomic.Uint64
-	churn     atomic.Uint64
-	lat       *obs.Histogram
-}
-
-// parsePhases resolves the -phases flag. Empty means one steady phase
-// with the classic mix (50/20/10 mutations, 20 match).
-func parsePhases(s string) ([]phaseSpec, error) {
-	if strings.TrimSpace(s) == "" {
-		return []phaseSpec{{name: "steady", mix: opMix{insert: 50, update: 20, delete: 10}}}, nil
-	}
-	var specs []phaseSpec
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		switch name {
-		case "read-heavy":
-			specs = append(specs, phaseSpec{name, opMix{insert: 5, update: 2, delete: 1}})
-		case "write-heavy":
-			// Heavy on mutations and on predicate churn: the structural
-			// index writes that make a read-optimized structure expensive.
-			specs = append(specs, phaseSpec{name, opMix{insert: 35, update: 15, delete: 10, churn: 30}})
-		case "mixed":
-			specs = append(specs, phaseSpec{name, opMix{insert: 25, update: 10, delete: 5, churn: 10}})
-		default:
-			return nil, fmt.Errorf("loadgen: unknown phase %q (want read-heavy, write-heavy or mixed)", name)
-		}
-	}
-	return specs, nil
 }
 
 // quantile renders a histogram quantile estimate as a duration.

@@ -16,11 +16,8 @@
 //
 // -index picks the per-shard attribute index structure from the shared
 // strategy registry (internal/strategy): the paper's IBS-trees by
-// default, or hint, islist, pst, segtree, inttree, augtree — run -h for
-// the current list. `-index meta` instead runs the adaptive engine
-// (internal/meta): each relation starts on IBS-trees and is migrated
-// online between ibs, islist and hint as its observed stab/write mix
-// dictates; `predmatch stats` shows the per-relation decisions.
+// default, or hint or islist (docs/MATCHERS.md, "Choosing -index");
+// `predmatch stats` shows each shard's structure.
 //
 // With -admin, a second HTTP listener serves the operational surface:
 // /metrics (Prometheus), /varz (JSON), /healthz, /traces and
@@ -110,11 +107,13 @@ func main() {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 
-	if *indexName != "meta" {
-		if _, ok := strategy.CoreOptions(*indexName); !ok {
-			fmt.Fprintf(os.Stderr, "predmatchd: %v\n", strategy.UnknownIndexErr(*indexName))
-			os.Exit(2)
-		}
+	// The strategy registry supplies the per-shard attribute index; ibs
+	// resolves to no options, the zero-Config behavior (and its
+	// instrumented tree counters).
+	indexOpts, ok := strategy.CoreOptions(*indexName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "predmatchd: %v\n", strategy.UnknownIndexErr(*indexName))
+		os.Exit(2)
 	}
 
 	cfg := server.Config{
@@ -126,6 +125,7 @@ func main() {
 		Registry:     reg,
 		Logger:       logger,
 		SlowRequest:  *slowReq,
+		IndexOptions: indexOpts,
 		// The tracer is always on: client-initiated traces and slow-trace
 		// retention work without any flag; -trace-sample adds server-side
 		// head sampling on top.
@@ -134,20 +134,6 @@ func main() {
 			Slow:        *slowReq,
 			Capacity:    *traceBuf,
 		}),
-	}
-	switch *indexName {
-	case "ibs":
-		// The default keeps the zero-Config behavior (and its
-		// instrumented tree counters).
-	case "meta":
-		// The adaptive engine: warm-up on ibs, migrate per relation as
-		// the workload profile dictates.
-		ac := strategy.MetaConfig("ibs")
-		cfg.Adaptive = &ac
-	default:
-		// The strategy registry supplies the per-shard attribute index.
-		cfg.IndexOptions, _ = strategy.CoreOptions(*indexName)
-		cfg.MatcherName = "sharded-" + *indexName
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {

@@ -322,29 +322,6 @@ func (ix *Index) Clone() *Index {
 	return cp
 }
 
-// Rebuild returns a new index holding the same predicate set but
-// reconstructed from scratch under the given options — this is how the
-// adaptive meta-matcher migrates a relation to a different attribute
-// index structure (core.WithIndexFactory) without touching the original.
-// Unlike Clone, which reuses the receiver's factory and shares bound
-// entries, Rebuild re-binds and re-chooses clauses for every predicate,
-// so the result is exactly what adding the predicates to a fresh index
-// built with opts would produce. The receiver is read but never
-// mutated, so rebuilding a published snapshot off-lock is safe.
-func (ix *Index) Rebuild(opts ...Option) (*Index, error) {
-	next := New(ix.catalog, ix.funcs)
-	next.est = ix.est
-	for _, o := range opts {
-		o(next)
-	}
-	for id, e := range ix.preds {
-		if err := next.Add(e.bound.Pred); err != nil {
-			return nil, fmt.Errorf("core: rebuild re-add of predicate %d: %w", id, err)
-		}
-	}
-	return next, nil
-}
-
 // Candidates returns the number of partial matches a Match for t would
 // complete against the PREDICATES table: index hits from the attribute
 // trees plus the non-indexable list. This is the quantity the paper's

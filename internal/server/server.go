@@ -43,7 +43,6 @@ import (
 	"predmatch/internal/core"
 	"predmatch/internal/engine"
 	"predmatch/internal/ibs"
-	"predmatch/internal/meta"
 	"predmatch/internal/obs"
 	"predmatch/internal/pred"
 	"predmatch/internal/shard"
@@ -111,18 +110,9 @@ type Config struct {
 	// IndexOptions configures each relation shard's core.Index — e.g.
 	// the core.WithIndexFactory set internal/strategy.CoreOptions
 	// resolves for `predmatchd -index hint` (default nil = IBS-trees).
+	// A structure other than ibs shows in the matcher's reported name:
+	// "sharded-hint" rather than "sharded".
 	IndexOptions []core.Option
-	// MatcherName overrides the sharded matcher's reported name when
-	// IndexOptions swap the attribute structure (default "" = keep
-	// "sharded").
-	MatcherName string
-	// Adaptive, when non-nil, runs the meta engine: per-relation index
-	// structures are chosen by a workload cost model and migrated
-	// online (`predmatchd -index meta`). The server fills the config's
-	// Profiles and Registry from its own; IndexOptions still apply as
-	// the base every candidate's options append to. The engine's
-	// background loop starts with the server and stops on Shutdown.
-	Adaptive *meta.Config
 	// FollowerOf starts the server as a replication follower of the
 	// leader at this address: mutations and DDL are rejected with a
 	// redirect, and state arrives by applying the leader's WAL stream
@@ -252,12 +242,6 @@ type Server struct {
 	// surface and /varz; always on — its cost is a few uncontended
 	// atomic adds per operation. See internal/trace.Profiles.
 	prof *trace.Profiles
-
-	// meta is the adaptive index engine (nil unless cfg.Adaptive). Its
-	// background loop is started by Open after recovery and stopped by
-	// Shutdown; metaStarted guards Stop against a loop that never ran.
-	meta        *meta.Engine
-	metaStarted bool
 }
 
 // subscription is one connection's notification filter and counters,
@@ -281,9 +265,8 @@ func New(cfg Config) *Server {
 }
 
 // newServer assembles the in-memory daemon; Open layers recovery and
-// the WAL on top. cfg must already be filled. The only error is an
-// invalid cfg.Adaptive.
-func newServer(cfg Config) (*Server, error) {
+// the WAL on top. cfg must already be filled.
+func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		db:          storage.NewDB(),
@@ -331,35 +314,16 @@ func newServer(cfg Config) (*Server, error) {
 	if len(idxOpts) > 0 {
 		smOpts = append(smOpts, shard.WithIndexOptions(idxOpts...))
 	}
-	if cfg.MatcherName != "" {
-		smOpts = append(smOpts, shard.WithName(cfg.MatcherName))
-	}
-	if cfg.Adaptive != nil {
-		// The engine reads the server's own profile accumulator and
-		// publishes into the server's registry; the caller only supplies
-		// candidates, fallback and pacing.
-		ac := *cfg.Adaptive
-		ac.Profiles = s.prof
-		ac.Registry = cfg.Registry
-		me, err := meta.New(ac)
-		if err != nil {
-			return nil, fmt.Errorf("server: adaptive index config: %w", err)
-		}
-		s.meta = me
-		// New shards of a relation with a standing decision are born on
-		// the decided structure rather than re-migrated.
-		smOpts = append(smOpts, shard.WithIndexChooser(me.Options))
-		if cfg.MatcherName == "" {
-			smOpts = append(smOpts, shard.WithName("meta"))
-		}
+	// The index name the options carry (core.WithName) is the name every
+	// shard snapshot will report; an empty index is the cheapest way to
+	// read it back.
+	if idx := core.New(s.db.Catalog(), s.funcs, cfg.IndexOptions...).Name(); idx != "ibs" {
+		smOpts = append(smOpts, shard.WithName("sharded-"+idx))
 	}
 	s.sm = shard.New(s.db.Catalog(), s.funcs, smOpts...)
 	// Install the profile accumulator before any predicate registration
 	// (recovery replay included): shards resolve their handle at creation.
 	s.sm.SetProfiles(s.prof)
-	if s.meta != nil {
-		s.meta.Bind(s.sm)
-	}
 	s.eng = engine.New(s.db, s.funcs, s.sm, engOpts...)
 	s.met = newServerMetrics(cfg.Registry, s)
 	s.eng.OnFire(s.onFire)
@@ -367,12 +331,8 @@ func newServer(cfg Config) (*Server, error) {
 	// re-stabs the index for events whenever some subscriber asked for
 	// direct-predicate matches.
 	s.db.Observe(s.onEventPreds)
-	return s, nil
+	return s
 }
-
-// Meta exposes the adaptive index engine (nil unless Config.Adaptive);
-// tests and the daemon's stats surface read decisions through it.
-func (s *Server) Meta() *meta.Engine { return s.meta }
 
 // ListenAndServe listens on cfg.Addr and serves until Shutdown/Close.
 func (s *Server) ListenAndServe() error {
@@ -493,12 +453,7 @@ func (s *Server) Stopping() bool {
 // ctx expires first, remaining connections are closed forcibly and the
 // context error is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closeOnce.Do(func() {
-		close(s.done)
-		if s.metaStarted {
-			s.meta.Stop()
-		}
-	})
+	s.closeOnce.Do(func() { close(s.done) })
 	s.lnMu.Lock()
 	if s.ln != nil {
 		s.ln.Close()
@@ -1305,19 +1260,6 @@ func (s *Server) handleStats(req *wire.Request) wire.Message {
 			Rel: sh.Rel, Predicates: sh.Predicates, Version: sh.Version,
 			Structure: sh.Structure,
 		})
-	}
-	if s.meta != nil {
-		ms := &wire.MetaStat{Default: s.meta.Default()}
-		for _, d := range s.meta.Stats() {
-			ms.Rels = append(ms.Rels, wire.MetaRelStat{
-				Rel: d.Rel, Structure: d.Strategy,
-				SinceSecs: d.Since.Seconds(), Migrations: d.Migrations,
-				Reason: d.Reason, EstNS: d.EstNS,
-				AltName: d.AltName, AltNS: d.AltNS,
-				StabRate: d.StabRate, WriteRate: d.WriteRate,
-			})
-		}
-		st.Meta = ms
 	}
 	for _, ts := range s.sm.Trees() {
 		st.Trees = append(st.Trees, wire.TreeStat{

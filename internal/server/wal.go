@@ -43,12 +43,8 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.FollowerOf != "" && cfg.DataDir == "" {
 		return nil, errors.New("server: FollowerOf requires DataDir (a follower persists the replicated log)")
 	}
-	s, err := newServer(cfg)
-	if err != nil {
-		return nil, err
-	}
+	s := newServer(cfg)
 	if cfg.DataDir == "" {
-		s.startMeta()
 		return s, nil
 	}
 	opt := wal.Options{
@@ -78,24 +74,12 @@ func Open(cfg Config) (*Server, error) {
 		s.snapLoopDone = make(chan struct{})
 		go s.snapshotLoop(cfg.SnapshotEvery)
 	}
-	// Start the adaptive engine only after replay: recovery's predicate
-	// registrations should not trip migrations mid-rebuild.
-	s.startMeta()
 	return s, nil
 }
 
 // Recovery returns what recovery replayed (zero when the server has no
 // data directory).
 func (s *Server) Recovery() wal.RecoveryInfo { return s.recovery }
-
-// startMeta starts the adaptive engine's background decision loop when
-// the server has one. Called once by Open, after any recovery replay.
-func (s *Server) startMeta() {
-	if s.meta != nil {
-		s.meta.Start()
-		s.metaStarted = true
-	}
-}
 
 // onEventWAL is the capture observer: it records every applied storage
 // event into the pending set that handleMutation logs as one atomic

@@ -55,13 +55,6 @@ type ShardedMatcher struct {
 	name    string
 	met     *metrics // nil unless built with WithMetrics
 
-	// chooser, when installed with WithIndexChooser, supplies extra
-	// core options (typically a core.WithIndexFactory) for a relation's
-	// first index, letting the adaptive meta-engine pick the structure
-	// per relation. It is called with the relation name while the
-	// shard's mutex is held, so it must not call back into this matcher.
-	chooser func(rel string) []core.Option
-
 	// prof is the workload profile accumulator fed by every Match (stab
 	// count/latency/results, prefilter skips, queried attributes). nil
 	// unless installed with SetProfiles.
@@ -131,17 +124,6 @@ func WithIndexOptions(opts ...core.Option) Option {
 // WithName overrides the strategy name reported in benchmarks.
 func WithName(name string) Option {
 	return func(m *ShardedMatcher) { m.name = name }
-}
-
-// WithIndexChooser installs a per-relation index-option chooser: when a
-// relation's first predicate arrives, the chooser's options are applied
-// after the matcher-wide WithIndexOptions, so a core.WithIndexFactory it
-// returns wins. The chooser runs under the relation shard's mutex and
-// must be lock-free with respect to this matcher (the meta-engine
-// satisfies this by reading an atomically published decision map). A
-// nil return or a nil chooser keeps the static options.
-func WithIndexChooser(f func(rel string) []core.Option) Option {
-	return func(m *ShardedMatcher) { m.chooser = f }
 }
 
 // WithoutPrefilter disables the attribute prefilter, sending every
@@ -250,13 +232,7 @@ func (m *ShardedMatcher) Add(p *pred.Predicate) error {
 	if cur := sh.snap.Load(); cur != nil {
 		next = cur.Clone()
 	} else {
-		opts := m.opts
-		if m.chooser != nil {
-			if extra := m.chooser(p.Rel); len(extra) > 0 {
-				opts = append(append([]core.Option(nil), m.opts...), extra...)
-			}
-		}
-		next = core.New(m.catalog, m.funcs, opts...)
+		next = core.New(m.catalog, m.funcs, m.opts...)
 	}
 	if err := next.Add(p); err != nil {
 		m.idMu.Lock()
@@ -278,9 +254,8 @@ func (m *ShardedMatcher) Add(p *pred.Predicate) error {
 	sh.snap.Store(next)
 	sh.version.Add(1)
 	// A predicate registration is a write against the relation's index
-	// structure (one clone-and-publish); the workload profile's write
-	// rate is what the adaptive meta-engine charges structure
-	// maintenance against.
+	// structure (one clone-and-publish), counted in the workload
+	// profile's write total.
 	sh.prof.RecordWrite()
 	if m.met != nil {
 		m.met.swaps.Inc()
@@ -324,75 +299,6 @@ func (m *ShardedMatcher) Remove(id pred.ID) error {
 		m.met.swaps.Inc()
 	}
 	return nil
-}
-
-// migrateRetries bounds how many times Migrate rebuilds off-lock before
-// falling back to rebuilding under the shard mutex. Under sustained
-// write pressure the off-lock rebuild can lose the publish race forever;
-// the bounded fallback guarantees termination at the cost of blocking
-// that relation's writers for one rebuild.
-const migrateRetries = 3
-
-// Migrate rebuilds rel's index under the given extra core options
-// (typically a core.WithIndexFactory naming a different structure) and
-// publishes the result through the usual atomic snapshot swap. The
-// rebuild runs off-lock against the current frozen snapshot; before
-// publishing, Migrate takes the shard mutex and verifies no writer
-// published in between (version check), retrying a bounded number of
-// times and finally rebuilding under the lock. Readers see either the
-// old or the new structure, never a torn one, and concurrent writers
-// are never lost. Subsequent writes Clone the migrated snapshot, which
-// preserves its factory — the relation stays on the new structure.
-//
-// Returns false when rel has no shard or no published snapshot yet (the
-// chooser installed with WithIndexChooser governs the structure of the
-// first snapshot instead).
-func (m *ShardedMatcher) Migrate(rel string, opts ...core.Option) (bool, error) {
-	sh := m.shard(rel)
-	if sh == nil {
-		return false, nil
-	}
-	full := append(append([]core.Option(nil), m.opts...), opts...)
-	for attempt := 0; attempt < migrateRetries; attempt++ {
-		v0 := sh.version.Load()
-		cur := sh.snap.Load()
-		if cur == nil {
-			return false, nil
-		}
-		next, err := cur.Rebuild(full...)
-		if err != nil {
-			return false, err
-		}
-		sh.mu.Lock()
-		if sh.version.Load() == v0 {
-			sh.snap.Store(next) //predmatchvet:ignore atomicpub the version equality check under the lock proves the pre-lock snapshot is still current — stricter than a re-Load
-			sh.version.Add(1)
-			sh.mu.Unlock()
-			if m.met != nil {
-				m.met.swaps.Inc()
-			}
-			return true, nil
-		}
-		sh.mu.Unlock()
-	}
-	// Writers keep outrunning the off-lock rebuild: do the final rebuild
-	// while holding the mutex so it cannot be invalidated.
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cur := sh.snap.Load()
-	if cur == nil {
-		return false, nil
-	}
-	next, err := cur.Rebuild(full...)
-	if err != nil {
-		return false, err
-	}
-	sh.snap.Store(next)
-	sh.version.Add(1)
-	if m.met != nil {
-		m.met.swaps.Inc()
-	}
-	return true, nil
 }
 
 // Match implements matcher.Matcher with a lock-free snapshot read.
@@ -556,9 +462,8 @@ type ShardStats struct {
 	Rel        string
 	Predicates int
 	Version    uint64
-	// Structure is the snapshot's index strategy name (core.WithName) —
-	// under the adaptive meta-matcher this varies per relation and over
-	// time as migrations land. Empty while no snapshot is published.
+	// Structure is the snapshot's index strategy name (core.WithName).
+	// Empty while no snapshot is published.
 	Structure string
 }
 

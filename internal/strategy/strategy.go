@@ -12,14 +12,14 @@
 //     self-contained matcher.Matcher implementations.
 //   - Attribute-index strategies (ibs, islist, pst, hint…): the paper's
 //     Figure-1 scheme (core.Index) with the per-attribute interval
-//     structure swapped via core.WithIndexFactory. These also report
-//     CoreOptions, which lets predmatchd run the sharded serving layer
-//     with any of them as the per-shard tree.
+//     structure swapped via core.WithIndexFactory. The served ones
+//     (ibs, hint, islist) also report CoreOptions, which lets predmatchd
+//     run the sharded serving layer with them as the per-shard index;
+//     the rest exist for the paper's comparison experiments only.
 package strategy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"predmatch/internal/augtree"
@@ -46,9 +46,9 @@ type Info struct {
 	Name    string
 	Summary string // one line for help text and docs
 	New     Factory
-	// coreOpts is non-nil for attribute-index strategies: the
-	// core.Option set that makes a core.Index (or each shard of a
-	// ShardedMatcher) use this structure.
+	// coreOpts is non-nil for the attribute-index strategies the daemon
+	// serves: the core.Option set that makes a core.Index (or each shard
+	// of a ShardedMatcher) use this structure.
 	coreOpts func() []core.Option
 }
 
@@ -71,6 +71,15 @@ func attrIndexStrategy(name, summary string, factory func() core.AttrIndex) Info
 	}
 }
 
+// comparisonOnly keeps an attribute-index strategy registered for
+// `predmatch -matcher`, the conformance gauntlet, the differential sweep
+// and cmd/experiments — the only traffic it has — but withholds it from
+// `predmatchd -index`.
+func comparisonOnly(in Info) Info {
+	in.coreOpts = nil
+	return in
+}
+
 // registry holds every strategy in presentation order: the paper's
 // scheme and its attribute-index variants first, then the whole-matcher
 // alternatives, then the serving-layer wrappers.
@@ -87,9 +96,10 @@ var registry = []Info{
 		Name:    "ibs-unbalanced",
 		Summary: "IBS-trees without rebalancing, the paper's original insert",
 		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
-			return core.New(cat, funcs, ibsUnbalancedOpts()...)
+			return core.New(cat, funcs,
+				core.WithTreeOptions(ibs.Balanced(false)),
+				core.WithName("ibs-unbalanced"))
 		},
-		coreOpts: ibsUnbalancedOpts,
 	},
 	attrIndexStrategy("hint",
 		"HINT-style flat hierarchical domain partitioning (cache-conscious, lazily rebuilt)",
@@ -97,18 +107,18 @@ var registry = []Info{
 	attrIndexStrategy("islist",
 		"interval skip list attribute indexes",
 		func() core.AttrIndex { return islist.New(value.Compare) }),
-	attrIndexStrategy("segtree",
+	comparisonOnly(attrIndexStrategy("segtree",
 		"immutable segment tree attribute indexes, lazily rebuilt",
-		newSegtreeIndex),
-	attrIndexStrategy("inttree",
+		newSegtreeIndex)),
+	comparisonOnly(attrIndexStrategy("inttree",
 		"immutable centered interval tree attribute indexes, lazily rebuilt",
-		newInttreeIndex),
-	attrIndexStrategy("pst",
+		newInttreeIndex)),
+	comparisonOnly(attrIndexStrategy("pst",
 		"priority search tree attribute indexes",
-		func() core.AttrIndex { return pst.New(value.Compare) }),
-	attrIndexStrategy("augtree",
+		func() core.AttrIndex { return pst.New(value.Compare) })),
+	comparisonOnly(attrIndexStrategy("augtree",
 		"augmented AVL interval tree attribute indexes",
-		func() core.AttrIndex { return augtree.New(value.Compare) }),
+		func() core.AttrIndex { return augtree.New(value.Compare) })),
 	{
 		Name:    "hashseq",
 		Summary: "hash on relation, then sequential clause evaluation",
@@ -148,18 +158,6 @@ var registry = []Info{
 				shard.WithName("sharded-hint"))
 		},
 	},
-	{
-		Name:    "meta",
-		Summary: "adaptive: per-relation structure chosen by a workload cost model, migrated online",
-		New:     newMeta,
-	},
-}
-
-func ibsUnbalancedOpts() []core.Option {
-	return []core.Option{
-		core.WithTreeOptions(ibs.Balanced(false)),
-		core.WithName("ibs-unbalanced"),
-	}
 }
 
 // All returns every registered strategy in presentation order.
@@ -186,8 +184,9 @@ func Names() []string {
 	return out
 }
 
-// IndexNames returns the names usable as a per-shard attribute index
-// (the strategies CoreOptions resolves), sorted.
+// IndexNames returns the names the daemon serves as a per-shard
+// attribute index (the strategies CoreOptions resolves), in
+// presentation order.
 func IndexNames() []string {
 	var out []string
 	for _, in := range registry {
@@ -195,14 +194,14 @@ func IndexNames() []string {
 			out = append(out, in.Name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
 // CoreOptions returns the core.Option set that makes a core.Index use
 // the named strategy's attribute structure; ok is false for
 // whole-matcher strategies (hashseq, rtree, sharded, …) that don't
-// decompose into per-attribute indexes.
+// decompose into per-attribute indexes, and for the comparison-only
+// structures the daemon does not serve.
 func CoreOptions(name string) ([]core.Option, bool) {
 	in, ok := Lookup(name)
 	if !ok || in.coreOpts == nil {
@@ -218,11 +217,9 @@ func FlagHelp() string {
 }
 
 // IndexFlagHelp renders the usage string for predmatchd's -index flag:
-// the strategies that can serve as a per-shard attribute index, plus
-// "meta" — the adaptive engine that picks among them per relation.
+// the strategies served as a per-shard attribute index.
 func IndexFlagHelp() string {
-	return "per-shard attribute index structure (one of " + strings.Join(IndexNames(), ", ") +
-		", or meta for workload-adaptive selection with online migration)"
+	return "per-shard attribute index structure (one of " + strings.Join(IndexNames(), ", ") + ")"
 }
 
 // UnknownErr builds the standard unknown-strategy error, naming every

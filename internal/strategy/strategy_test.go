@@ -1,13 +1,12 @@
 package strategy_test
 
 import (
+	"reflect"
 	"testing"
 
 	"predmatch/internal/matcher"
 	"predmatch/internal/matchertest"
-	"predmatch/internal/meta"
 	"predmatch/internal/strategy"
-	"predmatch/internal/trace"
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -29,10 +28,12 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("strategy %q has no summary", n)
 		}
 	}
-	// The ten strategies the conformance sweep must cover, by contract.
+	// The thirteen strategies the conformance sweep must cover, by
+	// contract.
 	for _, want := range []string{
 		"ibs", "ibs-unbalanced", "hashseq", "seqscan", "rtree",
-		"islist", "segtree", "inttree", "pst", "hint", "meta",
+		"islist", "segtree", "inttree", "pst", "augtree", "hint",
+		"sharded", "sharded-hint",
 	} {
 		if !seen[want] {
 			t.Errorf("registry is missing strategy %q", want)
@@ -41,16 +42,24 @@ func TestRegistryShape(t *testing.T) {
 	if _, ok := strategy.Lookup("nosuch"); ok {
 		t.Error("Lookup accepted unknown name")
 	}
-	// Attribute-index strategies resolve CoreOptions; whole-matcher
-	// strategies don't.
-	for _, n := range []string{"ibs", "hint", "islist", "segtree", "inttree", "pst", "augtree"} {
+	// The daemon serves exactly three attribute-index structures:
+	// comparison-only structures, whole-matcher strategies and the
+	// removed adaptive selector all stay out of -index.
+	serving := []string{"ibs", "hint", "islist"}
+	if got := strategy.IndexNames(); !reflect.DeepEqual(got, serving) {
+		t.Errorf("IndexNames() = %v, want %v", got, serving)
+	}
+	for _, n := range serving {
 		if _, ok := strategy.CoreOptions(n); !ok {
 			t.Errorf("CoreOptions(%q) = false", n)
 		}
 	}
-	for _, n := range []string{"hashseq", "seqscan", "rtree", "sharded", "sharded-hint", "meta"} {
+	for _, n := range []string{
+		"ibs-unbalanced", "segtree", "inttree", "pst", "augtree",
+		"hashseq", "seqscan", "rtree", "sharded", "sharded-hint", "meta",
+	} {
 		if _, ok := strategy.CoreOptions(n); ok {
-			t.Errorf("CoreOptions(%q) = true for a whole-matcher strategy", n)
+			t.Errorf("CoreOptions(%q) = true for a strategy the daemon does not serve", n)
 		}
 	}
 }
@@ -76,7 +85,7 @@ func TestConformanceAllStrategies(t *testing.T) {
 // covered by the same harness behind matchertest.Synchronized in their
 // own packages.
 func TestConcurrentServingStrategies(t *testing.T) {
-	for _, name := range []string{"sharded", "sharded-hint", "meta"} {
+	for _, name := range []string{"sharded", "sharded-hint"} {
 		in, ok := strategy.Lookup(name)
 		if !ok {
 			t.Fatalf("strategy %q not registered", name)
@@ -86,26 +95,5 @@ func TestConcurrentServingStrategies(t *testing.T) {
 				return in.New(f.Catalog, f.Funcs)
 			})
 		})
-	}
-}
-
-// TestMetaConfigValid proves the adaptive configuration the binaries
-// build is accepted by the engine for every legal fallback (newMeta
-// panics otherwise), and that illegal fallbacks are caught up front.
-func TestMetaConfigValid(t *testing.T) {
-	for _, fb := range []string{"ibs", "islist", "hint"} {
-		if !strategy.MetaFallbackOK(fb) {
-			t.Errorf("MetaFallbackOK(%q) = false", fb)
-		}
-		cfg := strategy.MetaConfig(fb)
-		cfg.Profiles = trace.NewProfiles()
-		if _, err := meta.New(cfg); err != nil {
-			t.Errorf("MetaConfig(%q): %v", fb, err)
-		}
-	}
-	for _, fb := range []string{"seqscan", "sharded", "nope", ""} {
-		if strategy.MetaFallbackOK(fb) {
-			t.Errorf("MetaFallbackOK(%q) = true", fb)
-		}
 	}
 }

@@ -148,32 +148,9 @@ type ShardStat struct {
 	Rel        string `json:"rel"`
 	Predicates int    `json:"predicates"`
 	Version    uint64 `json:"version"`
-	// Structure names the attribute-index structure currently serving
-	// the shard ("ibs", "hint", …) — under the adaptive meta engine it
-	// can change between stats calls.
+	// Structure names the attribute-index structure serving the shard
+	// ("ibs", "hint", …).
 	Structure string `json:"structure,omitempty"`
-}
-
-// MetaStat reports the adaptive meta engine's per-relation decisions
-// in the stats response.
-type MetaStat struct {
-	// Default is the warm-up/fallback structure relations start on.
-	Default string        `json:"default"`
-	Rels    []MetaRelStat `json:"rels,omitempty"`
-}
-
-// MetaRelStat is one relation's current adaptive-index decision.
-type MetaRelStat struct {
-	Rel        string  `json:"rel"`
-	Structure  string  `json:"structure"`
-	SinceSecs  float64 `json:"since_secs"`           // residency on the current structure
-	Migrations uint64  `json:"migrations,omitempty"` // online migrations so far
-	Reason     string  `json:"reason,omitempty"`     // human-readable last decision
-	EstNS      float64 `json:"est_ns,omitempty"`     // modelled cost/op of the choice
-	AltName    string  `json:"alt,omitempty"`        // best rejected alternative
-	AltNS      float64 `json:"alt_ns,omitempty"`
-	StabRate   float64 `json:"stab_rate,omitempty"`  // EWMA stabs/sec
-	WriteRate  float64 `json:"write_rate,omitempty"` // EWMA writes/sec
 }
 
 // ConnStat describes one client connection in the stats response: its
@@ -314,7 +291,6 @@ type Stats struct {
 	Prefilter   *PrefilterStat `json:"prefilter,omitempty"`
 	Profiles    []ProfileStat  `json:"profiles,omitempty"`
 	Shards      []ShardStat    `json:"shards,omitempty"`
-	Meta        *MetaStat      `json:"meta,omitempty"`
 	Trees       []TreeStat     `json:"trees,omitempty"`
 	Relations   []RelStat      `json:"relations,omitempty"`
 	WAL         *WALStat       `json:"wal,omitempty"`

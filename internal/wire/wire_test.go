@@ -129,3 +129,28 @@ func TestIDConversion(t *testing.T) {
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestStatsFrameWithRetiredMetaSection: daemons from before the
+// adaptive selector was removed attach a "meta" section to stats
+// responses. A current client must still decode such a frame, skipping
+// the section and keeping everything around it.
+func TestStatsFrameWithRetiredMetaSection(t *testing.T) {
+	frame := `{"type":"response","id":7,"ok":true,"stats":{"rules":["band"],"matcher":"meta","predicates":2,` +
+		`"shards":[{"rel":"emp","predicates":2,"version":5,"structure":"hint"}],` +
+		`"meta":{"default":"ibs","rels":[{"rel":"emp","structure":"hint","since_secs":41,"migrations":2,` +
+		`"reason":"hint, because stab-heavy","est_ns":300,"alt":"ibs","alt_ns":2100}]},` +
+		`"conns":1,"subs":0,"delivered":3,"dropped":0}}` + "\n"
+	dec := json.NewDecoder(bytes.NewBufferString(frame))
+	dec.UseNumber()
+	var m wire.Message
+	if err := dec.Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats
+	if st == nil || st.Matcher != "meta" || st.Predicates != 2 || st.Delivered != 3 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if len(st.Shards) != 1 || st.Shards[0].Structure != "hint" || st.Shards[0].Version != 5 {
+		t.Fatalf("shards = %+v", st.Shards)
+	}
+}
