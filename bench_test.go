@@ -16,6 +16,7 @@
 //	BenchmarkShardedMatchBatch        — sharded MatchBatch amortization
 //	BenchmarkJoinNetwork              — Section 6 two-layer join network
 //	BenchmarkSchemeIndexAblation      — scheme over IBS-trees vs skip lists
+//	BenchmarkServingIndexSweep        — sharded layer per -index structure, three stab/write mixes
 //
 // Run everything with: go test -bench=. -benchmem
 package repro
@@ -748,5 +749,71 @@ func BenchmarkSchemeIndexAblation(b *testing.B) {
 				buf, _ = m.Match(rel.Name(), tuples[i%len(tuples)], buf[:0])
 			}
 		})
+	}
+}
+
+// BenchmarkServingIndexSweep is the three-cell sweep docs/MATCHERS.md
+// ("Choosing -index") records: the sharded serving layer over 512
+// standing predicates of one relation, with each structure
+// `predmatchd -index` offers, under three stab/write mixes. A churn op
+// adds a transient predicate and removes it again (two published
+// views); the rest are match probes.
+func BenchmarkServingIndexSweep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1990))
+	pop, err := workload.SchemaSpec{
+		Relations: 1, AttrsPerRel: 15, UsedAttrFrac: 1.0 / 3.0,
+		PredsPerRel: 512, ClausesPer: 2, IndexableFrac: 0.9, PointFrac: 0.5,
+	}.Build(rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel := pop.Rels[0].Name()
+	tuples := make([]tuple.Tuple, 4096)
+	for i := range tuples {
+		tuples[i] = pop.Tuple(rng, pop.Rels[0])
+	}
+	factories := []struct {
+		name string
+		mk   core.IndexFactory
+	}{
+		{"ibs", func() core.AttrIndex { return ibs.New(value.Compare) }},
+		{"islist", func() core.AttrIndex { return islist.New(value.Compare) }},
+		{"hint", func() core.AttrIndex { return hint.New(value.Compare) }},
+	}
+	for _, cell := range []struct {
+		name     string
+		churnPct int
+	}{{"stab-heavy", 0}, {"mixed", 30}, {"churn-heavy", 70}} {
+		for _, f := range factories {
+			b.Run(cell.name+"/"+f.name, func(b *testing.B) {
+				m := shard.New(pop.Catalog, pop.Funcs, shard.WithIndexOptions(core.WithIndexFactory(f.mk)))
+				for _, p := range pop.Preds {
+					if err := m.Add(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var buf []pred.ID
+				run := func(from, to int) {
+					for i := from; i < to; i++ {
+						if i%100 >= cell.churnPct {
+							buf, _ = m.Match(rel, tuples[i%len(tuples)], buf[:0])
+							continue
+						}
+						lo := int64(workload.DomainMin + (i*37)%workload.DomainMax)
+						p := pred.New(pred.ID(1<<20+i%1024), rel,
+							pred.IvClause("a00", interval.Closed(value.Int(lo), value.Int(lo+200))))
+						if err := m.Add(p); err != nil {
+							b.Fatal(err)
+						}
+						if err := m.Remove(p.ID); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				run(0, 1000) // warm-up: lazily built structures fault in
+				b.ResetTimer()
+				run(1000, 1000+b.N)
+			})
+		}
 	}
 }

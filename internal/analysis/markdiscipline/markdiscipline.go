@@ -8,7 +8,7 @@
 // answers. The analyzer therefore reports any write to node.marks —
 // direct assignment, or a call to a mutating mark-set method such as
 // Add/Remove — from a file other than the allowed fix-up files.
-// Reads (Each, Has, IDs, Len) are allowed everywhere, as is the
+// Reads (Each, AppendTo, Has, IDs, Len) are allowed everywhere, as is the
 // composite-literal initialization of a freshly allocated node.
 package markdiscipline
 

@@ -2,27 +2,34 @@
 // copy-on-write snapshot discipline for the predicate index.
 //
 // The concurrency model of internal/shard and core.ParallelMatcher
-// rests on one rule: a *core.Index becomes immutable the moment it is
-// published through an atomic.Pointer (Store/CompareAndSwap), and any
-// index obtained from a published location (atomic Load, or a matcher's
-// Snapshot accessor) is frozen — readers stab it lock-free, so a single
-// mutation is a data race and a silent index corruption. Mutation is
-// legal only on a fresh index (core.New or Clone) before it is
-// published.
+// rests on one rule: a snapshot — the *core.View a shard publishes, the
+// *core.Index a ParallelMatcher publishes — becomes immutable the
+// moment it is published through an atomic.Pointer
+// (Store/CompareAndSwap), and any snapshot obtained from a published
+// location (atomic Load, or a matcher's Snapshot accessor) is frozen —
+// readers stab it lock-free, so a single mutation is a data race and a
+// silent index corruption. A View's base and delta indexes are frozen
+// with it: successive Views share them. Mutation is legal only on a
+// fresh index (core.New or Clone) before it is published or built into
+// a View; a View changes only by deriving the next one (With, Without,
+// Merged).
 //
 // The analyzer reports, within each function:
 //
-//   - a mutating method call (Add, Remove, Match, Candidates — Match
-//     and Candidates write the index's scratch buffer) or a direct
+//   - a mutating Index method call (Add, Remove, Match, Candidates —
+//     Match and Candidates write the index's scratch buffer) or a direct
 //     field write on a variable after it was passed to an atomic
 //     Store/CompareAndSwap;
-//   - a mutating method call on a value obtained from an atomic
-//     Pointer[core.Index].Load or from a method named Snapshot
-//     returning *core.Index, directly or via a variable.
+//   - a mutating Index method call, or a field write, on a value
+//     obtained from an atomic Pointer[core.Index or core.View].Load or
+//     from a method named Snapshot, directly or via a variable;
+//   - a mutating method call on an Index reached through a field of a
+//     View (v.delta.Add(p)), directly or via a variable.
 //
 // The check is intraprocedural and source-position based: publishing
 // and reassignment are tracked in order of appearance. Clone and New
-// reset a variable to mutable; assigning from Load/Snapshot freezes it.
+// reset a variable to mutable; assigning from Load/Snapshot or from a
+// View's field freezes it.
 package snapshotmut
 
 import (
@@ -36,24 +43,30 @@ import (
 // Configuration. Defaults describe the real repository; the analyzer
 // tests point them at fixture packages.
 var (
-	// IndexPkg/IndexType name the copy-on-write snapshot type.
+	// IndexPkg/IndexType name the copy-on-write index type; ViewType is
+	// the immutable base+delta view the shards publish, whose Index
+	// fields are frozen with it.
 	IndexPkg  = "predmatch/internal/core"
 	IndexType = "Index"
+	ViewType  = "View"
 	// MutatingMethods are Index methods that are illegal on a frozen
 	// snapshot (Match and Candidates reuse the index scratch buffer).
 	MutatingMethods = map[string]bool{
 		"Add": true, "Remove": true, "Match": true, "Candidates": true,
 	}
-	// FreshMethods return a new mutable Index.
-	FreshMethods = map[string]bool{"Clone": true, "New": true}
-	// FrozenMethods return a published, immutable Index.
+	// FreshMethods return a new, not yet published Index or View.
+	FreshMethods = map[string]bool{
+		"Clone": true, "New": true,
+		"NewView": true, "With": true, "Without": true, "Merged": true,
+	}
+	// FrozenMethods return a published, immutable Index or View.
 	FrozenMethods = map[string]bool{"Snapshot": true}
 )
 
 // Analyzer is the snapshotmut analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapshotmut",
-	Doc:  "published core.Index snapshots are immutable: no mutation after atomic Store, none on Load/Snapshot results",
+	Doc:  "published core.Index and core.View snapshots are immutable: no mutation after atomic Store, none on Load/Snapshot results or on a View's indexes",
 	Run:  run,
 }
 
@@ -115,7 +128,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case *ast.ValueSpec:
 			for i, name := range n.Names {
 				v, _ := pass.TypesInfo.Defs[name].(*types.Var)
-				if v == nil || !isIndexPtr(v.Type()) {
+				if v == nil || !isSnapshotPtr(v.Type()) {
 					continue
 				}
 				st := stateUnknown
@@ -151,7 +164,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				if !ok {
 					continue
 				}
-				if !isIndexPtr(pass.TypeOf(sel.X)) {
+				if !isSnapshotPtr(pass.TypeOf(sel.X)) {
 					continue
 				}
 				checkMutation(pass, facts, sel.X, lhs.Pos(),
@@ -171,6 +184,11 @@ func checkMutation(pass *analysis.Pass, facts *funcFacts, recv ast.Expr, pos tok
 		if src := frozenSource(pass, call); src != "" {
 			pass.Reportf(pos, "%s on the frozen snapshot returned by %s: published indexes are immutable (Clone it first)", what, src)
 		}
+		return
+	}
+	// Direct chain through a View: v.delta.Add(p).
+	if viewIndexField(pass, recv) {
+		pass.Reportf(pos, "%s on an index reached through a %s: a View's indexes are frozen with it (Clone it first)", what, ViewType)
 		return
 	}
 	v := indexVar(pass, recv)
@@ -198,7 +216,7 @@ func checkMutation(pass *analysis.Pass, facts *funcFacts, recv ast.Expr, pos tok
 }
 
 // indexVar returns the *types.Var behind an identifier of type
-// *core.Index, or nil.
+// *core.Index or *core.View, or nil.
 func indexVar(pass *analysis.Pass, e ast.Expr) *types.Var {
 	id, ok := unwrap(e).(*ast.Ident)
 	if !ok {
@@ -209,7 +227,7 @@ func indexVar(pass *analysis.Pass, e ast.Expr) *types.Var {
 		obj = pass.TypesInfo.Defs[id]
 	}
 	v, ok := obj.(*types.Var)
-	if !ok || !isIndexPtr(v.Type()) {
+	if !ok || !isSnapshotPtr(v.Type()) {
 		return nil
 	}
 	return v
@@ -220,13 +238,27 @@ func isIndexPtr(t types.Type) bool {
 	return analysis.IsNamed(t, IndexPkg, IndexType)
 }
 
-// isAtomicIndexPointer reports whether t is sync/atomic.Pointer[core.Index].
+// isSnapshotPtr reports whether t is one of the two published types,
+// *core.Index or *core.View (or the value types).
+func isSnapshotPtr(t types.Type) bool {
+	return isIndexPtr(t) || analysis.IsNamed(t, IndexPkg, ViewType)
+}
+
+// viewIndexField reports whether e selects an Index-typed field of a
+// View (v.base, v.delta).
+func viewIndexField(pass *analysis.Pass, e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	return ok && isIndexPtr(pass.TypeOf(sel)) && analysis.IsNamed(pass.TypeOf(sel.X), IndexPkg, ViewType)
+}
+
+// isAtomicIndexPointer reports whether t is sync/atomic.Pointer of
+// core.Index or core.View.
 func isAtomicIndexPointer(t types.Type) bool {
 	if !analysis.IsNamed(t, "sync/atomic", "Pointer") {
 		return false
 	}
 	arg := analysis.TypeArg(t, 0)
-	return arg != nil && analysis.IsNamed(arg, IndexPkg, IndexType)
+	return arg != nil && isSnapshotPtr(arg)
 }
 
 // classify determines the snapshot state an expression yields.
@@ -238,13 +270,17 @@ func classify(pass *analysis.Pass, e ast.Expr) state {
 			return stateFrozen
 		}
 		if fun, ok := x.Fun.(*ast.SelectorExpr); ok && FreshMethods[fun.Sel.Name] {
-			if isIndexPtr(pass.TypeOf(x)) {
+			if isSnapshotPtr(pass.TypeOf(x)) {
 				return stateFresh
 			}
 		}
+	case *ast.SelectorExpr:
+		if viewIndexField(pass, x) {
+			return stateFrozen
+		}
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			if _, ok := x.X.(*ast.CompositeLit); ok && isIndexPtr(pass.TypeOf(x)) {
+			if _, ok := x.X.(*ast.CompositeLit); ok && isSnapshotPtr(pass.TypeOf(x)) {
 				return stateFresh
 			}
 		}
@@ -252,9 +288,9 @@ func classify(pass *analysis.Pass, e ast.Expr) state {
 	return stateUnknown
 }
 
-// frozenSource reports whether call yields a frozen index — an atomic
-// Pointer[Index].Load() or a FrozenMethods call returning *Index —
-// naming the source for the diagnostic, or "".
+// frozenSource reports whether call yields a frozen snapshot — an
+// atomic Pointer[Index or View].Load() or a FrozenMethods call
+// returning one — naming the source for the diagnostic, or "".
 func frozenSource(pass *analysis.Pass, call *ast.CallExpr) string {
 	fun, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -263,7 +299,7 @@ func frozenSource(pass *analysis.Pass, call *ast.CallExpr) string {
 	if fun.Sel.Name == "Load" && isAtomicIndexPointer(pass.TypeOf(fun.X)) {
 		return "atomic Load"
 	}
-	if FrozenMethods[fun.Sel.Name] && isIndexPtr(pass.TypeOf(call)) {
+	if FrozenMethods[fun.Sel.Name] && isSnapshotPtr(pass.TypeOf(call)) {
 		return fun.Sel.Name
 	}
 	return ""

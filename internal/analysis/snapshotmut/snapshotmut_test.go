@@ -9,4 +9,7 @@ import (
 
 func TestSnapshotMut(t *testing.T) {
 	analysistest.Run(t, "testdata", snapshotmut.Analyzer, "snapmut")
+	// The fixture core package seeds the violations only core itself can
+	// commit: mutating an index through a View's unexported fields.
+	analysistest.Run(t, "testdata", snapshotmut.Analyzer, "predmatch/internal/core")
 }

@@ -1,6 +1,8 @@
 // Package snapmut seeds copy-on-write discipline violations for the
 // snapshotmut analyzer fixture test: mutation after an atomic publish,
-// mutation of atomic Load results and of Snapshot accessor results.
+// mutation of atomic Load results and of Snapshot accessor results —
+// for a published Index and for a published View and the indexes
+// reachable from it.
 package snapmut
 
 import (
@@ -78,4 +80,58 @@ func (s *shard) suppressed(id int) {
 	next := core.New()
 	s.snap.Store(next)
 	_ = next.Add(id) //predmatchvet:ignore snapshotmut fixture exercises the suppression path
+}
+
+// viewShard publishes Views, as internal/shard does.
+type viewShard struct {
+	snap atomic.Pointer[core.View]
+}
+
+// Snapshot returns the published frozen view.
+func (s *viewShard) Snapshot() *core.View { return s.snap.Load() }
+
+// goodWrite is the legal write path: derive, merge, publish.
+func (s *viewShard) goodWrite(id int) {
+	cur := s.snap.Load()
+	if cur == nil {
+		cur = core.NewView()
+	}
+	next := cur.With(id).Merged()
+	s.snap.Store(next)
+}
+
+// goodRead stabs a published view; View.Match writes nothing.
+func (s *viewShard) goodRead() []int {
+	return s.snap.Load().Match("r")
+}
+
+// mutateViewIndexChain mutates the delta of a published view.
+func (s *viewShard) mutateViewIndexChain(id int) {
+	_ = s.snap.Load().Delta.Add(id) // want `index reached through a View`
+}
+
+// mutateViewIndexVar does the same through variables.
+func (s *viewShard) mutateViewIndexVar(id int) {
+	v := s.Snapshot()
+	base := v.Base
+	_ = base.Remove(id) // want `frozen snapshot obtained from a published location`
+}
+
+// writeFrozenViewField rewrites a published view's tombstones.
+func (s *viewShard) writeFrozenViewField() {
+	v := s.snap.Load()
+	v.Dead = nil // want `write to field Dead`
+}
+
+// writeViewAfterPublish writes a fresh view after the atomic Store.
+func (s *viewShard) writeViewAfterPublish() {
+	next := core.NewView()
+	s.snap.Store(next)
+	next.Dead = nil // want `after it was published with an atomic Store`
+}
+
+// cloneViewIndex shows Clone making a view's index mutable again.
+func (s *viewShard) cloneViewIndex(id int) {
+	d := s.snap.Load().Delta.Clone()
+	_ = d.Add(id)
 }

@@ -23,7 +23,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"predmatch/internal/ibs"
 	"predmatch/internal/interval"
@@ -245,37 +247,50 @@ func (ix *Index) Match(rel string, t tuple.Tuple, dst []pred.ID) ([]pred.ID, err
 	if !ok {
 		return dst, nil
 	}
-	scratch := ix.scratch[:0]
-	for _, pr := range ri.probes {
-		scratch = pr.tree.StabAppend(t[pr.pos], scratch)
-	}
-	for _, id := range scratch {
-		e := ix.preds[id]
-		if e.bound.MatchSkipping(t, e.clause) {
-			dst = append(dst, id)
-		}
-	}
-	for _, e := range ri.nonIndexable {
-		if e.bound.Match(t) {
-			dst = append(dst, e.bound.Pred.ID)
-		}
-	}
-	ix.scratch = scratch
+	dst, ix.scratch = ix.matchMasked(ri, t, dst, ix.scratch[:0], nil)
 	return dst, nil
 }
 
 // MatchSnapshot is Match without the shared scratch buffer: it performs
 // no writes to the index at all, so any number of goroutines may call it
 // on the same Index concurrently — provided nothing mutates the index
-// meanwhile. This is the read path of the copy-on-write wrappers
-// (ParallelMatcher, internal/shard), which treat every published Index
-// as frozen.
+// meanwhile. This is the serial read path of ParallelMatcher, which
+// treats every published Index as frozen; internal/shard reads through
+// View.Match, built on the same matchMasked.
 func (ix *Index) MatchSnapshot(rel string, t tuple.Tuple, dst []pred.ID) ([]pred.ID, error) {
 	ri, ok := ix.rels[rel]
 	if !ok {
 		return dst, nil
 	}
-	return ix.matchSerial(ri, t, dst)
+	dst, _ = ix.matchMasked(ri, t, dst, nil, nil)
+	return dst, nil
+}
+
+// matchMasked is the match of one relation: stab ri's trees into
+// scratch, then complete every candidate and every non-indexable
+// predicate whose ID is not in dead (sorted; nil masks nothing). It
+// never writes to the index, so it is safe against a frozen snapshot,
+// and returns the grown scratch for the caller to reuse: Match keeps it
+// in the index, a View carries it from its base to its delta.
+func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, scratch, dead []pred.ID) (out, buf []pred.ID) {
+	for _, pr := range ri.probes {
+		scratch = pr.tree.StabAppend(t[pr.pos], scratch)
+	}
+	for _, id := range scratch {
+		if masked(dead, id) {
+			continue
+		}
+		e := ix.preds[id]
+		if e.bound.MatchSkipping(t, e.clause) {
+			dst = append(dst, id)
+		}
+	}
+	for _, e := range ri.nonIndexable {
+		if !masked(dead, e.bound.Pred.ID) && e.bound.Match(t) {
+			dst = append(dst, e.bound.Pred.ID)
+		}
+	}
+	return dst, scratch
 }
 
 // Clone returns a copy of the index that can be mutated without
@@ -284,8 +299,26 @@ func (ix *Index) MatchSnapshot(rel string, t tuple.Tuple, dst []pred.ID) ([]pred
 // and every attribute tree are rebuilt, costing one tree insertion per
 // indexed predicate. Clone is what the copy-on-write wrappers use to
 // prepare the next snapshot before publishing it.
-func (ix *Index) Clone() *Index {
-	cp := &Index{
+func (ix *Index) Clone() *Index { return ix.rebuild(nil, nil) }
+
+// rebuild is Clone generalized to a View merge: a fresh index holding
+// ix's predicates except the IDs in dead (sorted), plus every predicate
+// of delta when delta is non-nil.
+func (ix *Index) rebuild(dead []pred.ID, delta *Index) *Index {
+	cp := ix.blank()
+	cp.adopt(ix, dead)
+	if delta != nil {
+		cp.adopt(delta, nil)
+	}
+	for _, ri := range cp.rels {
+		ri.rebuildProbes()
+	}
+	return cp
+}
+
+// blank returns an empty index with ix's configuration.
+func (ix *Index) blank() *Index {
+	return &Index{
 		catalog: ix.catalog,
 		funcs:   ix.funcs,
 		est:     ix.est,
@@ -294,32 +327,54 @@ func (ix *Index) Clone() *Index {
 		rels:    make(map[string]*relIndex, len(ix.rels)),
 		preds:   make(map[pred.ID]*entry, len(ix.preds)),
 	}
-	for name, ri := range ix.rels {
-		cri := &relIndex{rel: ri.rel, trees: make(map[string]AttrIndex, len(ri.trees))}
-		if len(ri.nonIndexable) > 0 {
-			cri.nonIndexable = append([]*entry(nil), ri.nonIndexable...)
+}
+
+// adopt re-indexes src's predicates, minus the IDs in skip (sorted),
+// into ix: one tree insertion per indexed predicate, sharing the
+// PREDICATES rows. Probe lists are left for the caller to rebuild.
+func (ix *Index) adopt(src *Index, skip []pred.ID) {
+	for name, ri := range src.rels {
+		cri, ok := ix.rels[name]
+		if !ok {
+			cri = &relIndex{rel: ri.rel, trees: make(map[string]AttrIndex, len(ri.trees))}
+			ix.rels[name] = cri
 		}
-		for attr := range ri.trees {
-			cri.trees[attr] = ix.factory()
+		cri.nonIndexable = slices.Grow(cri.nonIndexable, len(ri.nonIndexable))
+		for _, e := range ri.nonIndexable {
+			if !masked(skip, e.bound.Pred.ID) {
+				cri.nonIndexable = append(cri.nonIndexable, e)
+			}
 		}
-		cp.rels[name] = cri
 	}
-	for id, e := range ix.preds {
-		cp.preds[id] = e
+	for id, e := range src.preds {
+		if masked(skip, id) {
+			continue
+		}
+		ix.preds[id] = e
 		if e.clause < 0 {
 			continue
 		}
-		tree := cp.rels[e.bound.Pred.Rel].trees[e.attr]
+		ri := ix.rels[e.bound.Pred.Rel]
+		tree, ok := ri.trees[e.attr]
+		if !ok {
+			tree = ix.factory()
+			ri.trees[e.attr] = tree
+		}
 		if err := tree.Insert(id, e.bound.Pred.Clauses[e.clause].Iv); err != nil {
 			// The clause was inserted into an equivalent tree once
 			// already; failing here means an index invariant is broken.
-			panic(fmt.Sprintf("core: clone re-insert of predicate %d: %v", id, err))
+			panic(fmt.Sprintf("core: rebuild re-insert of predicate %d: %v", id, err))
 		}
 	}
-	for _, cri := range cp.rels {
-		cri.rebuildProbes()
+}
+
+// masked reports whether id is in the sorted ID list dead.
+func masked(dead []pred.ID, id pred.ID) bool {
+	if len(dead) == 0 {
+		return false
 	}
-	return cp
+	_, ok := slices.BinarySearch(dead, id)
+	return ok
 }
 
 // Candidates returns the number of partial matches a Match for t would
@@ -371,13 +426,16 @@ func (ix *Index) Trees() []TreeStats {
 			out = append(out, ts)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rel != out[j].Rel {
-			return out[i].Rel < out[j].Rel
-		}
-		return out[i].Attr < out[j].Attr
-	})
+	slices.SortFunc(out, compareTrees)
 	return out
+}
+
+// compareTrees orders TreeStats by relation, then attribute.
+func compareTrees(a, b TreeStats) int {
+	if c := strings.Compare(a.Rel, b.Rel); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Attr, b.Attr)
 }
 
 // NonIndexableCount returns the number of predicates on rel's

@@ -111,7 +111,8 @@ func (ix *Index) matchParallel(rel string, t tuple.Tuple, dst []pred.ID, workers
 	// threshold is deliberately coarse — the crossover is measured by
 	// BenchmarkParallelMatch.
 	if len(ri.probes) <= 1 && len(ri.nonIndexable) < 64 {
-		return ix.matchSerial(ri, t, dst)
+		dst, _ = ix.matchMasked(ri, t, dst, nil, nil)
+		return dst, nil
 	}
 
 	// Phase 1: one goroutine per attribute tree (the paper's "processor
@@ -182,27 +183,6 @@ func (ix *Index) matchParallel(rel string, t tuple.Tuple, dst []pred.ID, workers
 	wg.Wait()
 	for _, r := range results {
 		dst = append(dst, r...)
-	}
-	return dst, nil
-}
-
-// matchSerial is Match without the shared scratch buffer; it never
-// writes to the index, making it safe against a frozen snapshot.
-func (ix *Index) matchSerial(ri *relIndex, t tuple.Tuple, dst []pred.ID) ([]pred.ID, error) {
-	var scratch []pred.ID
-	for _, pr := range ri.probes {
-		scratch = pr.tree.StabAppend(t[pr.pos], scratch)
-	}
-	for _, id := range scratch {
-		e := ix.preds[id]
-		if e.bound.MatchSkipping(t, e.clause) {
-			dst = append(dst, id)
-		}
-	}
-	for _, e := range ri.nonIndexable {
-		if e.bound.Match(t) {
-			dst = append(dst, e.bound.Pred.ID)
-		}
 	}
 	return dst, nil
 }

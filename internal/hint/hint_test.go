@@ -165,6 +165,27 @@ func TestHINTPaperWorkload(t *testing.T) {
 	}
 }
 
+// TestStabAppendAllocFree is the blocking allocation gate on the flat
+// index: once built, a stab into a pre-sized dst allocates nothing.
+func TestStabAppendAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ix := hint.New(ivindex.Int64Cmp)
+	for i, iv := range workload.Intervals(rng, 500, 0.5) {
+		if err := ix.Insert(markset.ID(i+1), iv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	points := workload.StabPoints(rng, 64)
+	dst := ix.StabAppend(points[0], make([]markset.ID, 0, 512)) // builds the hierarchy
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		dst = ix.StabAppend(points[i%len(points)], dst[:0])
+	}); n != 0 {
+		t.Fatalf("StabAppend into a pre-sized dst allocates %v times per stab, want 0", n)
+	}
+}
+
 // TestHINTStats exercises the introspection surface used by
 // core.AttrIndexStats.
 func TestHINTStats(t *testing.T) {

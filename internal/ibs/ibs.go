@@ -285,22 +285,13 @@ func (t *Tree[T]) StabAppend(x T, dst []ID) []ID {
 		c := t.cmp(x, n.value)
 		switch {
 		case c == 0:
-			n.marks[slotEQ].Each(func(id ID) bool {
-				dst = append(dst, id)
-				return true
-			})
+			dst = n.marks[slotEQ].AppendTo(dst)
 			n = nil
 		case c < 0:
-			n.marks[slotLT].Each(func(id ID) bool {
-				dst = append(dst, id)
-				return true
-			})
+			dst = n.marks[slotLT].AppendTo(dst)
 			n = n.left
 		default:
-			n.marks[slotGT].Each(func(id ID) bool {
-				dst = append(dst, id)
-				return true
-			})
+			dst = n.marks[slotGT].AppendTo(dst)
 			n = n.right
 		}
 	}

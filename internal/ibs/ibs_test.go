@@ -222,6 +222,29 @@ func TestStabAppendReuse(t *testing.T) {
 	}
 }
 
+// TestStabAppendAllocFree is the blocking allocation gate on the paper's
+// stabbing query: into a pre-sized dst it allocates nothing, with
+// either mark-set representation (markset.Set.AppendTo takes no
+// callback, so nothing escapes per visited node).
+func TestStabAppendAllocFree(t *testing.T) {
+	for name, set := range map[string]markset.Factory{"slice": markset.NewSlice, "avl": markset.NewAVL} {
+		rng := rand.New(rand.NewSource(4))
+		tr := New(intCmp, MarkSets(set))
+		for id := ID(1); id <= 500; id++ {
+			lo := rng.Intn(10000)
+			mustInsert(t, tr, id, interval.Closed(lo, lo+rng.Intn(1000)))
+		}
+		dst := make([]ID, 0, 512)
+		x := 0
+		if n := testing.AllocsPerRun(200, func() {
+			x = (x + 997) % 11000
+			dst = tr.StabAppend(x, dst[:0])
+		}); n != 0 {
+			t.Errorf("%s mark sets: StabAppend into a pre-sized dst allocates %v times per stab, want 0", name, n)
+		}
+	}
+}
+
 func TestStabFunc(t *testing.T) {
 	tr := New(intCmp)
 	mustInsert(t, tr, 1, interval.Closed(0, 10))

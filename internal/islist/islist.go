@@ -435,16 +435,10 @@ func (l *List[T]) StabAppend(x T, dst []ID) []ID {
 		switch {
 		case next == nil || l.cmp(next.value, x) > 0:
 			// Descending from an edge whose open span contains x.
-			n.markers[lv].Each(func(id ID) bool {
-				dst = append(dst, id)
-				return true
-			})
+			dst = n.markers[lv].AppendTo(dst)
 		case lv == 0:
 			// Landed exactly on x.
-			next.eq.Each(func(id ID) bool {
-				dst = append(dst, id)
-				return true
-			})
+			dst = next.eq.AppendTo(dst)
 		}
 	}
 	return dedupe(dst, start)

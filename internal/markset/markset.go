@@ -30,6 +30,10 @@ type Set interface {
 	Each(fn func(ID) bool)
 	// IDs returns the members as a fresh slice in ascending order.
 	IDs() []ID
+	// AppendTo appends the members to dst in ascending order and returns
+	// it. Unlike Each it takes no callback, so a caller collecting into a
+	// pre-sized slice allocates nothing.
+	AppendTo(dst []ID) []ID
 }
 
 // Factory constructs an empty Set. IBS-trees take a Factory so the slot
@@ -97,6 +101,9 @@ func (s *SliceSet) IDs() []ID {
 	copy(out, s.ids)
 	return out
 }
+
+// AppendTo appends the members to dst in ascending order.
+func (s *SliceSet) AppendTo(dst []ID) []ID { return append(dst, s.ids...) }
 
 // AVLSet is a Set backed by an AVL tree, giving O(log n) insertion,
 // removal and membership. This is the auxiliary-binary-search-tree
@@ -260,11 +267,14 @@ func (s *AVLSet) Each(fn func(ID) bool) {
 }
 
 // IDs returns the members in ascending order.
-func (s *AVLSet) IDs() []ID {
-	out := make([]ID, 0, s.n)
-	s.Each(func(id ID) bool {
-		out = append(out, id)
-		return true
-	})
-	return out
+func (s *AVLSet) IDs() []ID { return s.AppendTo(make([]ID, 0, s.n)) }
+
+// AppendTo appends the members to dst in ascending order.
+func (s *AVLSet) AppendTo(dst []ID) []ID { return s.root.appendTo(dst) }
+
+func (n *avlNode) appendTo(dst []ID) []ID {
+	if n == nil {
+		return dst
+	}
+	return n.right.appendTo(append(n.left.appendTo(dst), n.id))
 }

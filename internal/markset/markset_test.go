@@ -77,6 +77,27 @@ func TestEachOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
+// TestAppendTo checks the callback-free iteration: ascending members
+// after dst's existing prefix, and no allocation into a pre-sized dst
+// (the property ibs.StabAppend's zero-allocation gate rests on).
+func TestAppendTo(t *testing.T) {
+	for name, factory := range implementations() {
+		t.Run(name, func(t *testing.T) {
+			s := factory()
+			for _, id := range []ID{7, 1, 4, 9, 2} {
+				s.Add(id)
+			}
+			if got := s.AppendTo([]ID{42}); !reflect.DeepEqual(got, []ID{42, 1, 2, 4, 7, 9}) {
+				t.Fatalf("AppendTo = %v", got)
+			}
+			dst := make([]ID, 0, 8)
+			if n := testing.AllocsPerRun(100, func() { dst = s.AppendTo(dst[:0]) }); n != 0 {
+				t.Fatalf("AppendTo into a pre-sized dst allocates %v times", n)
+			}
+		})
+	}
+}
+
 // TestImplementationsAgree drives both implementations with identical
 // random operation sequences and requires identical observable state.
 func TestImplementationsAgree(t *testing.T) {

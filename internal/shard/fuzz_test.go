@@ -27,6 +27,28 @@ func FuzzShardedMatcher(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 0, 2, 2, 2, 3, 1, 9, 9, 2, 0, 0, 0, 3, 2, 4, 4})
 	f.Add([]byte{1, 0, 30, 31, 1, 0, 32, 33, 2, 0, 1, 0, 1, 1, 8, 8, 3, 0, 0, 0})
 	f.Add([]byte{3, 5, 200, 100, 0, 255, 6, 6, 2, 9, 9, 9})
+	// Long enough to cross merges of a shard's base (the overlay holds at
+	// most 16 writes while the base is small): 40 adds on one relation,
+	// then removes — tombstones in the base, drops from the delta — with
+	// a match after each, then adds and matches again; and the same mix
+	// with 60 adds spread over all three relations.
+	var one, spread []byte
+	for i := 0; i < 60; i++ {
+		if i < 40 {
+			one = append(one, 0, 0, byte(i*7), byte(i*13))
+		}
+		spread = append(spread, 1, byte(i), byte(i*5), byte(i*11))
+	}
+	for i := 0; i < 30; i++ {
+		one = append(one, 2, 0, byte(i*11), byte(i), 3, 0, byte(i*5+1), byte(i*3))
+		spread = append(spread, 2, byte(i), byte(i*3), byte(i*17), 3, byte(i), byte(i*7+2), byte(i))
+	}
+	for i := 0; i < 25; i++ {
+		one = append(one, 1, 0, byte(i*3), byte(i*29), 3, 0, byte(i*9+4), byte(i*2))
+		spread = append(spread, 0, byte(i), byte(i*13), byte(i*19), 3, byte(i+1), byte(i*3+1), byte(i*23))
+	}
+	f.Add(one)
+	f.Add(spread)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fix := matchertest.NewFixture()
 		m := shard.New(fix.Catalog, fix.Funcs)

@@ -16,6 +16,7 @@ type metrics struct {
 	batchSecs   *obs.Histogram    // whole-batch MatchBatch latency
 	batchTuples *obs.Histogram    // MatchBatch batch sizes
 	swaps       *obs.Counter      // snapshot publications (Add/Remove)
+	merges      *obs.Counter      // publications that rebuilt the base
 }
 
 // WithMetrics registers the matcher's metric families on reg and turns
@@ -39,6 +40,8 @@ func WithMetrics(reg *obs.Registry) Option {
 				obs.ExponentialBuckets(1, 4, 8)...),
 			swaps: reg.Counter("predmatch_shard_snapshot_swaps_total",
 				"Copy-on-write snapshot publications (Add/Remove commits)."),
+			merges: reg.Counter("predmatch_shard_merges_total",
+				"Publications that folded the delta and tombstones into a rebuilt base (the O(N) write)."),
 		}
 		if m.pf != nil {
 			reg.CounterFunc("predmatch_prefilter_admitted_total",

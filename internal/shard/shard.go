@@ -1,19 +1,25 @@
 // Package shard implements the serving-layer predicate matcher: the
 // paper's first-level hash on relation name (Figure 1) becomes the unit
 // of concurrency. Every relation gets its own shard, and every shard
-// holds an atomically published, immutable core.Index snapshot covering
-// only that relation's predicates.
+// holds an atomically published, immutable core.View covering only that
+// relation's predicates: a large base index, a small delta index of
+// recent adds, and the tombstones of recent removes.
 //
 // Concurrency model:
 //
 //   - Match is lock-free: one atomic load of the shard directory, one
-//     atomic load of the shard's snapshot, then a read-only stab against
-//     the frozen snapshot. Readers never block writers or each other.
+//     atomic load of the shard's view, then a read-only two-level stab —
+//     base hits minus tombstones, then delta hits — against the frozen
+//     view. Readers never block writers or each other.
 //   - Writers serialize per shard: Add/Remove take the shard's mutex,
-//     clone the current snapshot, apply the change to the clone, and
-//     publish it with an atomic store. Writers to different relations
-//     proceed fully in parallel — the sharding axis the paper's
-//     relation-name hash already provides.
+//     derive the next view — a copy of the delta with the change
+//     applied, or of the tombstone list; the base is shared, so that is
+//     O(|delta|) tree insertions however large the relation — and
+//     publish it with an atomic store. Once in about √(2N) writes the
+//     overlay outgrows core's merge rule and the same writer first
+//     rebuilds the base, inline: O(√N) insertions per write amortized.
+//     Writers to different relations proceed fully in parallel — the
+//     sharding axis the paper's relation-name hash already provides.
 //   - Every Match observes a predicate set that actually existed at some
 //     instant between the call's start and end (snapshot isolation per
 //     relation); it never sees a half-applied write.
@@ -87,9 +93,9 @@ var (
 
 // relShard is one relation's slice of the index.
 type relShard struct {
-	mu sync.Mutex // serializes clone-and-publish writers
+	mu sync.Mutex // serializes writers (derive the next view, merge, publish)
 	// snap is the published immutable snapshot; nil until the first Add.
-	snap atomic.Pointer[core.Index]
+	snap atomic.Pointer[core.View]
 	// version counts published snapshots: it advances by one on every
 	// successful Add/Remove against this shard, so two reads observing
 	// the same version observed the same predicate set.
@@ -210,7 +216,7 @@ func (m *ShardedMatcher) shardOrCreate(rel string) *relShard {
 }
 
 // Add implements matcher.Matcher: validate, reserve the ID globally,
-// then clone-and-publish the owning relation's shard.
+// then publish the owning relation's view plus p.
 func (m *ShardedMatcher) Add(p *pred.Predicate) error {
 	// Validate up front so a bad predicate never creates a shard or
 	// reserves an ID.
@@ -228,38 +234,24 @@ func (m *ShardedMatcher) Add(p *pred.Predicate) error {
 	sh := m.shardOrCreate(p.Rel)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var next *core.Index
-	if cur := sh.snap.Load(); cur != nil {
-		next = cur.Clone()
-	} else {
-		next = core.New(m.catalog, m.funcs, m.opts...)
+	cur := sh.snap.Load()
+	if cur == nil {
+		cur = core.NewView(m.catalog, m.funcs, m.opts...)
 	}
-	if err := next.Add(p); err != nil {
+	next, err := cur.With(p)
+	// Register with the prefilter BEFORE publishing: a reader observing
+	// the new snapshot is then guaranteed to also observe a filter that
+	// knows about p, so the filter can never skip a tuple p matches.
+	if err == nil && m.pf != nil {
+		err = m.pf.Add(p)
+	}
+	if err != nil {
 		m.idMu.Lock()
 		delete(m.ids, p.ID)
 		m.idMu.Unlock()
 		return err
 	}
-	// Register with the prefilter BEFORE publishing: a reader observing
-	// the new snapshot is then guaranteed to also observe a filter that
-	// knows about p, so the filter can never skip a tuple p matches.
-	if m.pf != nil {
-		if err := m.pf.Add(p); err != nil {
-			m.idMu.Lock()
-			delete(m.ids, p.ID)
-			m.idMu.Unlock()
-			return err
-		}
-	}
-	sh.snap.Store(next)
-	sh.version.Add(1)
-	// A predicate registration is a write against the relation's index
-	// structure (one clone-and-publish), counted in the workload
-	// profile's write total.
-	sh.prof.RecordWrite()
-	if m.met != nil {
-		m.met.swaps.Inc()
-	}
+	m.publish(sh, next)
 	return nil
 }
 
@@ -278,16 +270,14 @@ func (m *ShardedMatcher) Remove(id pred.ID) error {
 	sh := m.shard(rel)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	next := sh.snap.Load().Clone()
-	if err := next.Remove(id); err != nil {
+	next, err := sh.snap.Load().Without(id)
+	if err != nil {
 		m.idMu.Lock()
 		m.ids[id] = rel
 		m.idMu.Unlock()
 		return err
 	}
-	sh.snap.Store(next)
-	sh.version.Add(1)
-	sh.prof.RecordWrite()
+	m.publish(sh, next)
 	// Drop from the prefilter AFTER publishing: until then the filter
 	// stays permissive enough for the old snapshot (over-admission is
 	// free; a reader seeing the narrowed filter with the old snapshot
@@ -295,10 +285,23 @@ func (m *ShardedMatcher) Remove(id pred.ID) error {
 	if m.pf != nil {
 		_ = m.pf.Remove(rel, id) // the ids map guarantees the entry exists
 	}
+	return nil
+}
+
+// publish makes next the shard's snapshot, first folding its overlay
+// into a fresh base if it has outgrown core's merge rule: the O(N)
+// rebuild runs here, inline, under the shard mutex the caller holds.
+func (m *ShardedMatcher) publish(sh *relShard, next *core.View) {
+	merged := next.Merged()
+	sh.snap.Store(merged)
+	sh.version.Add(1)
+	sh.prof.RecordWrite() // one write against the relation's index structure
 	if m.met != nil {
 		m.met.swaps.Inc()
+		if merged != next {
+			m.met.merges.Inc()
+		}
 	}
-	return nil
 }
 
 // Match implements matcher.Matcher with a lock-free snapshot read.
@@ -313,7 +316,7 @@ func (m *ShardedMatcher) Match(rel string, t tuple.Tuple, dst []pred.ID) ([]pred
 func (m *ShardedMatcher) MatchTraced(rel string, t tuple.Tuple, dst []pred.ID, sp *trace.Span) ([]pred.ID, error) {
 	ssp := sp.Child("shard.snapshot")
 	sh := m.shard(rel)
-	var snap *core.Index
+	var snap *core.View
 	if sh != nil {
 		snap = sh.snap.Load()
 	}
@@ -342,11 +345,11 @@ func (m *ShardedMatcher) MatchTraced(rel string, t tuple.Tuple, dst []pred.ID, s
 		}
 	}
 	if sh.lat == nil && sh.prof == nil && sp == nil {
-		return snap.MatchSnapshot(rel, t, dst)
+		return snap.Match(rel, t, dst)
 	}
 	tsp := sp.Child("shard.stab")
 	t0 := time.Now()
-	out, err := snap.MatchSnapshot(rel, t, dst)
+	out, err := snap.Match(rel, t, dst)
 	d := time.Since(t0)
 	if sh.lat != nil {
 		sh.lat.Observe(d.Seconds())
@@ -401,7 +404,7 @@ func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.
 			if m.pf != nil && !m.pf.Admit(rel, t) {
 				continue
 			}
-			if results[i], err = snap.MatchSnapshot(rel, t, nil); err != nil {
+			if results[i], err = snap.Match(rel, t, nil); err != nil {
 				return results, err
 			}
 		}
@@ -426,7 +429,7 @@ func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.
 				if m.pf != nil && !m.pf.Admit(rel, tuples[i]) {
 					continue
 				}
-				out, err := snap.MatchSnapshot(rel, tuples[i], nil)
+				out, err := snap.Match(rel, tuples[i], nil)
 				if err != nil {
 					errs[w] = err
 					return
@@ -444,11 +447,11 @@ func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.
 	return results, nil
 }
 
-// Snapshot returns rel's current frozen index, or nil if the relation
-// has never held a predicate. The returned index must be treated as
-// read-only (use MatchSnapshot); it stays valid forever — later writes
-// publish new snapshots instead of mutating it.
-func (m *ShardedMatcher) Snapshot(rel string) *core.Index {
+// Snapshot returns rel's current frozen view, or nil if the relation
+// has never held a predicate. It stays valid, and keeps answering with
+// the predicate set it was loaded with, forever — later writes publish
+// new views instead of mutating it.
+func (m *ShardedMatcher) Snapshot(rel string) *core.View {
 	sh := m.shard(rel)
 	if sh == nil {
 		return nil

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,10 +13,12 @@ import (
 	"predmatch/internal/islist"
 	"predmatch/internal/matcher"
 	"predmatch/internal/matchertest"
+	"predmatch/internal/obs"
 	"predmatch/internal/pred"
 	"predmatch/internal/shard"
 	"predmatch/internal/tuple"
 	"predmatch/internal/value"
+	"predmatch/internal/workload"
 )
 
 func newSharded(f *matchertest.Fixture) matcher.Matcher {
@@ -119,11 +122,15 @@ func TestMatchBatchUnknownRelation(t *testing.T) {
 	}
 }
 
-// TestSnapshotFrozen pins down the published-snapshot contract: an index
-// obtained before a write keeps answering with the old predicate set.
+// TestSnapshotFrozen pins down the published-snapshot contract: a view
+// obtained before a write keeps answering with the old predicate set —
+// after one more write, and after enough of them (adds, a tombstone for
+// the predicate it holds, a re-add of that ID) to merge the shard's base
+// several times over.
 func TestSnapshotFrozen(t *testing.T) {
 	f := matchertest.NewFixture()
-	m := shard.New(f.Catalog, f.Funcs)
+	reg := obs.NewRegistry()
+	m := shard.New(f.Catalog, f.Funcs, shard.WithMetrics(reg))
 	mustAdd := func(p *pred.Predicate) {
 		t.Helper()
 		if err := m.Add(p); err != nil {
@@ -138,23 +145,153 @@ func TestSnapshotFrozen(t *testing.T) {
 	mustAdd(pred.New(2, "emp", pred.IvClause("salary", interval.AtLeast(value.Int(10)))))
 
 	tup := tuple.New(value.String_("a"), value.Int(30), value.Int(60), value.String_("toy"))
-	gotOld, err := old.MatchSnapshot("emp", tup, nil)
-	if err != nil {
-		t.Fatal(err)
+	matchSorted := func(m interface {
+		Match(string, tuple.Tuple, []pred.ID) ([]pred.ID, error)
+	}) []pred.ID {
+		t.Helper()
+		got, err := m.Match("emp", tup, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		return got
 	}
-	if !reflect.DeepEqual(gotOld, []pred.ID{1}) {
-		t.Fatalf("old snapshot matched %v, want [1]", gotOld)
+	if got := matchSorted(old); !reflect.DeepEqual(got, []pred.ID{1}) {
+		t.Fatalf("old snapshot matched %v, want [1]", got)
 	}
-	gotNew, err := m.Match("emp", tup, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Slice(gotNew, func(i, j int) bool { return gotNew[i] < gotNew[j] })
-	if !reflect.DeepEqual(gotNew, []pred.ID{1, 2}) {
-		t.Fatalf("current matched %v, want [1 2]", gotNew)
+	if got := matchSorted(m); !reflect.DeepEqual(got, []pred.ID{1, 2}) {
+		t.Fatalf("current matched %v, want [1 2]", got)
 	}
 	if m.Snapshot("events") != nil {
 		t.Error("snapshot for predicate-free relation should be nil")
+	}
+
+	for id := pred.ID(3); id < 120; id++ {
+		mustAdd(pred.New(id, "emp", pred.IvClause("salary", interval.AtLeast(value.Int(70)))))
+	}
+	if err := m.Remove(1); err != nil {
+		t.Fatal(err)
+	}
+	mustAdd(pred.New(1, "emp", pred.IvClause("salary", interval.AtLeast(value.Int(99)))))
+	if got := matchSorted(old); !reflect.DeepEqual(got, []pred.ID{1}) {
+		t.Fatalf("old snapshot matched %v after later writes and merges, want [1]", got)
+	}
+	if got := matchSorted(m); !reflect.DeepEqual(got, []pred.ID{2}) {
+		t.Fatalf("current matched %v, want [2]", got)
+	}
+
+	// 121 publications, a handful of them merges; the stats count live
+	// predicates and show each tree once though base and delta both
+	// hold a salary tree.
+	swaps := reg.Counter("predmatch_shard_snapshot_swaps_total", "").Value()
+	merges := reg.Counter("predmatch_shard_merges_total", "").Value()
+	if swaps != 121 || merges < 3 || merges > 12 {
+		t.Errorf("swaps = %d, merges = %d; want 121 and a handful", swaps, merges)
+	}
+	if st := m.Stats(); len(st) != 1 || st[0].Predicates != 119 || st[0].Version != 121 || st[0].Structure != "ibs" {
+		t.Errorf("Stats() = %+v, want 119 live predicates at version 121", st)
+	}
+	if trees := m.Trees(); len(trees) != 1 || trees[0].Attr != "salary" || trees[0].Intervals < 119 {
+		t.Errorf("Trees() = %+v, want one salary row", trees)
+	}
+}
+
+// countingIndex is an AttrIndex that only counts: the write-cost test
+// measures how many tree insertions a write pays, not what they build.
+type countingIndex struct {
+	inserts *int
+	n       int
+}
+
+func (c *countingIndex) Insert(pred.ID, interval.Interval[value.Value]) error {
+	*c.inserts++
+	c.n++
+	return nil
+}
+func (c *countingIndex) Delete(pred.ID) error                            { c.n--; return nil }
+func (c *countingIndex) StabAppend(_ value.Value, d []pred.ID) []pred.ID { return d }
+func (c *countingIndex) Len() int                                        { return c.n }
+
+// TestWriteCostSublinear counts tree insertions instead of timing them:
+// with N standing predicates in one relation, 1,000 alternating
+// add/remove writes (the churn workload's FIFO) average at most 4·√N
+// insertions each, merges included. Clone-per-write paid about N.
+func TestWriteCostSublinear(t *testing.T) {
+	for _, n := range []int{500, 8000} {
+		f := matchertest.NewFixture()
+		var inserts int
+		// No prefilter: it re-summarizes the relation on every write, which
+		// is no tree insertion but is most of this test's run time.
+		m := shard.New(f.Catalog, f.Funcs, shard.WithoutPrefilter(),
+			shard.WithIndexOptions(core.WithIndexFactory(func() core.AttrIndex {
+				return &countingIndex{inserts: &inserts}
+			})))
+		add := func(id pred.ID) {
+			t.Helper()
+			lo := int64(id % 90)
+			if err := m.Add(pred.New(id, "emp", pred.IvClause("salary", interval.Closed(value.Int(lo), value.Int(lo+9))))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := pred.ID(0)
+		for ; int(next) < n; next++ {
+			add(next)
+		}
+		loaded := inserts
+		if per, limit := float64(loaded)/float64(n), 4*math.Sqrt(float64(n)); per > limit {
+			t.Errorf("N=%d: loading paid %.1f insertions per predicate, want at most 4·√N = %.0f", n, per, limit)
+		}
+		const writes = 1000
+		oldest := pred.ID(n - 100) // removals reach into the base and, later, the delta
+		for w := 0; w < writes; w++ {
+			if w%2 == 0 {
+				add(next)
+				next++
+			} else {
+				if err := m.Remove(oldest); err != nil {
+					t.Fatal(err)
+				}
+				oldest++
+			}
+		}
+		per, limit := float64(inserts-loaded)/writes, 4*math.Sqrt(float64(n))
+		t.Logf("N=%d: %.1f insertions per write (4·√N = %.0f, clone-per-write ≈ %d)", n, per, limit, n)
+		if per > limit {
+			t.Errorf("N=%d: %.1f tree insertions per write, want at most 4·√N = %.0f", n, per, limit)
+		}
+	}
+}
+
+// TestMatchAllocs is the blocking allocation gate on the serving-layer
+// match at the benchmark's population (bench/inputs.go: 4 relations of
+// 500 predicates, 15 attributes, a third of them used): what is left
+// is the growth of the one candidate slice.
+func TestMatchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1990))
+	pop, err := workload.SchemaSpec{
+		Relations: 4, AttrsPerRel: 15, UsedAttrFrac: 1.0 / 3.0,
+		PredsPerRel: 500, ClausesPer: 2, IndexableFrac: 0.9, PointFrac: 0.5,
+	}.Build(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := shard.New(pop.Catalog, pop.Funcs)
+	for _, p := range pop.Preds {
+		if err := m.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tups := make([]tuple.Tuple, 256)
+	for i := range tups {
+		tups[i] = pop.Tuple(rng, pop.Rels[i%len(pop.Rels)])
+	}
+	dst := make([]pred.ID, 0, 1024)
+	i := 0
+	if n := testing.AllocsPerRun(4*len(tups), func() {
+		dst, _ = m.Match(pop.Rels[i%len(pop.Rels)].Name(), tups[i%len(tups)], dst[:0])
+		i++
+	}); n > 4 {
+		t.Fatalf("shard.Match allocates %v times per match at the benchmark population, want at most 4", n)
 	}
 }
 
