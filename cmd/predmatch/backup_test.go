@@ -56,9 +56,9 @@ func TestPrintSnapshotGolden(t *testing.T) {
 				NextID:  4,
 				Indexes: []string{"salary"},
 				Rows: []wal.SnapRow{
-					{ID: 1, Tuple: []any{"ada", 52, 18000, "deli"}},
-					{ID: 2, Tuple: []any{"bob", 33, 25000, "shoe"}},
-					{ID: 3, Tuple: []any{"cyd", 41, 90000, "toy"}},
+					{ID: 1, Tuple: wire.Tuple{value.String_("ada"), value.Int(52), value.Int(18000), value.String_("deli")}},
+					{ID: 2, Tuple: wire.Tuple{value.String_("bob"), value.Int(33), value.Int(25000), value.String_("shoe")}},
+					{ID: 3, Tuple: wire.Tuple{value.String_("cyd"), value.Int(41), value.Int(90000), value.String_("toy")}},
 				},
 			},
 			{

@@ -9,11 +9,10 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -33,7 +32,9 @@ var ErrClosed = errors.New("client: connection closed")
 // matching predicate IDs. Seq numbers every notification the server
 // generated for this subscription — a gap means the server's overflow
 // policy dropped the missing ones (Dropped is the cumulative count at
-// the time this notification was generated).
+// the time this notification was generated). Tuple holds the matched
+// tuple's literals as a plain JSON decode would: string, bool, and
+// json.Number for every number.
 type Notification struct {
 	Seq      uint64
 	Rule     string
@@ -73,13 +74,14 @@ type Client struct {
 	notifyCap int
 
 	writeMu sync.Mutex
-	enc     *json.Encoder
+	wbuf    []byte // guarded-by: writeMu (request encode buffer, reused)
 
 	mu      sync.Mutex
-	nextID  uint64                       // guarded-by: mu
-	pending map[uint64]chan wire.Message // guarded-by: mu
-	err     error                        // guarded-by: mu (terminal connection error, set once)
-	closed  bool                         // guarded-by: mu
+	nextID  uint64               // guarded-by: mu
+	pending map[uint64]*callSlot // guarded-by: mu
+	free    []*callSlot          // guarded-by: mu (slots between calls)
+	err     error                // guarded-by: mu (terminal connection error, set once)
+	closed  bool                 // guarded-by: mu
 	// nextTrace is the trace context armed by TraceNext, attached to
 	// (and cleared by) the next request this client sends.
 	nextTrace *wire.TraceContext // guarded-by: mu
@@ -97,19 +99,34 @@ type Client struct {
 	readerDone chan struct{}
 }
 
+// callSlot is where one call waits for its response. Slots are recycled
+// through Client.free, but only by the call that owns one and only once
+// the reader can no longer deliver to it: either the response was
+// received, or the call took its ID out of pending itself.
+type callSlot struct {
+	// resp has room for the reader's single delivery, so the reader
+	// never blocks on a caller. fail closes it instead.
+	resp  chan wire.Message
+	timer *time.Timer // stopped and drained whenever the slot is free
+}
+
 // Dial connects and verifies liveness with a ping.
 func Dial(addr string, opts ...Option) (*Client, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return handshake(nc, opts)
+}
+
+// handshake runs a client over an established connection.
+func handshake(nc net.Conn, opts []Option) (*Client, error) {
 	c := &Client{
 		nc:         nc,
 		timeout:    10 * time.Second,
 		notifyCap:  1024,
-		enc:        json.NewEncoder(nc),
 		nextID:     1,
-		pending:    make(map[uint64]chan wire.Message),
+		pending:    make(map[uint64]*callSlot),
 		dying:      make(chan struct{}),
 		readerDone: make(chan struct{}),
 	}
@@ -154,29 +171,42 @@ func (c *Client) fail(err error) {
 		}
 		close(c.dying)
 	}
-	for id, ch := range c.pending {
-		close(ch)
+	for id, slot := range c.pending {
+		close(slot.resp)
 		delete(c.pending, id)
 	}
 	c.mu.Unlock()
 }
 
+// scribbleReleased is the aliasing guard's switch, flipped only by
+// tests: with it on, the read line and the request encode buffer are
+// overwritten the moment the frame that used them is done with, so
+// anything handed to a caller that still points into them reads as
+// garbage.
+var scribbleReleased bool
+
 // readLoop decodes server frames, routing responses to pending calls
 // and notifications to the subscription channel.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
-	sc := bufio.NewScanner(c.nc)
-	sc.Buffer(make([]byte, 0, 4096), wire.MaxLineBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+	lr := wire.NewLineReader(c.nc, wire.MaxLineBytes)
+	var err error
+	for {
+		var raw []byte
+		if raw, err = lr.Next(); err != nil {
+			break
+		}
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
 		}
 		var m wire.Message
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.UseNumber()
-		if err := dec.Decode(&m); err != nil {
-			c.fail(fmt.Errorf("client: bad server frame: %w", err))
+		derr := wire.DecodeMessage(line, &m)
+		if scribbleReleased {
+			wire.Scribble(raw)
+		}
+		if derr != nil {
+			c.fail(fmt.Errorf("client: bad server frame: %w", derr))
 			c.nc.Close()
 			return
 		}
@@ -192,7 +222,7 @@ func (c *Client) readLoop() {
 					Relation: m.Relation,
 					Op:       m.EventOp,
 					TupleID:  m.EventID,
-					Tuple:    m.Tuple,
+					Tuple:    m.Tuple.Literals(),
 					Matches:  wire.ToIDs(m.Matches),
 					Depth:    m.Depth,
 					Dropped:  m.Dropped,
@@ -216,17 +246,18 @@ func (c *Client) readLoop() {
 				c.nc.Close()
 				return
 			}
+			// A response nobody waits for — its call timed out and took
+			// the ID out of pending — finds no slot and is dropped.
 			c.mu.Lock()
-			ch := c.pending[m.ID]
+			slot := c.pending[m.ID]
 			delete(c.pending, m.ID)
 			c.mu.Unlock()
-			if ch != nil {
-				ch <- m
+			if slot != nil {
+				slot.resp <- m
 			}
 		}
 	}
-	err := sc.Err()
-	if err == nil {
+	if err == io.EOF {
 		err = ErrClosed
 	}
 	c.fail(err)
@@ -239,12 +270,12 @@ func (c *Client) readLoop() {
 }
 
 // call sends one request and waits for its response or the timeout.
-func (c *Client) call(req *wire.Request) (*wire.Message, error) {
+func (c *Client) call(req *wire.Request) (wire.Message, error) {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return nil, err
+		return wire.Message{}, err
 	}
 	req.ID = c.nextID
 	c.nextID++
@@ -252,52 +283,88 @@ func (c *Client) call(req *wire.Request) (*wire.Message, error) {
 		req.Trace = c.nextTrace
 		c.nextTrace = nil
 	}
-	ch := make(chan wire.Message, 1)
-	c.pending[req.ID] = ch
+	var slot *callSlot
+	if n := len(c.free); n > 0 {
+		slot, c.free = c.free[n-1], c.free[:n-1]
+		slot.timer.Reset(c.timeout)
+	} else {
+		slot = &callSlot{resp: make(chan wire.Message, 1), timer: time.NewTimer(c.timeout)}
+	}
+	c.pending[req.ID] = slot
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
-	err := c.enc.Encode(req)
+	var err error
+	if c.wbuf, err = wire.AppendRequest(c.wbuf[:0], req); err == nil {
+		c.nc.SetWriteDeadline(time.Now().Add(c.timeout))
+		_, err = c.nc.Write(c.wbuf)
+	}
+	if scribbleReleased {
+		wire.Scribble(c.wbuf[:cap(c.wbuf)])
+	}
+	if cap(c.wbuf) > wire.RetainBytes {
+		c.wbuf = nil
+	}
 	c.writeMu.Unlock()
 	if err != nil {
+		// The slot is abandoned, not recycled: the connection is dead and
+		// the reader may already hold it.
+		slot.timer.Stop()
 		c.mu.Lock()
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
 		c.fail(err)
 		c.nc.Close()
-		return nil, err
+		return wire.Message{}, err
 	}
 
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
+	var m wire.Message
+	var ok bool
 	select {
-	case m, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return nil, err
+	case m, ok = <-slot.resp:
+		if !slot.timer.Stop() {
+			<-slot.timer.C
 		}
-		if s := m.WalSeq; s > 0 {
-			// Atomic max: acks can complete out of order across goroutines.
-			for {
-				old := c.lastSeq.Load()
-				if s <= old || c.lastSeq.CompareAndSwap(old, s) {
-					break
-				}
+	case <-slot.timer.C:
+		c.mu.Lock()
+		mine := c.pending[req.ID] == slot
+		if mine {
+			// Nobody can deliver to the slot any more: the late response,
+			// if one comes, finds no pending entry.
+			delete(c.pending, req.ID)
+			c.free = append(c.free, slot)
+		}
+		c.mu.Unlock()
+		if mine {
+			return wire.Message{}, fmt.Errorf("client: %s request timed out after %v", req.Op, c.timeout)
+		}
+		// The reader (or fail) took the slot out of pending first, so its
+		// delivery (or close) is on its way: the response beat the timeout.
+		m, ok = <-slot.resp
+	}
+	if !ok {
+		// fail closed the slot; it is never reused.
+		c.mu.Lock()
+		err := c.err
+		c.mu.Unlock()
+		return wire.Message{}, err
+	}
+	c.mu.Lock()
+	c.free = append(c.free, slot)
+	c.mu.Unlock()
+	if s := m.WalSeq; s > 0 {
+		// Atomic max: acks can complete out of order across goroutines.
+		for {
+			old := c.lastSeq.Load()
+			if s <= old || c.lastSeq.CompareAndSwap(old, s) {
+				break
 			}
 		}
-		if m.Error != "" {
-			return &m, fmt.Errorf("client: %s", m.Error)
-		}
-		return &m, nil
-	case <-timer.C:
-		c.mu.Lock()
-		delete(c.pending, req.ID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("client: %s request timed out after %v", req.Op, c.timeout)
 	}
+	if m.Error != "" {
+		return m, fmt.Errorf("client: %s", m.Error)
+	}
+	return m, nil
 }
 
 // TraceNext arms a trace context for the next request this client
@@ -419,7 +486,7 @@ func (c *Client) MatchAt(rel string, t tuple.Tuple, minSeq uint64) ([]pred.ID, e
 
 // MatchBatch matches a batch of tuples against one index snapshot.
 func (c *Client) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.ID, error) {
-	raw := make([][]any, len(tuples))
+	raw := make([]wire.Tuple, len(tuples))
 	for i, t := range tuples {
 		raw[i] = wire.FromTuple(t)
 	}

@@ -13,9 +13,7 @@
 package repl
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -223,24 +221,30 @@ func (f *Follower) streamOnce() error {
 	}()
 
 	from := f.app.ReplAppliedSeq()
-	if err := json.NewEncoder(nc).Encode(wire.Request{
-		ID: 1, Op: wire.OpReplicate, FromSeq: from,
-	}); err != nil {
+	frame, err := wire.AppendRequest(nil, &wire.Request{ID: 1, Op: wire.OpReplicate, FromSeq: from})
+	if err == nil {
+		_, err = nc.Write(frame)
+	}
+	if err != nil {
 		return fmt.Errorf("send replicate: %w", err)
 	}
 	f.opt.Logger.Info("replication stream opened", "leader", f.leader, "from_seq", from)
 
-	sc := bufio.NewScanner(nc)
-	sc.Buffer(make([]byte, 0, 1<<16), wire.MaxReplFrameBytes)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+	lr := wire.NewLineReader(nc, wire.MaxReplFrameBytes)
+	for {
+		raw, err := lr.Next()
+		if err == io.EOF {
+			return errors.New("leader closed the stream")
+		}
+		if err != nil {
+			return err
+		}
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
 		}
 		var m wire.Message
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.UseNumber()
-		if err := dec.Decode(&m); err != nil {
+		if err := wire.DecodeMessage(line, &m); err != nil {
 			return fmt.Errorf("bad stream frame: %w", err)
 		}
 		switch m.Type {
@@ -262,42 +266,32 @@ func (f *Follower) streamOnce() error {
 			return fmt.Errorf("unexpected frame type %q on replication stream", m.Type)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return errors.New("leader closed the stream")
 }
 
-// applyFrame decodes one repl frame and hands it to the applier. Both
-// payloads are decoded with UseNumber, exactly like WAL recovery —
-// tuple ints must stay json.Number, not float64, or they would change
-// type on a follower. Apply errors are fatal: retrying replays the
-// same record into the same refusal.
+// applyFrame decodes one repl frame's payload with the decoders WAL
+// recovery uses and hands it to the applier. Apply errors are fatal:
+// retrying replays the same record into the same refusal.
 func (f *Follower) applyFrame(m *wire.Message) error {
 	if m.LeaderSeq > f.leaderSeq.Load() {
 		f.leaderSeq.Store(m.LeaderSeq)
 	}
 	if len(m.Snap) > 0 {
-		var snap wal.Snapshot
-		dec := json.NewDecoder(bytes.NewReader(m.Snap))
-		dec.UseNumber()
-		if err := dec.Decode(&snap); err != nil {
+		snap, err := wal.UnmarshalSnapshot(m.Snap)
+		if err != nil {
 			return fmt.Errorf("bad snapshot frame: %w", err)
 		}
-		if err := f.app.ReplApplySnapshot(&snap); err != nil {
+		if err := f.app.ReplApplySnapshot(snap); err != nil {
 			return &fatalError{err}
 		}
 		f.opt.Logger.Info("bootstrap snapshot installed", "seq", snap.Seq)
 		return nil
 	}
 	if len(m.Rec) > 0 {
-		var rec wal.Record
-		dec := json.NewDecoder(bytes.NewReader(m.Rec))
-		dec.UseNumber()
-		if err := dec.Decode(&rec); err != nil {
+		rec, err := wal.UnmarshalRecord(m.Rec)
+		if err != nil {
 			return fmt.Errorf("bad record frame: %w", err)
 		}
-		if err := f.app.ReplApplyRecord(&rec); err != nil {
+		if err := f.app.ReplApplyRecord(rec); err != nil {
 			return &fatalError{err}
 		}
 		return nil

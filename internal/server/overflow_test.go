@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 
 	"predmatch/internal/engine"
@@ -61,5 +62,41 @@ func TestServerOverflowPolicy(t *testing.T) {
 	s.onFire(engine.FiringEvent{Rule: "other", Rel: "emp", Op: storage.OpInsert})
 	if filtered.seq != 1 || filtered.drops != 0 {
 		t.Fatalf("filtered sub = %+v", filtered)
+	}
+}
+
+// TestQueuedNotificationKeepsFiringImage pins "stored tuple images are
+// immutable" (docs/INVARIANTS.md) where the serving layer leans on it:
+// a notification shares the stored row instead of copying it, so a row
+// updated while its firing still sits in the queue must leave the queued
+// frame carrying the image at firing time.
+func TestQueuedNotificationKeepsFiringImage(t *testing.T) {
+	s := New(Config{})
+	c := &conn{s: s, notes: make(chan wire.Message, 8)}
+	do := func(req *wire.Request) wire.Message {
+		t.Helper()
+		m := s.dispatch(c, req, nil)
+		if m.Error != "" {
+			t.Fatalf("%s: %s", req.Op, m.Error)
+		}
+		return m
+	}
+	do(&wire.Request{Op: wire.OpDeclare, Relation: "emp",
+		Attrs: []wire.Attr{{Name: "name", Type: "string"}, {Name: "salary", Type: "int"}}})
+	do(&wire.Request{Op: wire.OpRule, Source: "rule any on insert, update to emp when salary > 0 do log 'x'"})
+	do(&wire.Request{Op: wire.OpSubscribe})
+
+	row := do(&wire.Request{Op: wire.OpInsert, Relation: "emp",
+		Tuple: wire.Tuple{value.String_("ada"), value.Int(100)}})
+	do(&wire.Request{Op: wire.OpUpdate, Relation: "emp", TupleID: row.TupleID,
+		Tuple: wire.Tuple{value.String_("eve"), value.Int(200)}})
+	do(&wire.Request{Op: wire.OpDelete, Relation: "emp", TupleID: row.TupleID})
+
+	for _, want := range []string{`"tuple":["ada",100]`, `"tuple":["eve",200]`} {
+		m := <-c.notes
+		frame, err := wire.AppendMessage(nil, &m)
+		if err != nil || !strings.Contains(string(frame), want) {
+			t.Fatalf("queued frame %s (%v), want it to carry %s", frame, err, want)
+		}
 	}
 }

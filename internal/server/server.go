@@ -26,10 +26,8 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -405,9 +403,11 @@ func (s *Server) startConn(nc net.Conn) {
 			s.met.rejected.Inc()
 		}
 		nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		json.NewEncoder(nc).Encode(wire.Message{
+		if frame, err := wire.AppendMessage(nil, &wire.Message{
 			Type: wire.TypeResponse, Error: "server at connection limit",
-		})
+		}); err == nil {
+			nc.Write(frame)
+		}
 		nc.Close()
 		return
 	}
@@ -633,47 +633,70 @@ func (c *conn) subscribed() bool {
 	return ok
 }
 
+// scribbleReleased is the aliasing guard's switch, flipped only by
+// tests: with it on, a connection's reused memory — the request line,
+// the tuple decode scratch, the encode buffer — is overwritten the
+// moment the request or flush that used it completes, so anything that
+// still points into it reads as garbage.
+var scribbleReleased bool
+
 func (c *conn) readLoop() {
 	defer c.s.wg.Done()
 	defer close(c.readerDone)
-	sc := bufio.NewScanner(c.nc)
-	sc.Buffer(make([]byte, 0, 4096), wire.MaxLineBytes)
+	lr := wire.NewLineReader(c.nc, wire.MaxLineBytes)
+	// One Request per connection: DecodeRequest reuses its tuple scratch
+	// and allocates everything else afresh.
+	var req wire.Request
+	armed := false // a read deadline of ours is on the socket
 	for {
+		// Touch the deadline only when it has to change: every request
+		// under an idle timeout, and once to clear it when a subscription
+		// lifts the timeout. A connection that never had one (IdleTimeout
+		// 0, the default) makes no deadline calls at all.
 		if idle := c.s.cfg.IdleTimeout; idle > 0 && !c.subscribed() {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
-		} else {
+			armed = true
+		} else if armed {
 			c.nc.SetReadDeadline(time.Time{})
+			armed = false
 		}
 		// Check done only after arming the deadline: Shutdown closes done
-		// before setting its wake-up deadline, so if the line above
+		// before setting its wake-up deadline, so if a line above
 		// overwrote that wake-up, done is already observably closed here
-		// and we return instead of blocking in Scan forever.
+		// and we return instead of blocking in Next forever. A loop that
+		// set nothing left the wake-up in place.
 		select {
 		case <-c.s.done:
 			return
 		default:
 		}
-		if !sc.Scan() {
+		raw, err := lr.Next()
+		if err != nil {
 			// EOF, peer reset, idle timeout, shutdown wake-up, or an
 			// over-long line: the connection is done either way.
-			if err := sc.Err(); err != nil {
+			switch {
+			case errors.Is(err, wire.ErrFrameTooLong):
+				c.send(errMsg(0, fmt.Errorf("request frame exceeds %d bytes", wire.MaxLineBytes)))
+			case err != io.EOF:
 				c.s.cfg.Logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
 			}
 			return
 		}
-		line := bytes.TrimSpace(sc.Bytes())
+		line := bytes.TrimSpace(raw)
 		if len(line) == 0 {
 			continue
 		}
-		var req wire.Request
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.UseNumber()
-		if err := dec.Decode(&req); err != nil {
+		if err := wire.DecodeRequest(line, &req); err != nil {
 			// Framing is broken; answer once and hang up.
 			c.send(errMsg(0, fmt.Errorf("bad request frame: %w", err)))
 			return
 		}
-		if !c.send(c.s.handle(c, &req)) {
+		ok := c.send(c.s.handle(c, &req))
+		if scribbleReleased {
+			wire.Scribble(raw)
+			wire.ScribbleTuples(&req)
+		}
+		if !ok {
 			return
 		}
 	}
@@ -691,68 +714,92 @@ func (c *conn) send(m wire.Message) bool {
 	}
 }
 
+// flushBytes is the encode buffer size that forces a write even though
+// more frames are queued.
+const flushBytes = 32 << 10
+
 func (c *conn) writeLoop() {
 	defer c.s.wg.Done()
 	defer c.s.removeConn(c)
 	defer c.nc.Close()
 	defer close(c.writerGone)
-	enc := json.NewEncoder(c.nc)
-	write := func(m wire.Message) bool {
+	// Frames are encoded into one buffer and written together when both
+	// queues are momentarily empty (or the buffer is large enough): the
+	// firings of one insert reach a subscriber in one write, not one each.
+	var buf []byte
+	notes := uint64(0) // notifications in buf
+	flush := func() bool {
+		if len(buf) == 0 {
+			return true
+		}
 		c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
-		if err := enc.Encode(m); err != nil {
+		_, err := c.nc.Write(buf)
+		if scribbleReleased {
+			wire.Scribble(buf[:cap(buf)])
+		}
+		if buf = buf[:0]; cap(buf) > wire.RetainBytes {
+			buf = nil
+		}
+		if err != nil {
 			// Write error or missed deadline: a partially written frame
 			// cannot be recovered under line framing, so tear down.
 			c.s.cfg.Logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
 			return false
 		}
-		if m.Type == wire.TypeNotify {
-			c.s.delivered.Add(1)
-			c.delivered.Add(1)
-		}
+		c.s.delivered.Add(notes)
+		c.delivered.Add(notes)
+		notes = 0
 		return true
 	}
+	push := func(m *wire.Message) bool {
+		var err error
+		if buf, err = wire.AppendMessage(buf, m); err != nil {
+			c.s.cfg.Logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
+			return false
+		}
+		if m.Type == wire.TypeNotify {
+			notes++
+		}
+		return len(buf) < flushBytes || flush()
+	}
 	for {
-		// Responses take priority over notifications.
-		select {
-		case m := <-c.resp:
-			if !write(m) {
+		m, ok := c.poll()
+		if !ok {
+			// Both queues are empty: write what is encoded, then wait.
+			if !flush() {
 				return
 			}
-			continue
-		default:
-		}
-		select {
-		case m := <-c.resp:
-			if !write(m) {
-				return
-			}
-		case m := <-c.notes:
-			if !write(m) {
-				return
-			}
-		case <-c.readerDone:
-			// Drain: the reader issues no further responses, so flush
-			// what is queued (responses first) and hang up.
-			for {
-				select {
-				case m := <-c.resp:
-					if !write(m) {
-						return
-					}
-				default:
-					for {
-						select {
-						case m := <-c.notes:
-							if !write(m) {
-								return
-							}
-						default:
-							return
-						}
-					}
+			select {
+			case m = <-c.resp:
+			case m = <-c.notes:
+			case <-c.readerDone:
+				// Drain: the reader issues no further responses, so flush
+				// what is queued (responses first) and hang up.
+				for m, ok = c.poll(); ok && push(&m); m, ok = c.poll() {
 				}
+				flush()
+				return
 			}
 		}
+		if !push(&m) {
+			return
+		}
+	}
+}
+
+// poll takes the next queued frame without blocking; responses take
+// priority over notifications.
+func (c *conn) poll() (wire.Message, bool) {
+	select {
+	case m := <-c.resp:
+		return m, true
+	default:
+	}
+	select {
+	case m := <-c.notes:
+		return m, true
+	default:
+		return wire.Message{}, false
 	}
 }
 

@@ -345,8 +345,8 @@ func (s *Server) checkpoint() (*wire.BackupInfo, error) {
 		rows := tab.SnapshotRows()
 		sr.Rows = make([]wal.SnapRow, len(rows))
 		for i, r := range rows {
-			// FromTuple under the lock: the per-row cost is a small slice of
-			// interface literals; the expensive JSON encode happens off-lock.
+			// Rows are immutable once stored, so the snapshot shares them; the
+			// JSON encode happens off-lock.
 			sr.Rows[i] = wal.SnapRow{ID: int64(r.ID), Tuple: wire.FromTuple(r.Tuple)}
 		}
 		snap.Relations = append(snap.Relations, sr)

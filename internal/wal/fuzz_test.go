@@ -19,7 +19,7 @@ func FuzzWALReplay(f *testing.F) {
 	for i := 1; i <= 3; i++ {
 		frame, err := appendFrame(nil, &Record{
 			Seq: uint64(i), Kind: KindMutate,
-			Events: []Event{{Rel: "emp", Op: "insert", ID: int64(i), Tuple: []any{"e", i * 100}}},
+			Events: []Event{{Rel: "emp", Op: "insert", ID: int64(i), Tuple: wireTuple("e", i*100)}},
 		})
 		if err != nil {
 			f.Fatal(err)

@@ -44,15 +44,15 @@ const (
 )
 
 // Event is one applied storage change inside a KindMutate record.
-// Tuples are carried in the wire literal form ([]any) and decoded
-// against the (already recovered) schema at replay time.
+// Tuples are carried in the wire form (wire.Tuple) and coerced to the
+// (already recovered) schema at replay time.
 type Event struct {
 	Rel string `json:"rel"`
 	Op  string `json:"op"` // insert, update, delete (storage.Op.String)
 	ID  int64  `json:"id"`
 	// Tuple is the new image for inserts and updates; deletes carry
 	// none (replay removes by ID).
-	Tuple []any `json:"tuple,omitempty"`
+	Tuple wire.Tuple `json:"tuple,omitempty"`
 }
 
 // Record is one logged operation. Only the fields of the given Kind are
@@ -132,13 +132,30 @@ func decodeFrame(r *bufio.Reader) (*Record, int64, error) {
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, 0, errTorn
 	}
-	rec := new(Record)
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.UseNumber() // tuple ints must survive as json.Number, not float64
-	if err := dec.Decode(rec); err != nil {
+	rec, err := UnmarshalRecord(payload)
+	if err != nil {
 		return nil, 0, errTorn
 	}
 	return rec, headerBytes + int64(length), nil
+}
+
+// UnmarshalRecord decodes a record payload — a log frame's, or the rec
+// field of a replication frame.
+func UnmarshalRecord(payload []byte) (*Record, error) {
+	rec := new(Record)
+	if err := unmarshal(payload, rec); err != nil {
+		return nil, err
+	}
+	return rec, nil
+}
+
+// unmarshal decodes a payload with UseNumber: a predicate's numeric
+// bounds must survive as json.Number, not float64 (tuples type their
+// own numbers, see wire.Tuple).
+func unmarshal(payload []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.UseNumber()
+	return dec.Decode(v)
 }
 
 // errTorn marks a frame that failed validation; scanRecords converts it

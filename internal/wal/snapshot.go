@@ -6,7 +6,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -23,11 +22,10 @@ import (
 // it does not know instead of misinterpreting the payload.
 const snapshotVersion = 1
 
-// SnapRow is one stored tuple: its ID and the wire literal form of its
-// values.
+// SnapRow is one stored tuple: its ID and the wire form of its values.
 type SnapRow struct {
-	ID    int64 `json:"id"`
-	Tuple []any `json:"tuple"`
+	ID    int64      `json:"id"`
+	Tuple wire.Tuple `json:"tuple"`
 }
 
 // SnapRelation is one relation's schema, secondary indexes, and
@@ -143,14 +141,22 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	if crc32.Checksum(payload, castagnoli) != sum {
 		return nil, fmt.Errorf("wal: snapshot %s: checksum mismatch", filepath.Base(path))
 	}
-	snap := new(Snapshot)
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.UseNumber() // tuple ints must stay json.Number, not float64
-	if err := dec.Decode(snap); err != nil {
+	snap, err := UnmarshalSnapshot(payload)
+	if err != nil {
 		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 	}
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("wal: snapshot %s: unsupported version %d", filepath.Base(path), snap.Version)
+	}
+	return snap, nil
+}
+
+// UnmarshalSnapshot decodes a snapshot payload — a checkpoint file's,
+// or the snap field of a replication frame.
+func UnmarshalSnapshot(payload []byte) (*Snapshot, error) {
+	snap := new(Snapshot)
+	if err := unmarshal(payload, snap); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }

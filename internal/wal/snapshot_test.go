@@ -1,11 +1,11 @@
 package wal
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"predmatch/internal/value"
 	"predmatch/internal/wire"
 )
 
@@ -21,8 +21,8 @@ func testSnapshot(seq uint64) *Snapshot {
 			Indexes: []string{"salary"},
 			NextID:  4,
 			Rows: []SnapRow{
-				{ID: 1, Tuple: []any{"ada", int64(18000)}},
-				{ID: 3, Tuple: []any{"cyd", int64(9007199254740993)}}, // > 2^53: float64 would corrupt it
+				{ID: 1, Tuple: wireTuple("ada", 18000)},
+				{ID: 3, Tuple: wireTuple("cyd", 9007199254740993)}, // > 2^53: float64 would corrupt it
 			},
 		}},
 		Rules:      []string{"rule r1 on insert to emp when salary < 100 do log 'x'"},
@@ -53,13 +53,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(got.Relations) != 1 || got.Relations[0].Name != "emp" || got.Relations[0].NextID != 4 {
 		t.Fatalf("relations: %+v", got.Relations)
 	}
-	// The big int must survive as a json.Number that parses back exactly.
-	big, ok := got.Relations[0].Rows[1].Tuple[1].(json.Number)
-	if !ok {
-		t.Fatalf("tuple int decoded as %T, want json.Number", got.Relations[0].Rows[1].Tuple[1])
-	}
-	if v, err := big.Int64(); err != nil || v != 9007199254740993 {
-		t.Fatalf("big int round trip: %v %v", v, err)
+	// The big int must survive exactly, as an int.
+	if big := got.Relations[0].Rows[1].Tuple[1]; big.Kind() != value.KindInt || big.AsInt() != 9007199254740993 {
+		t.Fatalf("big int round trip: %v (%s)", big, big.Kind())
 	}
 	if got.Preds[0].ID != 1<<40 || got.NextPredID != 2 {
 		t.Fatalf("preds: %+v next=%d", got.Preds, got.NextPredID)

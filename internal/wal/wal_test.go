@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"predmatch/internal/obs"
+	"predmatch/internal/value"
+	"predmatch/internal/wire"
 )
 
 func testOptions(t *testing.T, sync SyncPolicy) Options {
@@ -31,7 +33,29 @@ func openEmpty(t *testing.T, opt Options) *Log {
 }
 
 func mutateRecord(rel string, id int64, vals ...any) *Record {
-	return &Record{Kind: KindMutate, Events: []Event{{Rel: rel, Op: "insert", ID: id, Tuple: vals}}}
+	return &Record{Kind: KindMutate, Events: []Event{{Rel: rel, Op: "insert", ID: id, Tuple: wireTuple(vals...)}}}
+}
+
+// wireTuple builds a wire tuple from Go literals.
+func wireTuple(vals ...any) wire.Tuple {
+	t := make(wire.Tuple, len(vals))
+	for i, v := range vals {
+		switch v := v.(type) {
+		case string:
+			t[i] = value.String_(v)
+		case int:
+			t[i] = value.Int(int64(v))
+		case int64:
+			t[i] = value.Int(v)
+		case float64:
+			t[i] = value.Float(v)
+		case bool:
+			t[i] = value.Bool(v)
+		default:
+			panic(fmt.Sprintf("wireTuple: unsupported literal %T", v))
+		}
+	}
+	return t
 }
 
 // replayAll recovers opt.Dir collecting every replayed record.

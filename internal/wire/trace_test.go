@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/json"
 	"testing"
+
+	"predmatch/internal/value"
 )
 
 // TestUntracedFramesUnchanged pins the exact bytes of requests and
@@ -12,7 +14,7 @@ import (
 // everyone, not just traced traffic.
 func TestUntracedFramesUnchanged(t *testing.T) {
 	req := Request{ID: 7, Op: OpInsert, Relation: "emp",
-		Tuple: []any{"ada", 52, 18000, "deli"}}
+		Tuple: Tuple{value.String_("ada"), value.Int(52), value.Int(18000), value.String_("deli")}}
 	b, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +40,7 @@ func TestUntracedFramesUnchanged(t *testing.T) {
 // decode to nil (not a zero-value struct).
 func TestTraceContextRoundTrip(t *testing.T) {
 	req := Request{ID: 9, Op: OpMatch, Relation: "emp",
-		Tuple: []any{"bob", 33, 25000, "shoe"},
+		Tuple: Tuple{value.String_("bob"), value.Int(33), value.Int(25000), value.String_("shoe")},
 		Trace: &TraceContext{ID: "00000000deadbeef", Span: 1}}
 	b, err := json.Marshal(req)
 	if err != nil {

@@ -14,6 +14,8 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 
 	"predmatch/internal/interval"
 	"predmatch/internal/pred"
@@ -102,8 +104,8 @@ type Request struct {
 	Pred     *Predicate `json:"pred,omitempty"`     // addpred
 	PredID   int64      `json:"pred_id,omitempty"`  // rmpred
 	TupleID  int64      `json:"tuple_id,omitempty"` // update, delete
-	Tuple    []any      `json:"tuple,omitempty"`    // insert, update, match
-	Tuples   [][]any    `json:"tuples,omitempty"`   // matchbatch
+	Tuple    Tuple      `json:"tuple,omitempty"`    // insert, update, match
+	Tuples   []Tuple    `json:"tuples,omitempty"`   // matchbatch
 	Rules    []string   `json:"rules,omitempty"`    // subscribe filter (empty = all rules)
 	Preds    bool       `json:"preds,omitempty"`    // subscribe: also stream direct-predicate matches
 
@@ -338,7 +340,7 @@ type Message struct {
 	Relation string `json:"relation,omitempty"`
 	EventOp  string `json:"event_op,omitempty"` // insert, update, delete
 	EventID  int64  `json:"event_id,omitempty"` // tuple ID of the triggering event
-	Tuple    []any  `json:"tuple,omitempty"`    // matched tuple image
+	Tuple    Tuple  `json:"tuple,omitempty"`    // matched tuple image
 	Depth    int    `json:"depth,omitempty"`    // forward-chaining cascade depth
 	Dropped  uint64 `json:"dropped,omitempty"`
 
@@ -378,18 +380,63 @@ func FromValue(v value.Value) any {
 	}
 }
 
-// FromTuple converts a tuple to its wire form.
-func FromTuple(t tuple.Tuple) []any {
+// Tuple is a tuple on the wire: a JSON array of scalar literals, typed
+// by shape rather than by schema. A number literal with no '.', 'e' or
+// 'E' that fits an int64 is an int, any other number a float (±Inf past
+// float64 range); strings and booleans are themselves; anything else —
+// null, a nested array or object — is NaN. ToTuple coerces the
+// shape-typed values to a relation's attribute kinds and rejects the
+// non-finite ones. The MarshalJSON / UnmarshalJSON pair
+// keeps encoding/json users (the WAL, snapshots, tests) on the same
+// bytes the socket codec reads and writes.
+type Tuple []value.Value
+
+// FromTuple converts a tuple to its wire form. It does not copy: stored
+// tuple images are immutable (docs/INVARIANTS.md), so a frame queued
+// behind a later update still carries the image it was built from.
+func FromTuple(t tuple.Tuple) Tuple { return Tuple(t) }
+
+// MarshalJSON renders the tuple as the socket codec does.
+func (t Tuple) MarshalJSON() ([]byte, error) {
+	return appendTuple(make([]byte, 0, 2+12*len(t)), t)
+}
+
+// Literals returns the tuple as a json.Decoder with UseNumber would
+// have decoded its frame: string, bool, and json.Number for every
+// number, in the text the codec writes for it.
+func (t Tuple) Literals() []any {
+	if t == nil {
+		return nil
+	}
 	out := make([]any, len(t))
 	for i, v := range t {
-		out[i] = FromValue(v)
+		switch v.Kind() {
+		case value.KindInt:
+			out[i] = json.Number(strconv.FormatInt(v.AsInt(), 10))
+		case value.KindFloat:
+			out[i] = json.Number(appendFloat(nil, v.AsFloat()))
+		case value.KindString:
+			out[i] = v.AsString()
+		case value.KindBool:
+			out[i] = v.AsBool()
+		}
 	}
 	return out
 }
 
+// UnmarshalJSON parses a JSON array of scalars (or null) as the socket
+// codec does, into freshly allocated memory.
+func (t *Tuple) UnmarshalJSON(b []byte) error {
+	d := decoder{b: b}
+	d.ws()
+	*t = nil
+	return d.tuple(t)
+}
+
 // ToValue converts a decoded JSON literal to a value of the given kind.
 // Numbers may arrive as json.Number (a decoder with UseNumber, as the
-// server and client both use) or float64 (a plain decoder).
+// codec uses for the predicates it hands to encoding/json) or float64
+// (a plain decoder).
 func ToValue(kind value.Kind, raw any) (value.Value, error) {
 	switch kind {
 	case value.KindInt:
@@ -433,20 +480,35 @@ func ToValue(kind value.Kind, raw any) (value.Value, error) {
 	return value.Value{}, fmt.Errorf("wire: cannot decode %T %v as %s", raw, raw, kind)
 }
 
-// ToTuple decodes a wire tuple against a relation schema.
-func ToTuple(rel *schema.Relation, raw []any) (tuple.Tuple, error) {
+// ToTuple coerces a wire tuple to a relation's attribute kinds, into a
+// freshly allocated tuple (raw may be a connection's decode scratch).
+// The rules are those ToValue applies to a json.Number: an int
+// attribute takes only an int-shaped literal in int64 range, a float
+// attribute any finite number, strings and booleans only themselves.
+func ToTuple(rel *schema.Relation, raw Tuple) (tuple.Tuple, error) {
 	attrs := rel.Attrs()
 	if len(raw) != len(attrs) {
 		return nil, fmt.Errorf("wire: tuple arity %d does not match relation %s (arity %d)",
 			len(raw), rel.Name(), len(attrs))
 	}
 	t := make(tuple.Tuple, len(raw))
-	for i, r := range raw {
-		v, err := ToValue(attrs[i].Type, r)
-		if err != nil {
-			return nil, fmt.Errorf("wire: attribute %s of %s: %w", attrs[i].Name, rel.Name(), err)
+	for i, v := range raw {
+		kind := attrs[i].Type
+		switch {
+		case v.Kind() == value.KindFloat && (math.IsInf(v.AsFloat(), 0) || math.IsNaN(v.AsFloat())):
+			// A number beyond float64 range, or an element that was not a
+			// scalar at all: no attribute kind takes it.
+			return nil, fmt.Errorf("wire: attribute %s of %s: cannot decode %v as %s", attrs[i].Name, rel.Name(), v, kind)
+		case v.Kind() == kind:
+			t[i] = v
+		case kind == value.KindFloat && v.Kind() == value.KindInt:
+			t[i] = value.Float(float64(v.AsInt()))
+		case kind == value.KindInt && v.Kind() == value.KindFloat:
+			return nil, fmt.Errorf("wire: attribute %s of %s: %v is not an int", attrs[i].Name, rel.Name(), v)
+		default:
+			return nil, fmt.Errorf("wire: attribute %s of %s: cannot decode %s %v as %s",
+				attrs[i].Name, rel.Name(), v.Kind(), v, kind)
 		}
-		t[i] = v
 	}
 	return t, nil
 }

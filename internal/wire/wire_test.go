@@ -35,7 +35,7 @@ func TestTupleRoundTrip(t *testing.T) {
 	rel, _ := f.Catalog.Get("items")
 	orig := tuple.New(value.Int(7), value.Int(3), value.Int(10), value.Float(2.5))
 
-	var raw []any
+	var raw wire.Tuple
 	roundTrip(t, wire.FromTuple(orig), &raw)
 	got, err := wire.ToTuple(rel, raw)
 	if err != nil {
@@ -49,7 +49,7 @@ func TestTupleRoundTrip(t *testing.T) {
 	if _, err := wire.ToTuple(rel, raw[:2]); err == nil {
 		t.Fatal("short tuple accepted")
 	}
-	raw[0] = "seven"
+	raw[0] = value.String_("seven")
 	if _, err := wire.ToTuple(rel, raw); err == nil {
 		t.Fatal("string for int attribute accepted")
 	}
