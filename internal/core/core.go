@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -31,6 +32,7 @@ import (
 	"predmatch/internal/interval"
 	"predmatch/internal/matcher"
 	"predmatch/internal/pred"
+	"predmatch/internal/prefilter"
 	"predmatch/internal/schema"
 	"predmatch/internal/selectivity"
 	"predmatch/internal/tuple"
@@ -79,12 +81,98 @@ type relIndex struct {
 	// structural change, so Match avoids map iteration order costs.
 	probes []probe
 	// nonIndexable lists predicates with no indexable clause.
-	nonIndexable []*entry
+	nonIndexable []unindexed
+	// fnSlots holds the distinct (function, attribute position) pairs
+	// the function-only predicates on nonIndexable test, 64 at most, so
+	// a match calls each pair once per tuple however many predicates
+	// share it. Slots are only ever appended: one left without a
+	// predicate by Remove is never evaluated, and adopt assigns afresh.
+	fnSlots []fnSlot
+	// sum envelopes every interval clause of the predicates indexed
+	// here. Add widens it, Remove leaves it (stale-wide only
+	// over-admits), adopt rebuilds it from the predicates it visits.
+	sum prefilter.Summary
 }
 
 type probe struct {
 	pos  int
 	tree AttrIndex
+}
+
+// unindexed is one row of a relation's non-indexable list.
+type unindexed struct {
+	e  *entry
+	id pred.ID // e's, here so that a match that rejects e never follows the pointer
+	// need is the set of fnSlots e's clauses occupy: e matches a tuple
+	// iff every one of them holds. Valid only when slotted.
+	need uint64
+	// slotted is false for a predicate with a non-function clause (an
+	// estimator declined to index it) or one that found the slot table
+	// full; it is tested with Bound.Match.
+	slotted bool
+}
+
+// fnSlot is one function clause shape: fn applied to the tuple's value
+// at pos. The name is the clause's spelling; two spellings of one
+// registered function take two slots, which costs a call, not a result.
+type fnSlot struct {
+	name string
+	pos  int
+	fn   pred.Func
+}
+
+func newRelIndex(rel *schema.Relation, trees int) *relIndex {
+	return &relIndex{rel: rel, trees: make(map[string]AttrIndex, trees), sum: prefilter.Make(rel.Arity())}
+}
+
+// addUnindexed appends e to the non-indexable list, giving each of its
+// clauses a function slot when all of them are function clauses.
+func (ri *relIndex) addUnindexed(e *entry) {
+	x := unindexed{e: e, id: e.bound.Pred.ID, slotted: true}
+	for i := range e.bound.Pred.Clauses {
+		c := &e.bound.Pred.Clauses[i]
+		s := -1
+		if c.Kind == pred.KindFunc {
+			s = ri.slot(c.Func, e.bound.Pos(i), e.bound.Fn(i))
+		}
+		if s < 0 {
+			x.slotted = false
+			break
+		}
+		x.need |= 1 << s
+	}
+	ri.nonIndexable = append(ri.nonIndexable, x)
+}
+
+// slot returns the slot of (name, pos), appending one if there is room,
+// or -1 when the table is full.
+func (ri *relIndex) slot(name string, pos int, fn pred.Func) int {
+	for s := range ri.fnSlots {
+		if ri.fnSlots[s].pos == pos && ri.fnSlots[s].name == name {
+			return s
+		}
+	}
+	if len(ri.fnSlots) == 64 {
+		return -1
+	}
+	ri.fnSlots = append(ri.fnSlots, fnSlot{name: name, pos: pos, fn: fn})
+	return len(ri.fnSlots) - 1
+}
+
+// widen grows ri's summary by the interval clauses of b.
+func (ri *relIndex) widen(b *pred.Bound) {
+	for i := range b.Pred.Clauses {
+		if c := &b.Pred.Clauses[i]; c.Kind == pred.KindInterval {
+			ri.sum.Widen(b.Pos(i), c.Iv)
+		}
+	}
+}
+
+// admits reports whether any predicate indexed here could match t: one
+// without an interval clause is opaque and admits every tuple; all the
+// others fail a tuple that lies outside every envelope.
+func (ri *relIndex) admits(t tuple.Tuple) bool {
+	return len(ri.nonIndexable) > 0 || ri.sum.Admit(t)
 }
 
 func (ri *relIndex) rebuildProbes() {
@@ -186,7 +274,7 @@ func (ix *Index) Add(p *pred.Predicate) error {
 	rel, _ := ix.catalog.Get(p.Rel)
 	ri, ok := ix.rels[p.Rel]
 	if !ok {
-		ri = &relIndex{rel: rel, trees: make(map[string]AttrIndex)}
+		ri = newRelIndex(rel, 0)
 		ix.rels[p.Rel] = ri
 	}
 	e := &entry{bound: b, clause: -1}
@@ -204,8 +292,9 @@ func (ix *Index) Add(p *pred.Predicate) error {
 		e.attr = c.Attr
 		e.clause = ci
 	} else {
-		ri.nonIndexable = append(ri.nonIndexable, e)
+		ri.addUnindexed(e)
 	}
+	ri.widen(b)
 	ix.preds[p.ID] = e
 	return nil
 }
@@ -229,11 +318,8 @@ func (ix *Index) Remove(id pred.ID) error {
 		}
 		return nil
 	}
-	for i, x := range ri.nonIndexable {
-		if x == e {
-			ri.nonIndexable = append(ri.nonIndexable[:i], ri.nonIndexable[i+1:]...)
-			break
-		}
+	if i := slices.IndexFunc(ri.nonIndexable, func(x unindexed) bool { return x.id == id }); i >= 0 {
+		ri.nonIndexable = slices.Delete(ri.nonIndexable, i, i+1)
 	}
 	return nil
 }
@@ -285,9 +371,30 @@ func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, scratch, dead []p
 			dst = append(dst, id)
 		}
 	}
-	for _, e := range ri.nonIndexable {
-		if !masked(dead, e.bound.Pred.ID) && e.bound.Match(t) {
-			dst = append(dst, e.bound.Pred.ID)
+	// known marks the function slots evaluated for t so far, val their
+	// answers: a slot's function runs the first time a predicate needs
+	// it and is two ANDs for every predicate after that.
+	var known, val uint64
+	for i := range ri.nonIndexable {
+		x := &ri.nonIndexable[i]
+		if !x.slotted {
+			if !masked(dead, x.id) && x.e.bound.Match(t) {
+				dst = append(dst, x.id)
+			}
+			continue
+		}
+		ok := x.need&known&^val == 0 // no needed slot is known false
+		for miss := x.need &^ known; ok && miss != 0; miss &= miss - 1 {
+			s := bits.TrailingZeros64(miss)
+			known |= 1 << s
+			if sl := &ri.fnSlots[s]; sl.fn(t[sl.pos]) {
+				val |= 1 << s
+			} else {
+				ok = false
+			}
+		}
+		if ok && !masked(dead, x.id) {
+			dst = append(dst, x.id)
 		}
 	}
 	return dst, scratch
@@ -331,18 +438,20 @@ func (ix *Index) blank() *Index {
 
 // adopt re-indexes src's predicates, minus the IDs in skip (sorted),
 // into ix: one tree insertion per indexed predicate, sharing the
-// PREDICATES rows. Probe lists are left for the caller to rebuild.
+// PREDICATES rows, with the function slots assigned and the summaries
+// widened afresh — so what ix admits is exact for the predicates it
+// ends up holding. Probe lists are left for the caller to rebuild.
 func (ix *Index) adopt(src *Index, skip []pred.ID) {
 	for name, ri := range src.rels {
 		cri, ok := ix.rels[name]
 		if !ok {
-			cri = &relIndex{rel: ri.rel, trees: make(map[string]AttrIndex, len(ri.trees))}
+			cri = newRelIndex(ri.rel, len(ri.trees))
 			ix.rels[name] = cri
 		}
 		cri.nonIndexable = slices.Grow(cri.nonIndexable, len(ri.nonIndexable))
-		for _, e := range ri.nonIndexable {
-			if !masked(skip, e.bound.Pred.ID) {
-				cri.nonIndexable = append(cri.nonIndexable, e)
+		for _, x := range ri.nonIndexable {
+			if !masked(skip, x.id) {
+				cri.addUnindexed(x.e)
 			}
 		}
 	}
@@ -351,10 +460,11 @@ func (ix *Index) adopt(src *Index, skip []pred.ID) {
 			continue
 		}
 		ix.preds[id] = e
+		ri := ix.rels[e.bound.Pred.Rel]
+		ri.widen(e.bound)
 		if e.clause < 0 {
 			continue
 		}
-		ri := ix.rels[e.bound.Pred.Rel]
 		tree, ok := ri.trees[e.attr]
 		if !ok {
 			tree = ix.factory()

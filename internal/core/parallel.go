@@ -143,8 +143,8 @@ func (ix *Index) matchParallel(rel string, t tuple.Tuple, dst []pred.ID, workers
 	for _, id := range candidates {
 		units = append(units, unit{id: id, e: ix.preds[id], isCand: true})
 	}
-	for _, e := range ri.nonIndexable {
-		units = append(units, unit{id: e.bound.Pred.ID, e: e})
+	for _, x := range ri.nonIndexable {
+		units = append(units, unit{id: x.id, e: x.e})
 	}
 	if len(units) == 0 {
 		return dst, nil

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"predmatch/internal/pred"
+	"predmatch/internal/prefilter"
 	"predmatch/internal/schema"
 	"predmatch/internal/tuple"
 )
@@ -21,6 +22,15 @@ import (
 // Without return a new View that shares whatever they did not change,
 // so any number of goroutines may Match a View while a writer derives
 // the next one.
+//
+// The admission summary is part of the View: each index envelopes the
+// interval clauses of the predicates it holds, per relation, and Match
+// stabs an index only for a tuple its summary admits. With rebuilds the
+// delta's summary with the delta and widens it by the new predicate;
+// Without on a base predicate carries the base's summary unchanged, so
+// until the next merge it over-admits by at most mergeLimit tombstoned
+// predicates; Merged rebuilds it in the loop that re-inserts every live
+// predicate, after which it is exact.
 type View struct {
 	base, delta *Index
 	// dead masks base only. An ID may be tombstoned in base and live
@@ -86,17 +96,42 @@ func (v *View) Merged() *View {
 
 // Match appends to dst the predicates of rel that t satisfies: base
 // hits that are not tombstoned, then delta hits, through one scratch
-// slice. It writes nothing, so it is safe on a published View from any
-// number of goroutines.
+// slice, each index stabbed only if its summary admits t. It writes
+// nothing, so it is safe on a published View from any number of
+// goroutines.
 func (v *View) Match(rel string, t tuple.Tuple, dst []pred.ID) ([]pred.ID, error) {
 	var scratch []pred.ID
-	if ri, ok := v.base.rels[rel]; ok {
+	if ri, ok := v.base.rels[rel]; ok && ri.admits(t) {
 		dst, scratch = v.base.matchMasked(ri, t, dst, scratch, v.dead)
 	}
-	if ri, ok := v.delta.rels[rel]; ok {
+	if ri, ok := v.delta.rels[rel]; ok && ri.admits(t) {
 		dst, _ = v.delta.matchMasked(ri, t, dst, scratch[:0], nil)
 	}
 	return dst, nil
+}
+
+// Admit reports whether Match would stab either index for t. False
+// means no predicate of rel can match t — or that rel has none — and
+// Match returns without touching a tree.
+func (v *View) Admit(rel string, t tuple.Tuple) bool {
+	if ri, ok := v.base.rels[rel]; ok && ri.admits(t) {
+		return true
+	}
+	ri, ok := v.delta.rels[rel]
+	return ok && ri.admits(t)
+}
+
+// Summaries returns rel's interval-clause summaries, the base's and the
+// delta's; a side that holds no predicate of rel returns the zero
+// Summary. Both are frozen with the View.
+func (v *View) Summaries(rel string) (base, delta prefilter.Summary) {
+	if ri, ok := v.base.rels[rel]; ok {
+		base = ri.sum
+	}
+	if ri, ok := v.delta.rels[rel]; ok {
+		delta = ri.sum
+	}
+	return base, delta
 }
 
 // Trees returns one TreeStats per (relation, attribute): intervals,

@@ -170,32 +170,24 @@ func (p *Predicate) Bind(cat *schema.Catalog, reg *Registry) (*Bound, error) {
 	return b, nil
 }
 
+// Pos returns the attribute position clause i reads.
+func (b *Bound) Pos(i int) int { return b.idx[i] }
+
+// Fn returns the function bound to clause i, nil for an interval clause.
+func (b *Bound) Fn(i int) Func { return b.fns[i] }
+
 // Match tests the full conjunction against a tuple (the paper's final
 // test against the PREDICATES table after a partial index match).
-func (b *Bound) Match(t tuple.Tuple) bool {
-	for i, c := range b.Pred.Clauses {
-		v := t[b.idx[i]]
-		switch c.Kind {
-		case KindInterval:
-			if !c.Iv.Contains(value.Compare, v) {
-				return false
-			}
-		case KindFunc:
-			if !b.fns[i](v) {
-				return false
-			}
-		}
-	}
-	return true
-}
+func (b *Bound) Match(t tuple.Tuple) bool { return b.MatchSkipping(t, -1) }
 
 // MatchSkipping tests all clauses except the one at position skip, used
 // when that clause was already verified by an index probe.
 func (b *Bound) MatchSkipping(t tuple.Tuple, skip int) bool {
-	for i, c := range b.Pred.Clauses {
+	for i := range b.Pred.Clauses {
 		if i == skip {
 			continue
 		}
+		c := &b.Pred.Clauses[i] // a Clause is 152 bytes: ranging by value copies each one
 		v := t[b.idx[i]]
 		switch c.Kind {
 		case KindInterval:

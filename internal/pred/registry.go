@@ -11,6 +11,10 @@ import (
 // — the paper's "function(t.attribute)" clause, about which nothing is
 // assumed except that it returns true or false (and is therefore never
 // indexable).
+//
+// A Func must be a pure function of its argument: the matcher may call
+// it once per (function, attribute) per tuple and reuse the answer for
+// every predicate that shares the clause.
 type Func func(value.Value) bool
 
 // Registry maps function names to implementations. A Registry is shared

@@ -1,70 +1,39 @@
-// Package prefilter implements the cheap admission check the sharded
-// matcher consults before stabbing a relation's interval trees: a
-// per-relation summary of the registered predicates — which attribute
-// positions carry interval clauses (a bitmap) and, for each such
-// position, the union envelope of every interval clause on it — that
-// lets most non-matching tuples skip the full index probe entirely.
+// Package prefilter holds the envelope math of the admission check the
+// serving layer runs before stabbing a relation's interval trees: a
+// Summary records which attribute positions carry interval clauses (a
+// bitmap) and, for each such position, the union envelope of every
+// interval clause on it, so a tuple outside all of them skips the index
+// probe entirely. internal/core keeps one Summary per relation inside
+// each index of the View it publishes, next to the list of predicates
+// that have no interval clause at all.
 //
 // Soundness contract (the only fatal bug is a false negative): Admit
-// may over-admit freely, but it must NEVER skip a tuple that any
-// registered predicate could match. The skip rule is therefore
-// deliberately conservative:
+// may over-admit freely, but it must NEVER return false for a tuple that
+// a predicate it was widened by could match. Every interval clause on
+// attribute i is contained in envelope(i) (envelopes are unions widened
+// to closed bounds), so a tuple missing envelope(i) fails every interval
+// clause on i; if it misses every enveloped attribute, every interval
+// clause fails and with it every predicate that has at least one.
+// Predicates made only of function clauses are opaque to a Summary: the
+// caller admits everything while it holds one.
 //
-//	skip ⟺ the relation has no predicates, OR
-//	       (every predicate has at least one interval clause AND the
-//	        tuple's value at every bitmap position lies outside that
-//	        position's union envelope)
-//
-// Why that is sound: every interval clause on attribute i is contained
-// in envelope(i) (envelopes are unions widened to closed bounds), so a
-// tuple missing envelope(i) fails every interval clause on i. If it
-// misses every enveloped attribute, every interval clause in the
-// relation fails; if additionally every predicate has at least one
-// interval clause, every predicate has a failing clause and none can
-// match. Predicates made only of function clauses are opaque — one of
-// them forces nonInterval > 0 and disables skipping for the relation.
-//
-// Concurrency model mirrors the shard layer: summaries are immutable
-// and published copy-on-write through an atomic pointer, so Admit is a
-// single lock-free load plus a few comparisons; mutators (Add/Remove)
-// serialize on a mutex and rebuild the owning relation's summary from
-// the authoritative predicate registry. Writers must order filter
-// updates against snapshot publication so the filter is always at
-// least as permissive as any published snapshot requires: Add updates
-// the filter BEFORE the snapshot is published, Remove updates it
-// AFTER. (internal/shard does exactly this.)
+// A Summary is built with Widen and frozen with the index that holds
+// it. It never narrows: the owner carries it unchanged across a removal
+// (a stale-wide envelope only over-admits) and rebuilds it from the live
+// predicates when it rebuilds the index.
 package prefilter
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
+	"math/bits"
 
 	"predmatch/internal/interval"
-	"predmatch/internal/pred"
-	"predmatch/internal/schema"
 	"predmatch/internal/tuple"
 	"predmatch/internal/value"
 )
 
-// Filter is the admission filter for one matcher. Construct with New.
-type Filter struct {
-	catalog *schema.Catalog
-
-	// mu serializes mutators; the published summaries map is immutable
-	// and swapped whole, so Admit never takes it.
-	mu    sync.Mutex
-	preds map[string]map[pred.ID]*pred.Predicate // guarded-by: mu
-	rels  atomic.Pointer[map[string]*relSummary] // write-guarded-by: mu
-
-	admitted atomic.Uint64
-	skipped  atomic.Uint64
-}
-
-// relSummary is one relation's immutable predicate digest.
-type relSummary struct {
-	preds       int // registered predicates
-	nonInterval int // predicates with no interval clause (opaque to the filter)
+// Summary is the interval-clause digest of one relation's predicates.
+// The zero value holds no clause and admits nothing.
+type Summary struct {
 	// bits marks attribute positions carrying >=1 interval clause.
 	bits []uint64
 	// env[i] is the union envelope of all interval clauses on position
@@ -73,105 +42,23 @@ type relSummary struct {
 	env []interval.Interval[value.Value]
 }
 
-// New returns an empty filter resolving attribute positions against the
-// catalog.
-func New(catalog *schema.Catalog) *Filter {
-	f := &Filter{
-		catalog: catalog,
-		preds:   make(map[string]map[pred.ID]*pred.Predicate),
+// Make returns an empty summary for a relation of the given arity.
+func Make(arity int) Summary {
+	return Summary{
+		bits: make([]uint64, (arity+63)/64),
+		env:  make([]interval.Interval[value.Value], arity),
 	}
-	empty := make(map[string]*relSummary)
-	f.rels.Store(&empty) //predmatchvet:ignore guardedby constructor, nothing else sees f yet
-	return f
 }
 
-// Add registers p's clauses in its relation's summary. The predicate
-// must already be validated against the catalog (the shard layer does
-// this before reserving the ID).
-func (f *Filter) Add(p *pred.Predicate) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	byID := f.preds[p.Rel]
-	if byID == nil {
-		byID = make(map[pred.ID]*pred.Predicate)
-		f.preds[p.Rel] = byID
+// Widen grows the envelope at attribute position pos to cover iv. A
+// position outside the arity the summary was made for is a caller bug.
+func (s *Summary) Widen(pos int, iv interval.Interval[value.Value]) {
+	if s.bits[pos/64]&(1<<(pos%64)) == 0 {
+		s.bits[pos/64] |= 1 << (pos % 64)
+		s.env[pos] = widen(iv)
+	} else {
+		s.env[pos] = union(s.env[pos], widen(iv))
 	}
-	if _, dup := byID[p.ID]; dup {
-		return fmt.Errorf("prefilter: duplicate predicate id %d", p.ID)
-	}
-	byID[p.ID] = p
-	f.republish(p.Rel)
-	return nil
-}
-
-// Remove drops a predicate from its relation's summary.
-func (f *Filter) Remove(rel string, id pred.ID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	byID := f.preds[rel]
-	if _, ok := byID[id]; !ok {
-		return fmt.Errorf("prefilter: unknown predicate id %d in relation %q", id, rel)
-	}
-	delete(byID, id)
-	f.republish(rel)
-	return nil
-}
-
-// republish rebuilds rel's summary from the authoritative registry and
-// swaps the summaries map copy-on-write. Callers hold f.mu.
-//
-//predmatchvet:holds mu
-func (f *Filter) republish(rel string) {
-	cur := *f.rels.Load()
-	next := make(map[string]*relSummary, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[rel] = f.summarize(rel)
-	f.rels.Store(&next)
-}
-
-// summarize digests rel's current predicate set. Callers hold f.mu.
-//
-//predmatchvet:holds mu
-func (f *Filter) summarize(rel string) *relSummary {
-	r, ok := f.catalog.Get(rel)
-	if !ok {
-		// Validated predicates always name a cataloged relation; an
-		// unknown one yields an always-admit summary to stay sound.
-		return &relSummary{nonInterval: 1, preds: len(f.preds[rel])}
-	}
-	s := &relSummary{
-		bits: make([]uint64, (r.Arity()+63)/64),
-		env:  make([]interval.Interval[value.Value], r.Arity()),
-	}
-	for _, p := range f.preds[rel] {
-		s.preds++
-		hasIv := false
-		for _, c := range p.Clauses {
-			if c.Kind != pred.KindInterval {
-				continue
-			}
-			hasIv = true
-			i, ok := r.AttrIndex(c.Attr)
-			if !ok || i >= r.Arity() {
-				// Unknown attribute: cannot envelope, treat the whole
-				// predicate as opaque.
-				hasIv = false
-				break
-			}
-			if s.bits[i/64]&(1<<(i%64)) == 0 {
-				s.bits[i/64] |= 1 << (i % 64)
-				s.env[i] = widen(c.Iv)
-			} else {
-				s.env[i] = union(s.env[i], widen(c.Iv))
-			}
-		}
-		if !hasIv {
-			s.nonInterval++
-		}
-	}
-	return s
 }
 
 // widen relaxes finite open bounds to closed so the envelope remains a
@@ -202,61 +89,51 @@ func union(a, b interval.Interval[value.Value]) interval.Interval[value.Value] {
 	return a
 }
 
-// Admit reports whether t can possibly match any predicate registered
-// for rel, per the package skip rule. Lock-free; updates the
-// admitted/skipped counters.
-func (f *Filter) Admit(rel string, t tuple.Tuple) bool {
-	s := (*f.rels.Load())[rel]
-	if s == nil || s.preds == 0 {
-		f.skipped.Add(1)
-		return false
-	}
-	if s.nonInterval > 0 {
-		f.admitted.Add(1)
-		return true
-	}
-	for i := range s.env {
-		if s.bits[i/64]&(1<<(i%64)) == 0 {
-			continue
-		}
-		// A position the tuple doesn't carry can't be proven a miss;
-		// stay conservative and let the full path deal with the tuple.
-		if i >= len(t) || s.env[i].Contains(value.Compare, t[i]) {
-			f.admitted.Add(1)
-			return true
+// Admit reports whether t lies inside the envelope of at least one
+// attribute, i.e. whether some interval clause s was widened by could
+// hold for it.
+func (s Summary) Admit(t tuple.Tuple) bool {
+	for w, word := range s.bits {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			// A position the tuple doesn't carry can't be proven a miss;
+			// stay conservative and let the full path deal with the tuple.
+			if i >= len(t) || s.env[i].Contains(value.Compare, t[i]) {
+				return true
+			}
 		}
 	}
-	f.skipped.Add(1)
 	return false
 }
 
-// Stats is a point-in-time counter snapshot.
+// Envelope returns the union envelope at attribute position pos; ok is
+// false where no interval clause has widened it.
+func (s Summary) Envelope(pos int) (iv interval.Interval[value.Value], ok bool) {
+	if pos < 0 || pos >= len(s.env) || s.bits[pos/64]&(1<<(pos%64)) == 0 {
+		return iv, false
+	}
+	return s.env[pos], true
+}
+
+// Positions calls fn with every attribute position enveloped in a or in
+// b, ascending, each once.
+func Positions(a, b Summary, fn func(pos int)) {
+	for w := range max(len(a.bits), len(b.bits)) {
+		var word uint64
+		if w < len(a.bits) {
+			word = a.bits[w]
+		}
+		if w < len(b.bits) {
+			word |= b.bits[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			fn(w*64 + bits.TrailingZeros64(word))
+		}
+	}
+}
+
+// Stats is a point-in-time snapshot of a matcher's admission counters.
 type Stats struct {
 	Admitted uint64 // tuples that proceeded to the full index probe
 	Skipped  uint64 // tuples proven unmatchable without touching a tree
 }
-
-// Stats returns the current admission counters.
-func (f *Filter) Stats() Stats {
-	return Stats{Admitted: f.admitted.Load(), Skipped: f.skipped.Load()}
-}
-
-// QueriedBits returns the bitmap of attribute positions carrying at
-// least one interval clause for rel — the positions the index keeps
-// trees for and consults per probe. The returned slice is part of an
-// immutable published summary and must not be modified; nil means no
-// summary (no predicates registered). The workload profiler uses this
-// to attribute each stab to the attributes it actually queried.
-func (f *Filter) QueriedBits(rel string) []uint64 {
-	s := (*f.rels.Load())[rel]
-	if s == nil {
-		return nil
-	}
-	return s.bits
-}
-
-// Admitted returns the number of tuples that passed the filter.
-func (f *Filter) Admitted() uint64 { return f.admitted.Load() }
-
-// Skipped returns the number of tuples the filter proved unmatchable.
-func (f *Filter) Skipped() uint64 { return f.skipped.Load() }

@@ -43,14 +43,12 @@ func WithMetrics(reg *obs.Registry) Option {
 			merges: reg.Counter("predmatch_shard_merges_total",
 				"Publications that folded the delta and tombstones into a rebuilt base (the O(N) write)."),
 		}
-		if m.pf != nil {
-			reg.CounterFunc("predmatch_prefilter_admitted_total",
-				"Tuples the attribute prefilter passed through to a full index probe.",
-				m.pf.Admitted)
-			reg.CounterFunc("predmatch_prefilter_skipped_total",
-				"Tuples the attribute prefilter proved unmatchable without touching a tree.",
-				m.pf.Skipped)
-		}
+		reg.CounterFunc("predmatch_prefilter_admitted_total",
+			"Tuples the attribute prefilter passed through to a full index probe.",
+			m.admitted.Load)
+		reg.CounterFunc("predmatch_prefilter_skipped_total",
+			"Tuples the attribute prefilter proved unmatchable without touching a tree.",
+			m.skipped.Load)
 		reg.GaugeSet("predmatch_shard_predicates",
 			"Predicates held by each relation shard's current snapshot.",
 			[]string{"rel"}, func(emit obs.Emit) {

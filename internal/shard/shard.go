@@ -10,7 +10,10 @@
 //   - Match is lock-free: one atomic load of the shard directory, one
 //     atomic load of the shard's view, then a read-only two-level stab —
 //     base hits minus tombstones, then delta hits — against the frozen
-//     view. Readers never block writers or each other.
+//     view. The view carries its own admission summary (the envelopes
+//     of its interval clauses), so the same load yields index and
+//     filter: a tuple outside every envelope touches no tree. Readers
+//     never block writers or each other.
 //   - Writers serialize per shard: Add/Remove take the shard's mutex,
 //     derive the next view — a copy of the delta with the change
 //     applied, or of the tombstone list; the base is shared, so that is
@@ -66,12 +69,10 @@ type ShardedMatcher struct {
 	// unless installed with SetProfiles.
 	prof *trace.Profiles
 
-	// pf is the attribute prefilter consulted before every snapshot
-	// stab; tuples it proves unmatchable never enter a tree. nil when
-	// built with WithoutPrefilter. Mutators keep it ordered against
-	// snapshot publication (add before publish, remove after) so it is
-	// always at least as permissive as any published snapshot requires.
-	pf *prefilter.Filter
+	// admitted and skipped count the verdicts of the views' admission
+	// summaries: tuples that went on to an index probe, and tuples
+	// proven unmatchable without touching a tree.
+	admitted, skipped atomic.Uint64
 
 	// dir is the immutable relation→shard directory. Shards are only
 	// ever added (a relation's shard survives its last predicate), so
@@ -132,14 +133,6 @@ func WithName(name string) Option {
 	return func(m *ShardedMatcher) { m.name = name }
 }
 
-// WithoutPrefilter disables the attribute prefilter, sending every
-// tuple straight to the snapshot stab. Intended for benchmarks that
-// isolate raw index cost; the filter is on by default and is purely an
-// over-approximation, so disabling it never changes match results.
-func WithoutPrefilter() Option {
-	return func(m *ShardedMatcher) { m.pf = nil }
-}
-
 // New returns an empty sharded matcher resolving predicates against the
 // given catalog and function registry.
 func New(catalog *schema.Catalog, funcs *pred.Registry, opts ...Option) *ShardedMatcher {
@@ -149,7 +142,6 @@ func New(catalog *schema.Catalog, funcs *pred.Registry, opts ...Option) *Sharded
 		workers: runtime.GOMAXPROCS(0),
 		name:    "sharded",
 		ids:     make(map[pred.ID]string),
-		pf:      prefilter.New(catalog),
 	}
 	empty := make(map[string]*relShard)
 	m.dir.Store(&empty) //predmatchvet:ignore guardedby constructor publish; m is not shared yet
@@ -239,12 +231,6 @@ func (m *ShardedMatcher) Add(p *pred.Predicate) error {
 		cur = core.NewView(m.catalog, m.funcs, m.opts...)
 	}
 	next, err := cur.With(p)
-	// Register with the prefilter BEFORE publishing: a reader observing
-	// the new snapshot is then guaranteed to also observe a filter that
-	// knows about p, so the filter can never skip a tuple p matches.
-	if err == nil && m.pf != nil {
-		err = m.pf.Add(p)
-	}
 	if err != nil {
 		m.idMu.Lock()
 		delete(m.ids, p.ID)
@@ -278,13 +264,6 @@ func (m *ShardedMatcher) Remove(id pred.ID) error {
 		return err
 	}
 	m.publish(sh, next)
-	// Drop from the prefilter AFTER publishing: until then the filter
-	// stays permissive enough for the old snapshot (over-admission is
-	// free; a reader seeing the narrowed filter with the old snapshot
-	// linearizes after this Remove).
-	if m.pf != nil {
-		_ = m.pf.Remove(rel, id) // the ids map guarantees the entry exists
-	}
 	return nil
 }
 
@@ -310,7 +289,7 @@ func (m *ShardedMatcher) Match(rel string, t tuple.Tuple, dst []pred.ID) ([]pred
 }
 
 // MatchTraced implements matcher.TracedMatcher: Match, additionally
-// attaching child spans for the snapshot load, the prefilter verdict
+// attaching child spans for the snapshot load, the admission verdict
 // and the stab to sp. A nil sp records no spans (every span call is a
 // nil-receiver no-op), so the untraced path pays only nil checks.
 func (m *ShardedMatcher) MatchTraced(rel string, t tuple.Tuple, dst []pred.ID, sp *trace.Span) ([]pred.ID, error) {
@@ -329,20 +308,15 @@ func (m *ShardedMatcher) MatchTraced(rel string, t tuple.Tuple, dst []pred.ID, s
 		ssp.SetInt("version", int64(sh.version.Load()))
 	}
 	ssp.End()
-	// The filter is consulted after the snapshot load: if this reader
-	// observed a snapshot containing predicate p, the writer's filter
-	// registration of p (sequenced before the publish) is visible too.
-	if m.pf != nil {
-		admit := m.pf.Admit(rel, t)
-		if sp != nil {
-			psp := sp.Child("shard.prefilter")
-			psp.SetBool("admit", admit)
-			psp.End()
-		}
-		if !admit {
-			sh.prof.Skip()
-			return dst, nil
-		}
+	admit := m.admit(snap, rel, t)
+	if sp != nil {
+		psp := sp.Child("shard.prefilter")
+		psp.SetBool("admit", admit)
+		psp.End()
+	}
+	if !admit {
+		sh.prof.Skip()
+		return dst, nil
 	}
 	if sh.lat == nil && sh.prof == nil && sp == nil {
 		return snap.Match(rel, t, dst)
@@ -356,17 +330,10 @@ func (m *ShardedMatcher) MatchTraced(rel string, t tuple.Tuple, dst []pred.ID, s
 	}
 	if sh.prof != nil {
 		sh.prof.Stab(d, len(out))
-		if m.pf != nil {
-			// Attribute the stab to the positions the index consulted:
-			// those carrying at least one interval clause.
-			for i, word := range m.pf.QueriedBits(rel) {
-				for b := 0; word != 0; b, word = b+1, word>>1 {
-					if word&1 != 0 {
-						sh.prof.QueriedAttr(i*64 + b)
-					}
-				}
-			}
-		}
+		// Attribute the stab to the positions the index consulted: those
+		// carrying at least one interval clause.
+		base, delta := snap.Summaries(rel)
+		prefilter.Positions(base, delta, sh.prof.QueriedAttr)
 	}
 	if sp != nil {
 		tsp.SetStr("rel", rel)
@@ -374,6 +341,17 @@ func (m *ShardedMatcher) MatchTraced(rel string, t tuple.Tuple, dst []pred.ID, s
 	}
 	tsp.End()
 	return out, err
+}
+
+// admit is snap's admission verdict on t, counted.
+func (m *ShardedMatcher) admit(snap *core.View, rel string, t tuple.Tuple) bool {
+	ok := snap.Admit(rel, t)
+	if ok {
+		m.admitted.Add(1)
+	} else {
+		m.skipped.Add(1)
+	}
+	return ok
 }
 
 // MatchBatch matches every tuple of rel against one snapshot acquired
@@ -401,7 +379,7 @@ func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.
 	if workers <= 1 || len(tuples) < minBatchFanout {
 		var err error
 		for i, t := range tuples {
-			if m.pf != nil && !m.pf.Admit(rel, t) {
+			if !m.admit(snap, rel, t) {
 				continue
 			}
 			if results[i], err = snap.Match(rel, t, nil); err != nil {
@@ -426,7 +404,7 @@ func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				if m.pf != nil && !m.pf.Admit(rel, tuples[i]) {
+				if !m.admit(snap, rel, tuples[i]) {
 					continue
 				}
 				out, err := snap.Match(rel, tuples[i], nil)
@@ -489,13 +467,11 @@ func (m *ShardedMatcher) Stats() []ShardStats {
 	return out
 }
 
-// PrefilterStats returns the attribute prefilter's admission counters;
-// ok is false when the matcher was built with WithoutPrefilter.
+// PrefilterStats returns the admission counters. ok is always true; it
+// dates from when the filter could be switched off, and bench/ and
+// internal/server still test it.
 func (m *ShardedMatcher) PrefilterStats() (s prefilter.Stats, ok bool) {
-	if m.pf == nil {
-		return prefilter.Stats{}, false
-	}
-	return m.pf.Stats(), true
+	return prefilter.Stats{Admitted: m.admitted.Load(), Skipped: m.skipped.Load()}, true
 }
 
 // Relations returns the relations that currently have a shard (any

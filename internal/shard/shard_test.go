@@ -220,9 +220,7 @@ func TestWriteCostSublinear(t *testing.T) {
 	for _, n := range []int{500, 8000} {
 		f := matchertest.NewFixture()
 		var inserts int
-		// No prefilter: it re-summarizes the relation on every write, which
-		// is no tree insertion but is most of this test's run time.
-		m := shard.New(f.Catalog, f.Funcs, shard.WithoutPrefilter(),
+		m := shard.New(f.Catalog, f.Funcs,
 			shard.WithIndexOptions(core.WithIndexFactory(func() core.AttrIndex {
 				return &countingIndex{inserts: &inserts}
 			})))
@@ -335,63 +333,89 @@ func TestCrossShardWriterParallelism(t *testing.T) {
 	}
 }
 
-// TestMatchBatchSeesOneVersion adds predicates concurrently with a
-// large batch: every tuple of the batch must observe the same snapshot,
-// so two identical tuples in the same batch must get identical results.
+// TestMatchBatchSeesOneVersion writes concurrently with large batches of
+// one repeated tuple: every tuple of a batch must observe the same
+// snapshot, so every row of a batch must be the same. The adder keeps
+// changing which predicates match under the batch; the remover narrows
+// what a tuple can be admitted by — the standing predicate never
+// matches the tuple and the relation holds no function-only predicate,
+// so once the churned predicate is gone the tuple lies outside every
+// envelope, and a batch that asked a newer summary than its snapshot's
+// would return its later rows empty.
 func TestMatchBatchSeesOneVersion(t *testing.T) {
-	f := matchertest.NewFixture()
-	m := shard.New(f.Catalog, f.Funcs, shard.WithWorkers(4))
-	rel := f.Rels[0]
-	// One fixed tuple repeated across the batch.
-	tup := tuple.New(value.String_("alice"), value.Int(50), value.Int(50), value.String_("shoe"))
-	if err := m.Add(pred.New(0, rel.Name(),
-		pred.IvClause("salary", interval.AtLeast(value.Int(10))))); err != nil {
-		t.Fatal(err)
+	salary := func(id pred.ID, iv interval.Interval[value.Value]) *pred.Predicate {
+		return pred.New(id, "emp", pred.IvClause("salary", iv))
 	}
+	for _, c := range []struct {
+		name     string
+		standing *pred.Predicate
+		write    func(m *shard.ShardedMatcher, id pred.ID) error
+	}{
+		{"adder", salary(0, interval.AtLeast(value.Int(10))), func(m *shard.ShardedMatcher, id pred.ID) error {
+			if id > 64 { // keep the rows, and the test's run time, bounded
+				if err := m.Remove(id - 64); err != nil {
+					return err
+				}
+			}
+			return m.Add(pred.New(id, "emp", pred.IvClause("age", interval.AtLeast(value.Int(0)))))
+		}},
+		{"remover", salary(0, interval.Closed(value.Int(0), value.Int(10))), func(m *shard.ShardedMatcher, id pred.ID) error {
+			if err := m.Add(salary(id, interval.Closed(value.Int(40), value.Int(60)))); err != nil {
+				return err
+			}
+			return m.Remove(id)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := matchertest.NewFixture()
+			m := shard.New(f.Catalog, f.Funcs, shard.WithWorkers(4))
+			if err := m.Add(c.standing); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			defer close(stop)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for id := pred.ID(1); ; id++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if err := c.write(m, id); err != nil {
+						t.Errorf("writer: %v", err)
+						return
+					}
+				}
+			}()
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		id := pred.ID(1)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+			// One fixed tuple repeated across the batch.
+			tup := tuple.New(value.String_("alice"), value.Int(50), value.Int(50), value.String_("shoe"))
+			tuples := make([]tuple.Tuple, 256)
+			for i := range tuples {
+				tuples[i] = tup
 			}
-			if err := m.Add(pred.New(id, rel.Name(),
-				pred.IvClause("age", interval.AtLeast(value.Int(0))))); err != nil {
-				t.Errorf("writer: %v", err)
-				return
+			for round := 0; round < 50; round++ {
+				batch, err := m.MatchBatch("emp", tuples)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first := append([]pred.ID(nil), batch[0]...)
+				sort.Slice(first, func(i, j int) bool { return first[i] < first[j] })
+				for i := 1; i < len(batch); i++ {
+					got := append([]pred.ID(nil), batch[i]...)
+					sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
+					if !reflect.DeepEqual(first, got) {
+						t.Fatalf("round %d: batch position %d saw %v, position 0 saw %v (torn snapshot)",
+							round, i, got, first)
+					}
+				}
 			}
-			id++
-		}
-	}()
-
-	tuples := make([]tuple.Tuple, 256)
-	for i := range tuples {
-		tuples[i] = tup
+		})
 	}
-	for round := 0; round < 20; round++ {
-		batch, err := m.MatchBatch(rel.Name(), tuples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first := append([]pred.ID(nil), batch[0]...)
-		sort.Slice(first, func(i, j int) bool { return first[i] < first[j] })
-		for i := 1; i < len(batch); i++ {
-			got := append([]pred.ID(nil), batch[i]...)
-			sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-			if !reflect.DeepEqual(first, got) {
-				t.Fatalf("round %d: batch position %d saw %v, position 0 saw %v (torn snapshot)",
-					round, i, got, first)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestStats(t *testing.T) {
