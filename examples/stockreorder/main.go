@@ -127,62 +127,75 @@ func fieldDesign() (*engine.Engine, *storage.Table, *[]string) {
 	return eng, tab, &reorders
 }
 
-func main() {
-	items := makeItems()
-	stream := sales()
-
-	// ---- Design 1: one rule per item -------------------------------
-	eng1, tab1, reorders1 := naiveDesign(items)
-	ids1 := make(map[int64]tuple.ID)
+// runNaive loads the inventory into design 1 and plays the sales stream,
+// returning the engine and the reorder lines its rules logged.
+func runNaive(items []item, stream [][2]int64) (*engine.Engine, []string) {
+	eng, tab, reorders := naiveDesign(items)
+	ids := make(map[int64]tuple.ID)
 	stocks := make(map[int64]int64)
 	for _, it := range items {
-		id, err := tab1.Insert(tuple.New(value.Int(it.sku), value.Int(it.stock)))
+		id, err := tab.Insert(tuple.New(value.Int(it.sku), value.Int(it.stock)))
 		if err != nil {
 			panic(err)
 		}
-		ids1[it.sku] = id
+		ids[it.sku] = id
 		stocks[it.sku] = it.stock
 	}
 	for _, s := range stream {
 		sku, amount := s[0], s[1]
 		stocks[sku] -= amount
-		if err := tab1.Update(ids1[sku], tuple.New(value.Int(sku), value.Int(stocks[sku]))); err != nil {
+		if err := tab.Update(ids[sku], tuple.New(value.Int(sku), value.Int(stocks[sku]))); err != nil {
 			panic(err)
 		}
 	}
-	fmt.Printf("design 1 (one rule per item): %d rules, %d predicates indexed, %d reorders\n",
-		len(eng1.Rules()), eng1.Matcher().Len(), len(*reorders1))
+	return eng, *reorders
+}
 
-	// ---- Design 2: threshold as data, two rules --------------------
-	// The application only writes stock levels; the maintain rule keeps
-	// the deficit column current and the reorder rule watches it.
-	eng2, tab2, reorders2 := fieldDesign()
-	ids2 := make(map[int64]tuple.ID)
+// runField does the same for design 2. The application only writes
+// stock levels; the maintain rule keeps the deficit column current and
+// the reorder rule watches it.
+func runField(items []item, stream [][2]int64) (*engine.Engine, []string) {
+	eng, tab, reorders := fieldDesign()
+	ids := make(map[int64]tuple.ID)
 	for _, it := range items {
-		id, err := tab2.Insert(tuple.New(
+		id, err := tab.Insert(tuple.New(
 			value.Int(it.sku), value.Int(it.stock), value.Int(it.threshold),
 			value.Int(it.stock-it.threshold)))
 		if err != nil {
 			panic(err)
 		}
-		ids2[it.sku] = id
+		ids[it.sku] = id
 	}
 	for _, s := range stream {
 		sku, amount := s[0], s[1]
-		cur, _ := tab2.Get(ids2[sku])
+		cur, _ := tab.Get(ids[sku])
 		next := cur.Clone()
 		next[1] = value.Int(cur[1].AsInt() - amount) // stock only; rules do the rest
-		if err := tab2.Update(ids2[sku], next); err != nil {
+		if err := tab.Update(ids[sku], next); err != nil {
 			panic(err)
 		}
 	}
-	fmt.Printf("design 2 (threshold as data):  %d rules, %d predicates indexed, %d reorders\n",
-		len(eng2.Rules()), eng2.Matcher().Len(), len(*reorders2))
+	return eng, *reorders
+}
 
-	if len(*reorders1) != len(*reorders2) {
-		panic(fmt.Sprintf("designs disagree: %d vs %d reorders", len(*reorders1), len(*reorders2)))
+func main() {
+	items := makeItems()
+	stream := sales()
+
+	// ---- Design 1: one rule per item -------------------------------
+	eng1, reorders1 := runNaive(items, stream)
+	fmt.Printf("design 1 (one rule per item): %d rules, %d predicates indexed, %d reorders\n",
+		len(eng1.Rules()), eng1.Matcher().Len(), len(reorders1))
+
+	// ---- Design 2: threshold as data, two rules --------------------
+	eng2, reorders2 := runField(items, stream)
+	fmt.Printf("design 2 (threshold as data):  %d rules, %d predicates indexed, %d reorders\n",
+		len(eng2.Rules()), eng2.Matcher().Len(), len(reorders2))
+
+	if len(reorders1) != len(reorders2) {
+		panic(fmt.Sprintf("designs disagree: %d vs %d reorders", len(reorders1), len(reorders2)))
 	}
-	fmt.Printf("both designs raised the same %d reorders — but design 2 keeps the\n", len(*reorders2))
+	fmt.Printf("both designs raised the same %d reorders — but design 2 keeps the\n", len(reorders2))
 	fmt.Println("knowledge in the data (two fixed rules) instead of the rule base,")
 	fmt.Println("exactly the paper's Section 3 recommendation.")
 }

@@ -114,7 +114,29 @@ func (m *Map[K, V]) Has(k K) bool {
 
 // Put stores v under k, returning the previous value if one was replaced.
 func (m *Map[K, V]) Put(k K, v V) (old V, replaced bool) {
-	old, replaced = m.insert(m.root, k, v)
+	m.Update(k, func(cur V, ok bool) (V, bool) {
+		old, replaced = cur, ok
+		return v, true
+	})
+	return old, replaced
+}
+
+// Delete removes k, returning the removed value.
+func (m *Map[K, V]) Delete(k K) (old V, removed bool) {
+	m.Update(k, func(cur V, ok bool) (V, bool) {
+		old, removed = cur, ok
+		return cur, false
+	})
+	return old, removed
+}
+
+// Update is a read-modify-write of the entry under k in one root-to-leaf
+// walk. fn receives the stored value (the zero V and ok=false when k is
+// absent) and returns the value to store and whether k stays in the map:
+// keep=false removes a present key and leaves an absent one absent. fn
+// must not touch the map.
+func (m *Map[K, V]) Update(k K, fn func(old V, ok bool) (v V, keep bool)) {
+	m.size += m.update(m.root, k, fn)
 	if len(m.root.keys) > m.maxKeys {
 		left := m.root
 		sep, right := m.split(left)
@@ -123,31 +145,45 @@ func (m *Map[K, V]) Put(k K, v V) (old V, replaced bool) {
 			children: []*node[K, V]{left, right},
 		}
 	}
-	if !replaced {
-		m.size++
+	if !m.root.leaf && len(m.root.children) == 1 {
+		m.root = m.root.children[0]
 	}
-	return old, replaced
 }
 
-func (m *Map[K, V]) insert(n *node[K, V], k K, v V) (old V, replaced bool) {
+// update applies fn at k's leaf position under n and repairs n's child
+// on the way back up: split when the walk overfilled it, borrow or merge
+// when it underfilled it. It returns the change in the number of keys.
+func (m *Map[K, V]) update(n *node[K, V], k K, fn func(V, bool) (V, bool)) int {
 	if n.leaf {
 		i, ok := m.findKey(n, k)
+		var old V
 		if ok {
-			old, n.vals[i] = n.vals[i], v
-			return old, true
+			old = n.vals[i]
 		}
-		n.keys = append(n.keys, k)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = k
-		n.vals = append(n.vals, v)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = v
-		return old, false
+		v, keep := fn(old, ok)
+		switch {
+		case ok && keep:
+			n.vals[i] = v
+		case ok:
+			n.keys = append(n.keys[:i], n.keys[i+1:]...)
+			n.vals = append(n.vals[:i], n.vals[i+1:]...)
+			return -1
+		case keep:
+			n.keys = append(n.keys, k)
+			copy(n.keys[i+1:], n.keys[i:])
+			n.keys[i] = k
+			n.vals = append(n.vals, v)
+			copy(n.vals[i+1:], n.vals[i:])
+			n.vals[i] = v
+			return 1
+		}
+		return 0
 	}
 	ci := m.findChild(n, k)
 	child := n.children[ci]
-	old, replaced = m.insert(child, k, v)
-	if len(child.keys) > m.maxKeys {
+	delta := m.update(child, k, fn)
+	switch {
+	case len(child.keys) > m.maxKeys:
 		sep, right := m.split(child)
 		n.keys = append(n.keys, sep)
 		copy(n.keys[ci+1:], n.keys[ci:])
@@ -155,8 +191,10 @@ func (m *Map[K, V]) insert(n *node[K, V], k K, v V) (old V, replaced bool) {
 		n.children = append(n.children, nil)
 		copy(n.children[ci+2:], n.children[ci+1:])
 		n.children[ci+1] = right
+	case len(child.keys) < m.minKeys():
+		m.rebalanceChild(n, ci)
 	}
-	return old, replaced
+	return delta
 }
 
 // split divides an overfull node, returning the separator key to promote
@@ -186,39 +224,7 @@ func (m *Map[K, V]) split(n *node[K, V]) (K, *node[K, V]) {
 	return sep, right
 }
 
-// Delete removes k, returning the removed value.
-func (m *Map[K, V]) Delete(k K) (old V, removed bool) {
-	old, removed = m.remove(m.root, k)
-	if removed {
-		m.size--
-	}
-	if !m.root.leaf && len(m.root.children) == 1 {
-		m.root = m.root.children[0]
-	}
-	return old, removed
-}
-
 func (m *Map[K, V]) minKeys() int { return m.maxKeys / 2 }
-
-func (m *Map[K, V]) remove(n *node[K, V], k K) (old V, removed bool) {
-	if n.leaf {
-		i, ok := m.findKey(n, k)
-		if !ok {
-			return old, false
-		}
-		old = n.vals[i]
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
-		return old, true
-	}
-	ci := m.findChild(n, k)
-	child := n.children[ci]
-	old, removed = m.remove(child, k)
-	if len(child.keys) < m.minKeys() {
-		m.rebalanceChild(n, ci)
-	}
-	return old, removed
-}
 
 // rebalanceChild restores the minimum-occupancy invariant of
 // n.children[ci] by borrowing from a sibling or merging with one.

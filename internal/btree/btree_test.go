@@ -149,8 +149,8 @@ func TestAscendRange(t *testing.T) {
 	}
 }
 
-// TestRandomizedAgainstMap drives random Put/Delete/Get against a Go map
-// and checks invariants as the tree grows and shrinks through many splits
+// TestRandomizedAgainstMap drives random Put/Delete/Update/Get against a
+// Go map and checks invariants as the tree grows and shrinks through many splits
 // and merges.
 func TestRandomizedAgainstMap(t *testing.T) {
 	for _, degree := range []int{3, 4, 8, 32} {
@@ -159,7 +159,7 @@ func TestRandomizedAgainstMap(t *testing.T) {
 		ref := map[int]int{}
 		for op := 0; op < 4000; op++ {
 			k := rng.Intn(300)
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0, 1, 2:
 				v := rng.Int()
 				_, wantReplace := ref[k]
@@ -175,6 +175,22 @@ func TestRandomizedAgainstMap(t *testing.T) {
 					t.Fatalf("degree %d op %d: Delete(%d) removed=%v want %v", degree, op, k, removed, wantOK)
 				}
 				delete(ref, k)
+			case 4:
+				// All four outcomes of the single-walk upsert: replace,
+				// remove, insert, and leaving an absent key absent.
+				wantV, wantOK := ref[k]
+				v, keep := rng.Int(), rng.Intn(2) == 0
+				m.Update(k, func(old int, ok bool) (int, bool) {
+					if ok != wantOK || old != wantV {
+						t.Fatalf("degree %d op %d: Update(%d) saw %d,%v want %d,%v", degree, op, k, old, ok, wantV, wantOK)
+					}
+					return v, keep
+				})
+				if keep {
+					ref[k] = v
+				} else {
+					delete(ref, k)
+				}
 			default:
 				wantV, wantOK := ref[k]
 				v, ok := m.Get(k)
@@ -329,5 +345,24 @@ func TestHas(t *testing.T) {
 	m.Put(5, 50)
 	if !m.Has(5) || m.Has(6) {
 		t.Fatal("Has wrong")
+	}
+}
+
+// The closures Put and Delete hand to Update stay on the stack: a
+// replace, a remove and a re-insert into a leaf with room allocate
+// nothing.
+func TestUpdateDoesNotAllocate(t *testing.T) {
+	m := New[int, int](intCmp)
+	for i := 0; i < 1000; i++ {
+		m.Put(i, i)
+	}
+	bump := func(n int, _ bool) (int, bool) { return n + 1, true }
+	if n := testing.AllocsPerRun(100, func() {
+		m.Put(500, 1)
+		m.Update(500, bump)
+		m.Delete(500)
+		m.Put(500, 2)
+	}); n != 0 {
+		t.Errorf("Put/Update/Delete/Put: %v allocs, want 0", n)
 	}
 }

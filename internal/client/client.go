@@ -34,7 +34,7 @@ var ErrClosed = errors.New("client: connection closed")
 // policy dropped the missing ones (Dropped is the cumulative count at
 // the time this notification was generated). Tuple holds the matched
 // tuple's literals as a plain JSON decode would: string, bool, and
-// json.Number for every number.
+// json.Number — the number's own text in the frame — for every number.
 type Notification struct {
 	Seq      uint64
 	Rule     string
@@ -190,6 +190,11 @@ var scribbleReleased bool
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	lr := wire.NewLineReader(c.nc, wire.MaxLineBytes)
+	// One Message for every frame (it escapes through the codec's cold
+	// path, so declaring it per frame would allocate it per frame): the
+	// decode overwrites it whole, with freshly allocated contents, and
+	// what leaves this loop is a copy.
+	var m wire.Message
 	var err error
 	for {
 		var raw []byte
@@ -200,8 +205,7 @@ func (c *Client) readLoop() {
 		if len(line) == 0 {
 			continue
 		}
-		var m wire.Message
-		derr := wire.DecodeMessage(line, &m)
+		lits, derr := wire.DecodeMessageLiterals(line, &m)
 		if scribbleReleased {
 			wire.Scribble(raw)
 		}
@@ -222,7 +226,7 @@ func (c *Client) readLoop() {
 					Relation: m.Relation,
 					Op:       m.EventOp,
 					TupleID:  m.EventID,
-					Tuple:    m.Tuple.Literals(),
+					Tuple:    lits,
 					Matches:  wire.ToIDs(m.Matches),
 					Depth:    m.Depth,
 					Dropped:  m.Dropped,

@@ -16,7 +16,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -91,6 +93,10 @@ type Engine struct {
 	firings    []Firing
 	traceAll   bool
 	scratch    []pred.ID
+	// toFire is a stack of the rules each in-flight event is firing: an
+	// event pushes its rules on top, and a cascaded event raised by one of
+	// their actions pushes above them and pops before returning.
+	toFire     []*Rule
 	onFire     []func(FiringEvent)
 	firingsVec *obs.CounterVec // per-rule activation counters; nil when uninstrumented
 	events     *obs.Counter    // storage events observed
@@ -108,8 +114,8 @@ type Engine struct {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithLogger sets the destination of "log" actions and traces (default:
-// discard).
+// WithLogger sets the destination of "log" actions (default: discard —
+// with no logger, or a nil one, a log action formats nothing).
 func WithLogger(l Logger) Option { return func(e *Engine) { e.log = l } }
 
 // WithMaxCascadeDepth bounds forward-chaining recursion (default 16).
@@ -151,7 +157,6 @@ func New(db *storage.DB, funcs *pred.Registry, m matcher.Matcher, opts ...Option
 		rules:      make(map[string]*Rule),
 		byPred:     make(map[pred.ID]*Rule),
 		nextPredID: 1,
-		log:        func(string, ...any) {},
 		maxDepth:   16,
 	}
 	for _, o := range opts {
@@ -352,27 +357,31 @@ func (e *Engine) onEvent(ev storage.Event) error {
 	esp.SetInt("matches", int64(len(matched)))
 
 	// A rule with several DNF predicates fires once; order rule firings
-	// by name for determinism.
-	fired := make(map[*Rule]bool)
-	var toFire []*Rule
+	// by priority, then name, for determinism. The matched rules of one
+	// event number in the dozens at most, so the duplicate check is a scan
+	// of the ones already collected.
+	base := len(e.toFire)
 	for _, id := range matched {
 		r := e.byPred[id]
-		if r == nil || fired[r] || !r.Events[ev.Op] {
+		if r == nil || !r.Events[ev.Op] || slices.Contains(e.toFire[base:], r) {
 			continue
 		}
-		fired[r] = true
-		toFire = append(toFire, r)
+		e.toFire = append(e.toFire, r)
 	}
-	sort.Slice(toFire, func(i, j int) bool {
-		if toFire[i].Priority != toFire[j].Priority {
-			return toFire[i].Priority > toFire[j].Priority
-		}
-		return toFire[i].Name < toFire[j].Name
+	end := len(e.toFire)
+	slices.SortFunc(e.toFire[base:end], func(a, b *Rule) int {
+		return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(a.Name, b.Name))
 	})
 
 	e.depth++
-	defer func() { e.depth-- }()
-	for _, r := range toFire {
+	defer func() {
+		e.depth--
+		e.toFire = e.toFire[:base]
+	}()
+	for i := base; i < end; i++ {
+		// Indexed afresh each time: a cascade may have grown the stack
+		// into a new backing array.
+		r := e.toFire[i]
 		r.fires.Inc()
 		if e.traceAll {
 			e.firings = append(e.firings, Firing{Rule: r.Name, Event: ev})
@@ -416,7 +425,9 @@ func (e *Engine) execute(r *Rule, ev storage.Event, t tuple.Tuple) error {
 	for _, a := range r.Actions {
 		switch a.Kind {
 		case parser.ActionLog:
-			e.log("[rule %s] %s (%s on %s %v)", r.Name, a.Message, ev.Op, ev.Rel, t)
+			if e.log != nil {
+				e.log("[rule %s] %s (%s on %s %v)", r.Name, a.Message, ev.Op, ev.Rel, t)
+			}
 		case parser.ActionRaise:
 			return fmt.Errorf("engine: rule %s raised: %s", r.Name, a.Message)
 		case parser.ActionSet:

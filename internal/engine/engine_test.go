@@ -525,3 +525,66 @@ func TestOnFireHook(t *testing.T) {
 		t.Fatalf("delete firing should carry old image, got %v", got[0].Tuple)
 	}
 }
+
+// TestFiringOrderAndLogLines pins what a firing delivers: rules fire by
+// priority (high first), ties by name, once each however many of their
+// disjuncts matched; a cascaded event fires its own rules, in its own
+// order, between two rules of the event that caused it; and a log action
+// hands the logger exactly this line.
+func TestFiringOrderAndLogLines(t *testing.T) {
+	var lines []string
+	logger := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	_, eng, empTab, _ := setup(t, ibsMatcher, engine.WithLogger(logger))
+	for _, src := range []string{
+		"rule b on insert to emp when age > 0 or salary > 0 do log 'b saw it'",
+		"rule a on insert to emp when age > 0 or salary > 0 do log 'a saw it'",
+		"rule d priority 5 on insert to emp when age > 0 do log 'd saw it'",
+		"rule c priority 5 on insert to emp when age > 0 or salary > 0 do insert into alerts ('hi', 2); log 'c saw it'",
+		"rule z on insert to alerts when level > 0 or level < 10 do log 'z saw it'",
+		"rule y on insert to alerts when level > 0 do log 'y saw it'",
+		"rule x priority -1 on insert to alerts when level > 0 do log 'x saw it'",
+	} {
+		if _, err := eng.DefineRule(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := empTab.Insert(empT("ada", 30, 100, "toy")); err != nil {
+		t.Fatal(err)
+	}
+	var fired []string
+	for _, f := range eng.Firings() {
+		fired = append(fired, f.Rule)
+	}
+	if got, want := strings.Join(fired, " "), "c y z x d a b"; got != want {
+		t.Errorf("firing order %q, want %q", got, want)
+	}
+	want := []string{
+		"[rule y] y saw it (insert on alerts ('hi', 2))",
+		"[rule z] z saw it (insert on alerts ('hi', 2))",
+		"[rule x] x saw it (insert on alerts ('hi', 2))",
+		"[rule c] c saw it (insert on emp ('ada', 30, 100, 'toy'))",
+		"[rule d] d saw it (insert on emp ('ada', 30, 100, 'toy'))",
+		"[rule a] a saw it (insert on emp ('ada', 30, 100, 'toy'))",
+		"[rule b] b saw it (insert on emp ('ada', 30, 100, 'toy'))",
+	}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("log lines:\n%s\nwant:\n%s", strings.Join(lines, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestNoLoggerDiscards: the default, and an explicit nil, drop log
+// actions without formatting them; the rules still fire.
+func TestNoLoggerDiscards(t *testing.T) {
+	for _, opts := range [][]engine.Option{nil, {engine.WithLogger(nil)}} {
+		_, eng, empTab, _ := setup(t, ibsMatcher, opts...)
+		if _, err := eng.DefineRule("rule l on insert to emp when age > 0 do log 'dropped'"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := empTab.Insert(empT("a", 3, 1, "x")); err != nil {
+			t.Fatal(err)
+		}
+		if f := eng.Firings(); len(f) != 1 || f[0].Rule != "l" {
+			t.Fatalf("firings = %+v", f)
+		}
+	}
+}

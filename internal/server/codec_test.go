@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"predmatch/internal/server"
 	"predmatch/internal/tuple"
 	"predmatch/internal/value"
+	"predmatch/internal/wal"
 	"predmatch/internal/wire"
 	"predmatch/internal/wire/wiretest"
 )
@@ -149,6 +151,94 @@ func TestPipeMatchAllocs(t *testing.T) {
 	t.Logf("one match over net.Pipe: %v allocs", n)
 	if n > 12 {
 		t.Errorf("one match over net.Pipe: %v allocs, want <= 12", n)
+	}
+}
+
+// TestPipeInsertAllocs is the allocation budget of one durable insert
+// on the server side, in the benchmark's shape: a 15-attribute tuple
+// that fires 8 `do log` rules, logged to a write-ahead log (fsync off:
+// the budget is the encoder's, not the disk's), with one subscriber
+// receiving the 8 notifications over a second pipe. Both client ends
+// allocate nothing, so the count is the server's: the request's
+// relation string, the coerced tuple and its stored copy, two result
+// buffers inside the stab, the rows map's amortized growth, and three
+// for the timers net.Pipe makes of a write deadline (a TCP socket makes
+// none) — nothing per firing, per notification or per attribute. The
+// same test at the commit before statistics on demand: 58.
+func TestPipeInsertAllocs(t *testing.T) {
+	ln := newPipeListener()
+	s, err := server.Open(server.Config{DataDir: t.TempDir(), Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	defer func() {
+		s.Close()
+		<-served
+	}()
+	nc, sub := ln.dial(), ln.dial()
+	defer nc.Close()
+	defer sub.Close()
+	call := func(nc net.Conn, r *bufio.Reader, req *wire.Request) []byte {
+		t.Helper()
+		frame, err := wire.AppendRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		line, err := r.ReadSlice('\n')
+		if err != nil || !bytes.Contains(line, []byte(`"ok":true`)) {
+			t.Fatalf("%s: %s, %v", req.Op, line, err)
+		}
+		return line
+	}
+	r := bufio.NewReader(nc)
+	attrs := make([]wire.Attr, 15)
+	tup := make(wire.Tuple, 15)
+	for i := range attrs {
+		attrs[i] = wire.Attr{Name: "a" + strconv.Itoa(i), Type: "int"}
+		tup[i] = value.Int(int64(500 + i))
+	}
+	call(nc, r, &wire.Request{ID: 1, Op: wire.OpDeclare, Relation: "wide", Attrs: attrs})
+	for i := 0; i < 8; i++ {
+		call(nc, r, &wire.Request{ID: 2, Op: wire.OpRule,
+			Source: fmt.Sprintf("rule r%d on insert to wide when a0 > %d do log 'seen'", i, 400+i)})
+	}
+	subReader := bufio.NewReader(sub)
+	call(sub, subReader, &wire.Request{ID: 1, Op: wire.OpSubscribe})
+	var notified atomic.Int64
+	go func() {
+		for {
+			if _, err := subReader.ReadSlice('\n'); err != nil {
+				return
+			}
+			notified.Add(1)
+		}
+	}()
+
+	frame, _ := wire.AppendRequest(nil, &wire.Request{ID: 99, Op: wire.OpInsert, Relation: "wide", Tuple: tup})
+	insert := func() {
+		if _, err := nc.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := r.ReadSlice('\n'); err != nil || !bytes.Contains(line, []byte(`"firings":8`)) {
+			t.Fatalf("insert answer %s, %v; want 8 firings", line, err)
+		}
+	}
+	const runs = 500
+	n := testing.AllocsPerRun(runs, insert)
+	for deadline := time.Now().Add(5 * time.Second); notified.Load() < 8*(runs+1); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d notifications for %d inserts, want 8 each", notified.Load(), runs+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("one insert over net.Pipe: %v allocs", n)
+	if n > 10 {
+		t.Errorf("one insert over net.Pipe: %v allocs, want <= 10", n)
 	}
 }
 

@@ -179,6 +179,9 @@ type Server struct {
 	// pending accumulates the storage events applied by the mutation
 	// currently executing, captured by onEventWAL for its log record.
 	pending []wal.Event // guarded-by: mu
+	// mutRec is the record logPending fills for each mutation and hands
+	// to the log, which is done with it when Append returns.
+	mutRec wal.Record // guarded-by: mu
 	// directPreds tracks client-registered predicates in wire form, for
 	// checkpoint snapshots.
 	directPreds map[int64]*wire.Predicate // guarded-by: mu

@@ -108,13 +108,15 @@ func (s *Server) logPending(sp *trace.Span) (uint64, error) {
 	if s.wal == nil || len(s.pending) == 0 {
 		return 0, nil
 	}
-	events := make([]wal.Event, len(s.pending))
-	copy(events, s.pending)
-	rec := &wal.Record{Kind: wal.KindMutate, Events: events, Trace: traceCtx(sp)}
+	// The record is the server's own and borrows s.pending; the next
+	// mutation overwrites both. Append has encoded it into the log's
+	// buffer before it returns and keeps no reference to it (followers and
+	// tails read records back from the segment files).
+	s.mutRec = wal.Record{Kind: wal.KindMutate, Events: s.pending, Trace: traceCtx(sp)}
 	asp := sp.Child("wal.append")
-	seq, err := s.wal.Append(rec)
+	seq, err := s.wal.Append(&s.mutRec)
 	asp.SetInt("seq", int64(seq))
-	asp.SetInt("events", int64(len(events)))
+	asp.SetInt("events", int64(len(s.pending)))
 	asp.End()
 	return seq, err
 }

@@ -2,9 +2,9 @@
 // logged change without re-notifying observers, and reading a table's
 // contents in a deterministic order. During WAL recovery the rule
 // engine must not re-fire — every cascaded change a rule produced was
-// itself logged and replays as its own event — so these paths mirror
-// Insert/Update/Delete minus the notify call, and restore exact tuple
-// IDs rather than allocating fresh ones.
+// itself logged and replays as its own event — so Apply runs the bodies
+// Insert/Update/Delete run, without the notify call, and restores exact
+// tuple IDs rather than allocating fresh ones.
 
 package storage
 
@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"predmatch/internal/tuple"
-	"predmatch/internal/value"
 )
 
 // Apply installs one logged change. Unlike the mutating API it takes
@@ -24,79 +23,23 @@ func (db *DB) Apply(ev Event) error {
 	if !ok {
 		return fmt.Errorf("storage: apply: unknown relation %s", ev.Rel)
 	}
+	var err error
 	switch ev.Op {
 	case OpInsert:
-		return t.applyInsert(ev.ID, ev.New)
-	case OpUpdate:
-		return t.applyUpdate(ev.ID, ev.New)
-	case OpDelete:
-		return t.applyDelete(ev.ID)
-	default:
-		return fmt.Errorf("storage: apply: unknown op %d", ev.Op)
-	}
-}
-
-// applyInsert stores row under the given (recovered) ID and keeps the
-// allocator ahead of it.
-func (t *Table) applyInsert(id tuple.ID, row tuple.Tuple) error {
-	if err := row.Conforms(t.rel); err != nil {
-		return err
-	}
-	if _, dup := t.rows[id]; dup {
-		return fmt.Errorf("storage: apply: %s already has tuple %d", t.rel.Name(), id)
-	}
-	row = row.Clone()
-	t.rows[id] = row
-	if id >= t.nextID {
-		t.nextID = id + 1
-	}
-	for _, idx := range t.indexes {
-		idx.add(row[idx.pos], id)
-	}
-	for i, v := range row {
-		t.stats[i].add(v)
-	}
-	return nil
-}
-
-// applyUpdate replaces the tuple stored under id without notifying.
-func (t *Table) applyUpdate(id tuple.ID, row tuple.Tuple) error {
-	old, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("storage: apply: %s has no tuple %d", t.rel.Name(), id)
-	}
-	if err := row.Conforms(t.rel); err != nil {
-		return err
-	}
-	row = row.Clone()
-	t.rows[id] = row
-	for _, idx := range t.indexes {
-		if value.Compare(old[idx.pos], row[idx.pos]) != 0 {
-			idx.remove(old[idx.pos], id)
-			idx.add(row[idx.pos], id)
+		if _, dup := t.rows[ev.ID]; dup {
+			return fmt.Errorf("storage: apply: %s already has tuple %d", t.rel.Name(), ev.ID)
 		}
+		if _, err = t.insert(ev.ID, ev.New); err == nil {
+			t.SetNextID(ev.ID + 1)
+		}
+	case OpUpdate:
+		_, _, err = t.update(ev.ID, ev.New)
+	case OpDelete:
+		_, err = t.remove(ev.ID)
+	default:
+		err = fmt.Errorf("storage: apply: unknown op %d", ev.Op)
 	}
-	for i := range row {
-		t.stats[i].remove(old[i])
-		t.stats[i].add(row[i])
-	}
-	return nil
-}
-
-// applyDelete removes the tuple stored under id without notifying.
-func (t *Table) applyDelete(id tuple.ID) error {
-	old, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("storage: apply: %s has no tuple %d", t.rel.Name(), id)
-	}
-	delete(t.rows, id)
-	for _, idx := range t.indexes {
-		idx.remove(old[idx.pos], id)
-	}
-	for i := range old {
-		t.stats[i].remove(old[i])
-	}
-	return nil
+	return err
 }
 
 // NextID returns the table's ID allocator cursor (the ID the next

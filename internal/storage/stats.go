@@ -22,21 +22,12 @@ func newAttrStats() *AttrStats {
 
 func (s *AttrStats) add(v value.Value) {
 	s.count++
-	n, _ := s.distinct.Get(v)
-	s.distinct.Put(v, n+1)
+	s.distinct.Update(v, func(n int, _ bool) (int, bool) { return n + 1, true })
 }
 
 func (s *AttrStats) remove(v value.Value) {
 	s.count--
-	n, ok := s.distinct.Get(v)
-	if !ok {
-		return
-	}
-	if n <= 1 {
-		s.distinct.Delete(v)
-	} else {
-		s.distinct.Put(v, n-1)
-	}
+	s.distinct.Update(v, func(n int, _ bool) (int, bool) { return n - 1, n > 1 })
 }
 
 // Count returns the number of stored values (the relation cardinality).

@@ -3,10 +3,15 @@
 // and per-attribute statistics for the optimizer's selectivity estimates
 // (the paper obtains clause selectivities "from the query optimizer").
 //
-// The statistics follow the System R tradition (Selinger et al. 1979,
-// which the paper's physical-locking baseline builds on): row count,
-// minimum, maximum and an approximate distinct count per attribute, with
-// uniformity assumed between min and max.
+// The statistics are the quantities of the System R tradition (Selinger
+// et al. 1979, which the paper's physical-locking baseline builds on) —
+// row count, minimum, maximum, distinct count and the fraction of values
+// inside an interval — kept exactly, in an ordered multiset of the
+// attribute's values, with no uniformity assumption. They are kept only
+// for attributes somebody reads: an attribute's statistics materialize
+// on the first Table.Stats call for it (one scan of the rows) and every
+// write maintains them from then on, so a table nobody plans queries
+// over pays a nil check per attribute per write.
 package storage
 
 import (
@@ -134,21 +139,18 @@ type Table struct {
 	rows    map[tuple.ID]tuple.Tuple
 	nextID  tuple.ID
 	indexes map[string]*Index
-	stats   []*AttrStats
+	// stats[i] is nil until Stats is first asked for attribute i.
+	stats []*AttrStats
 }
 
 func newTable(db *DB, rel *schema.Relation) *Table {
-	stats := make([]*AttrStats, rel.Arity())
-	for i := range stats {
-		stats[i] = newAttrStats()
-	}
 	return &Table{
 		db:      db,
 		rel:     rel,
 		rows:    make(map[tuple.ID]tuple.Tuple),
 		nextID:  1,
 		indexes: make(map[string]*Index),
-		stats:   stats,
+		stats:   make([]*AttrStats, rel.Arity()),
 	}
 }
 
@@ -192,51 +194,53 @@ func (t *Table) IndexedAttrs() []string {
 }
 
 func (idx *Index) add(v value.Value, id tuple.ID) {
-	set, ok := idx.tree.Get(v)
-	if !ok {
-		set = make(idSet, 1)
-		idx.tree.Put(v, set)
-	}
-	set[id] = struct{}{}
+	idx.tree.Update(v, func(set idSet, ok bool) (idSet, bool) {
+		if !ok {
+			set = make(idSet, 1)
+		}
+		set[id] = struct{}{}
+		return set, true
+	})
 }
 
 func (idx *Index) remove(v value.Value, id tuple.ID) {
-	set, ok := idx.tree.Get(v)
-	if !ok {
-		return
-	}
-	delete(set, id)
-	if len(set) == 0 {
-		idx.tree.Delete(v)
-	}
+	idx.tree.Update(v, func(set idSet, _ bool) (idSet, bool) {
+		delete(set, id)
+		return set, len(set) > 0
+	})
 }
 
-// Insert appends a tuple, returning its assigned ID.
-func (t *Table) Insert(row tuple.Tuple) (tuple.ID, error) {
+// insert, update and remove are the one body of each operation: they
+// keep rows, secondary indexes and materialized statistics in step.
+// The mutating API adds ID allocation and the observers' notification
+// around them; DB.Apply adds neither.
+
+// insert stores a copy of row under id, which must be unused.
+func (t *Table) insert(id tuple.ID, row tuple.Tuple) (tuple.Tuple, error) {
 	if err := row.Conforms(t.rel); err != nil {
-		return 0, err
+		return nil, err
 	}
 	row = row.Clone()
-	id := t.nextID
-	t.nextID++
 	t.rows[id] = row
 	for _, idx := range t.indexes {
 		idx.add(row[idx.pos], id)
 	}
-	for i, v := range row {
-		t.stats[i].add(v)
+	for i, st := range t.stats {
+		if st != nil {
+			st.add(row[i])
+		}
 	}
-	return id, t.db.notify(Event{Rel: t.rel.Name(), Op: OpInsert, ID: id, New: row})
+	return row, nil
 }
 
-// Update replaces the tuple stored under id.
-func (t *Table) Update(id tuple.ID, row tuple.Tuple) error {
+// update replaces the tuple stored under id with a copy of row.
+func (t *Table) update(id tuple.ID, row tuple.Tuple) (old, stored tuple.Tuple, err error) {
 	old, ok := t.rows[id]
 	if !ok {
-		return fmt.Errorf("storage: %s has no tuple %d", t.rel.Name(), id)
+		return nil, nil, fmt.Errorf("storage: %s has no tuple %d", t.rel.Name(), id)
 	}
 	if err := row.Conforms(t.rel); err != nil {
-		return err
+		return nil, nil, err
 	}
 	row = row.Clone()
 	t.rows[id] = row
@@ -246,25 +250,58 @@ func (t *Table) Update(id tuple.ID, row tuple.Tuple) error {
 			idx.add(row[idx.pos], id)
 		}
 	}
-	for i := range row {
-		t.stats[i].remove(old[i])
-		t.stats[i].add(row[i])
+	for i, st := range t.stats {
+		if st != nil && value.Compare(old[i], row[i]) != 0 {
+			st.remove(old[i])
+			st.add(row[i])
+		}
+	}
+	return old, row, nil
+}
+
+// remove deletes the tuple stored under id.
+func (t *Table) remove(id tuple.ID) (old tuple.Tuple, err error) {
+	old, ok := t.rows[id]
+	if !ok {
+		return nil, fmt.Errorf("storage: %s has no tuple %d", t.rel.Name(), id)
+	}
+	delete(t.rows, id)
+	for _, idx := range t.indexes {
+		idx.remove(old[idx.pos], id)
+	}
+	for i, st := range t.stats {
+		if st != nil {
+			st.remove(old[i])
+		}
+	}
+	return old, nil
+}
+
+// Insert appends a tuple, returning its assigned ID.
+func (t *Table) Insert(row tuple.Tuple) (tuple.ID, error) {
+	id := t.nextID
+	row, err := t.insert(id, row)
+	if err != nil {
+		return 0, err
+	}
+	t.nextID++
+	return id, t.db.notify(Event{Rel: t.rel.Name(), Op: OpInsert, ID: id, New: row})
+}
+
+// Update replaces the tuple stored under id.
+func (t *Table) Update(id tuple.ID, row tuple.Tuple) error {
+	old, row, err := t.update(id, row)
+	if err != nil {
+		return err
 	}
 	return t.db.notify(Event{Rel: t.rel.Name(), Op: OpUpdate, ID: id, Old: old, New: row})
 }
 
 // Delete removes the tuple stored under id.
 func (t *Table) Delete(id tuple.ID) error {
-	old, ok := t.rows[id]
-	if !ok {
-		return fmt.Errorf("storage: %s has no tuple %d", t.rel.Name(), id)
-	}
-	delete(t.rows, id)
-	for _, idx := range t.indexes {
-		idx.remove(old[idx.pos], id)
-	}
-	for i := range old {
-		t.stats[i].remove(old[i])
+	old, err := t.remove(id)
+	if err != nil {
+		return err
 	}
 	return t.db.notify(Event{Rel: t.rel.Name(), Op: OpDelete, ID: id, Old: old})
 }
@@ -305,11 +342,20 @@ func (t *Table) ScanIndex(attr string, iv interval.Interval[value.Value], fn fun
 }
 
 // Stats returns the statistics for attr, or nil if the attribute does
-// not exist.
+// not exist. The first call for an attribute builds them by one scan of
+// the rows; writes keep them exact from then on. Like the mutating API
+// it is not safe for concurrent use.
 func (t *Table) Stats(attr string) *AttrStats {
 	pos, ok := t.rel.AttrIndex(attr)
 	if !ok {
 		return nil
+	}
+	if t.stats[pos] == nil {
+		st := newAttrStats()
+		for _, row := range t.rows {
+			st.add(row[pos])
+		}
+		t.stats[pos] = st
 	}
 	return t.stats[pos]
 }

@@ -73,10 +73,11 @@ type Log struct {
 	segBytes int64  // guarded-by: mu — bytes written to the active segment
 	segments int    // guarded-by: mu — segment files on disk
 	closed   bool   // guarded-by: mu
-	// seqWait is closed and replaced whenever the published sequence
-	// advances (or the log closes); WaitSeq parks on it. A channel
-	// rather than a sync.Cond so waiters can select against a stop
-	// channel.
+	// seqWait is what WaitSeq parks on: made by the first waiter to
+	// arrive, closed and dropped when the published sequence advances (or
+	// the log closes), so an append nobody waits for allocates nothing. A
+	// channel rather than a sync.Cond so waiters can select against a
+	// stop channel.
 	seqWait chan struct{} // guarded-by: mu
 
 	// syncMu guards the durability frontier shared between committers
@@ -112,7 +113,6 @@ func openLog(opt Options, lastSeq uint64, segments int) (*Log, error) {
 		seq:      lastSeq,
 		appended: lastSeq,
 		segments: segments,
-		seqWait:  make(chan struct{}),
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		loopDone: make(chan struct{}),
@@ -374,8 +374,10 @@ func (l *Log) syncOnce() {
 //
 //predmatchvet:holds mu
 func (l *Log) bumpSeq() {
-	close(l.seqWait)
-	l.seqWait = make(chan struct{})
+	if l.seqWait != nil {
+		close(l.seqWait)
+		l.seqWait = nil
+	}
 }
 
 // WaitSeq blocks until the log's published sequence exceeds after, the
@@ -394,6 +396,9 @@ func (l *Log) WaitSeq(after uint64, stop <-chan struct{}) (uint64, bool) {
 		if l.closed {
 			l.mu.Unlock()
 			return 0, false
+		}
+		if l.seqWait == nil {
+			l.seqWait = make(chan struct{})
 		}
 		ch := l.seqWait
 		l.mu.Unlock()

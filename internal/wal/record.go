@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"strconv"
 
 	"predmatch/internal/wire"
 )
@@ -91,20 +92,74 @@ const (
 // most modern WALs; hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame encodes rec into one framed log entry appended to dst.
+// appendFrame encodes rec into one framed log entry appended to dst:
+// the header's room first, the payload behind it, then the header
+// filled in over the payload's length and checksum.
 func appendFrame(dst []byte, rec *Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	mark := len(dst)
+	dst = append(dst, make([]byte, headerBytes)...)
+	dst, err := appendPayload(dst, rec)
 	if err != nil {
-		return dst, fmt.Errorf("wal: encode record: %w", err)
+		return dst[:mark], fmt.Errorf("wal: encode record: %w", err)
 	}
+	payload := dst[mark+headerBytes:]
 	if len(payload) > maxRecordBytes {
-		return dst, fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), maxRecordBytes)
+		return dst[:mark], fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), maxRecordBytes)
 	}
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...), nil
+	binary.LittleEndian.PutUint32(dst[mark:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[mark+4:], crc32.Checksum(payload, castagnoli))
+	return dst, nil
+}
+
+// appendPayload appends rec's JSON. A KindMutate record — the one kind
+// every tuple write appends — is written by hand, through the socket
+// codec's string and tuple appenders, to the bytes json.Marshal(rec)
+// produces (TestMutatePayloadMatchesEncodingJSON); every other kind, and
+// a mutate record with a field of another kind set, goes through
+// json.Marshal itself.
+func appendPayload(dst []byte, rec *Record) ([]byte, error) {
+	if rec.Kind != KindMutate || rec.Relation != "" || len(rec.Attrs) > 0 || rec.Attr != "" ||
+		rec.Source != "" || rec.Name != "" || rec.PredID != 0 || rec.Pred != nil {
+		payload, err := json.Marshal(rec)
+		return append(dst, payload...), err
+	}
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, rec.Seq, 10)
+	dst = append(dst, `,"kind":"mutate"`...)
+	for i := range rec.Events {
+		ev := &rec.Events[i]
+		if i == 0 {
+			dst = append(dst, `,"events":[{"rel":`...)
+		} else {
+			dst = append(dst, `,{"rel":`...)
+		}
+		dst = wire.AppendString(dst, ev.Rel)
+		dst = append(dst, `,"op":`...)
+		dst = wire.AppendString(dst, ev.Op)
+		dst = append(dst, `,"id":`...)
+		dst = strconv.AppendInt(dst, ev.ID, 10)
+		if len(ev.Tuple) > 0 {
+			dst = append(dst, `,"tuple":`...)
+			var err error
+			if dst, err = wire.AppendTuple(dst, ev.Tuple); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, '}')
+	}
+	if len(rec.Events) > 0 {
+		dst = append(dst, ']')
+	}
+	if rec.Trace != nil {
+		dst = append(dst, `,"trace":{"id":`...)
+		dst = wire.AppendString(dst, rec.Trace.ID)
+		if rec.Trace.Span != 0 {
+			dst = append(dst, `,"span":`...)
+			dst = strconv.AppendUint(dst, rec.Trace.Span, 10)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, '}'), nil
 }
 
 // decodeFrame reads one framed record. It distinguishes three outcomes:

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -34,7 +35,7 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	e.b = append(e.b, `{"id":`...)
 	e.b = strconv.AppendUint(e.b, r.ID, 10)
 	e.b = append(e.b, `,"op":`...)
-	e.b = appendString(e.b, r.Op)
+	e.b = AppendString(e.b, r.Op)
 	e.str(`,"relation":`, r.Relation)
 	if len(r.Attrs) > 0 {
 		e.cold(`,"attrs":`, r.Attrs)
@@ -67,7 +68,7 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 			if i > 0 {
 				e.b = append(e.b, ',')
 			}
-			e.b = appendString(e.b, s)
+			e.b = AppendString(e.b, s)
 		}
 		e.b = append(e.b, ']')
 	}
@@ -87,7 +88,7 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	e := encoder{b: dst, mark: len(dst)}
 	e.b = append(e.b, `{"type":`...)
-	e.b = appendString(e.b, m.Type)
+	e.b = AppendString(e.b, m.Type)
 	e.uint(`,"id":`, m.ID)
 	if m.OK {
 		e.b = append(e.b, `,"ok":true`...)
@@ -162,7 +163,7 @@ func (e *encoder) finish() ([]byte, error) {
 func (e *encoder) str(key, s string) {
 	if s != "" {
 		e.b = append(e.b, key...)
-		e.b = appendString(e.b, s)
+		e.b = AppendString(e.b, s)
 	}
 }
 
@@ -199,7 +200,7 @@ func (e *encoder) ints(ids []int64) {
 
 func (e *encoder) tuple(t Tuple) {
 	var err error
-	if e.b, err = appendTuple(e.b, t); err != nil && e.err == nil {
+	if e.b, err = AppendTuple(e.b, t); err != nil && e.err == nil {
 		e.err = err
 	}
 }
@@ -218,8 +219,9 @@ func (e *encoder) cold(key string, v any) {
 	e.b = append(e.b, b...)
 }
 
-// appendTuple appends t as a JSON array (null when nil).
-func appendTuple(dst []byte, t Tuple) ([]byte, error) {
+// AppendTuple appends t as a JSON array (null when nil), the way every
+// frame and every WAL record carries a tuple.
+func AppendTuple(dst []byte, t Tuple) ([]byte, error) {
 	if t == nil {
 		return append(dst, "null"...), nil
 	}
@@ -238,7 +240,7 @@ func appendTuple(dst []byte, t Tuple) ([]byte, error) {
 			}
 			dst = appendFloat(dst, f)
 		case value.KindString:
-			dst = appendString(dst, v.AsString())
+			dst = AppendString(dst, v.AsString())
 		case value.KindBool:
 			dst = strconv.AppendBool(dst, v.AsBool())
 		default:
@@ -269,11 +271,11 @@ func appendFloat(dst []byte, f float64) []byte {
 
 const hexDigits = "0123456789abcdef"
 
-// appendString appends s as a JSON string literal with encoding/json's
+// AppendString appends s as a JSON string literal with encoding/json's
 // escaping: control characters, quote and backslash; '<', '>' and '&'
 // as \u00XX (its HTML-safe default); U+2028 and U+2029; and each byte
 // of invalid UTF-8 as the six characters \ufffd.
-func appendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -392,6 +394,24 @@ func DecodeRequest(line []byte, r *Request) error {
 // into *m, overwriting it, under the rules of DecodeRequest. Everything
 // it stores is freshly allocated; nothing points into line.
 func DecodeMessage(line []byte, m *Message) error {
+	return decodeMessage(line, m, nil)
+}
+
+// DecodeMessageLiterals is DecodeMessage for a subscriber, which hands
+// a notification's tuple on as literals and never types it: m.Tuple
+// stays nil and the frame's tuple is returned as a json.Decoder with
+// UseNumber would have decoded it — string, bool, json.Number holding
+// the number's own text in the frame, nil for null (and whatever
+// encoding/json makes of a nested array or object). The literals are
+// cut from one copy of the tuple's span of the frame, so a tuple of n
+// scalars costs that copy, the slice and one interface box per string
+// or number.
+func DecodeMessageLiterals(line []byte, m *Message) (tuple []any, err error) {
+	err = decodeMessage(line, m, &tuple)
+	return tuple, err
+}
+
+func decodeMessage(line []byte, m *Message, lits *[]any) error {
 	*m = Message{}
 	d := decoder{b: line}
 	return d.object(func(key []byte) error {
@@ -431,10 +451,13 @@ func DecodeMessage(line []byte, m *Message) error {
 		case "relation":
 			return d.string(&m.Relation)
 		case "event_op":
-			return d.string(&m.EventOp)
+			return d.interned(&m.EventOp, internOp) // insert, update, delete
 		case "event_id":
 			return d.int(&m.EventID)
 		case "tuple":
+			if lits != nil {
+				return d.literals(lits)
+			}
 			return d.tuple(&m.Tuple)
 		case "depth":
 			return d.goInt(&m.Depth)
@@ -1072,6 +1095,72 @@ func (d *decoder) tuple(v *Tuple) error {
 		*v = nil
 	}
 	return err
+}
+
+// literals decodes a JSON array into the []any encoding/json with
+// UseNumber would make of it; null makes it nil. One pass records where
+// each element sits, then the elements are cut from a single string
+// copy of the array's text.
+func (d *decoder) literals(v *[]any) error {
+	type elem struct {
+		kind       byte // 's' plain string, 'q' string to unquote, 'n' number, 't', 'f', 'v' anything else
+		start, end int  // offsets into the array's text
+	}
+	var stack [32]elem
+	elems := stack[:0]
+	origin := d.i
+	null, err := d.array("tuple", func() error {
+		e := elem{kind: 'v', start: d.i - origin}
+		var err error
+		switch c := d.peek(); {
+		case c == '"':
+			var plain bool
+			if _, plain, err = d.scanString(); plain {
+				e.kind = 's'
+			} else {
+				e.kind = 'q'
+			}
+		case c == '-' || ('0' <= c && c <= '9'):
+			e.kind = 'n'
+			_, _, err = d.scanNumber()
+		case d.literal("true"):
+			e.kind = 't'
+		case d.literal("false"):
+			e.kind = 'f'
+		default:
+			err = d.skip(2)
+		}
+		e.end = d.i - origin
+		elems = append(elems, e)
+		return err
+	})
+	if *v = nil; null || err != nil {
+		return err
+	}
+	text := string(d.b[origin:d.i])
+	out := make([]any, len(elems))
+	for i, e := range elems {
+		switch e.kind {
+		case 's':
+			out[i] = text[e.start+1 : e.end-1]
+		case 'q':
+			out[i] = string(unquote(nil, d.b[origin+e.start+1:origin+e.end-1]))
+		case 'n':
+			out[i] = json.Number(text[e.start:e.end])
+		case 't':
+			out[i] = true
+		case 'f':
+			out[i] = false
+		default:
+			dec := json.NewDecoder(strings.NewReader(text[e.start:e.end]))
+			dec.UseNumber()
+			if err := dec.Decode(&out[i]); err != nil {
+				return err
+			}
+		}
+	}
+	*v = out
+	return nil
 }
 
 // numberValue types a number literal by its shape: an int when it has

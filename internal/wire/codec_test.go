@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,6 +42,16 @@ func checkDecode(t *testing.T, line []byte) {
 	}
 	if got == nil && !wiretest.SameMessage(&msg, wantMsg) {
 		t.Fatalf("message %q:\ncodec         %+v\nencoding/json %+v", line, msg, *wantMsg)
+	}
+	// The subscriber's decode: the same message minus its typed tuple,
+	// and the tuple as the literals UseNumber leaves.
+	lits, got := wire.DecodeMessageLiterals(line, &msg)
+	wantMsg, wantLits, werr := wiretest.UnmarshalMessageLiterals(line)
+	if (got == nil) != (werr == nil) {
+		t.Fatalf("message literals %q: codec says %v, encoding/json says %v", line, got, werr)
+	}
+	if got == nil && (!wiretest.SameMessage(&msg, wantMsg) || !reflect.DeepEqual(lits, wantLits)) {
+		t.Fatalf("message literals %q:\ncodec         %+v %#v\nencoding/json %+v %#v", line, msg, lits, *wantMsg, wantLits)
 	}
 }
 
@@ -415,9 +426,41 @@ func TestTupleJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"a":1}`), &tup); err == nil {
 		t.Error("object unmarshalled into a tuple")
 	}
-	lits := wire.Tuple{value.String_("s"), value.Int(1 << 60), value.Float(0.5), value.Bool(true)}.Literals()
-	if n, ok := lits[1].(json.Number); !ok || n.String() != "1152921504606846976" || lits[2] != json.Number("0.5") || lits[0] != "s" || lits[3] != true {
-		t.Errorf("Literals = %#v", lits)
+}
+
+// TestMessageLiterals: a subscriber gets the tuple as the frame spells
+// it — number texts verbatim, not re-formatted from a parsed value —
+// and nothing typed.
+func TestMessageLiterals(t *testing.T) {
+	line := []byte(`{"type":"notify","seq":1,"rule":"r","tuple":["s","a\u003cb",1152921504606846976,0.50,1E+2,-0,true,false,null,[1]],"depth":1}`)
+	var m wire.Message
+	lits, err := wire.DecodeMessageLiterals(line, &m)
+	want := []any{"s", "a<b", json.Number("1152921504606846976"), json.Number("0.50"), json.Number("1E+2"), json.Number("-0"),
+		true, false, nil, []any{json.Number("1")}}
+	if err != nil || !reflect.DeepEqual(lits, want) || m.Tuple != nil || m.Rule != "r" || m.Depth != 1 {
+		t.Errorf("DecodeMessageLiterals = %#v, %v (message %+v); want %#v", lits, err, m, want)
+	}
+	// The literals are cut from a copy: the frame's buffer is free the
+	// moment the decode returns.
+	wire.Scribble(line)
+	if !reflect.DeepEqual(lits, want) {
+		t.Errorf("after the frame was overwritten: %#v", lits)
+	}
+	for _, tc := range []struct {
+		frame string
+		want  []any
+	}{
+		{`{"type":"response","id":1,"ok":true}`, nil},
+		{`{"tuple":null}`, nil},
+		{`{"tuple":[]}`, []any{}},
+		{`{"tuple":[1],"tuple":null}`, nil},
+	} {
+		if lits, err := wire.DecodeMessageLiterals([]byte(tc.frame), &m); err != nil || !reflect.DeepEqual(lits, tc.want) {
+			t.Errorf("%s: %#v, %v; want %#v", tc.frame, lits, err, tc.want)
+		}
+	}
+	if _, err := wire.DecodeMessageLiterals([]byte(`{"tuple":"x"}`), &m); err == nil {
+		t.Error("a string accepted as a tuple")
 	}
 }
 
@@ -460,5 +503,16 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	if !wiretest.SameRequest(&back, req) || !wiretest.SameMessage(&mback, msg) {
 		t.Errorf("round trip: %+v / %+v", back, mback)
+	}
+
+	// A subscriber's 15-attribute tuple: one copy of its text, the slice,
+	// and one interface box per number — nothing per attribute besides.
+	tupFrame, _ := wire.AppendMessage(nil, &wire.Message{Tuple: tup})
+	if n := testing.AllocsPerRun(200, func() {
+		if lits, err := wire.DecodeMessageLiterals(tupFrame, &mback); err != nil || len(lits) != len(tup) {
+			t.Fatal(lits, err)
+		}
+	}); n > float64(len(tup)+2) {
+		t.Errorf("DecodeMessageLiterals: %v allocs for %d attributes, want <= arity+2", n, len(tup))
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"strconv"
 
 	"predmatch/internal/interval"
 	"predmatch/internal/pred"
@@ -398,30 +397,7 @@ func FromTuple(t tuple.Tuple) Tuple { return Tuple(t) }
 
 // MarshalJSON renders the tuple as the socket codec does.
 func (t Tuple) MarshalJSON() ([]byte, error) {
-	return appendTuple(make([]byte, 0, 2+12*len(t)), t)
-}
-
-// Literals returns the tuple as a json.Decoder with UseNumber would
-// have decoded its frame: string, bool, and json.Number for every
-// number, in the text the codec writes for it.
-func (t Tuple) Literals() []any {
-	if t == nil {
-		return nil
-	}
-	out := make([]any, len(t))
-	for i, v := range t {
-		switch v.Kind() {
-		case value.KindInt:
-			out[i] = json.Number(strconv.FormatInt(v.AsInt(), 10))
-		case value.KindFloat:
-			out[i] = json.Number(appendFloat(nil, v.AsFloat()))
-		case value.KindString:
-			out[i] = v.AsString()
-		case value.KindBool:
-			out[i] = v.AsBool()
-		}
-	}
-	return out
+	return AppendTuple(make([]byte, 0, 2+12*len(t)), t)
 }
 
 // UnmarshalJSON parses a JSON array of scalars (or null) as the socket

@@ -147,6 +147,22 @@ func UnmarshalMessage(line []byte) (*wire.Message, error) {
 	return m, nil
 }
 
+// UnmarshalMessageLiterals is UnmarshalMessage for a subscriber: the
+// tuple comes back as the UseNumber decode left it — string, bool,
+// json.Number, nil, nested []any and map[string]any — and the message's
+// own Tuple stays nil.
+func UnmarshalMessageLiterals(line []byte) (*wire.Message, []any, error) {
+	var s message
+	if err := unmarshal(line, &s); err != nil {
+		return nil, nil, err
+	}
+	lits := s.Tuple
+	s.Tuple = nil
+	m := new(wire.Message)
+	copyFields(m, &s)
+	return m, lits, nil
+}
+
 func unmarshal(line []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.UseNumber()
