@@ -77,8 +77,8 @@ type relIndex struct {
 	// trees maps attribute name to its interval index of indexable
 	// clauses (an IBS-tree unless WithIndexFactory overrides it).
 	trees map[string]AttrIndex
-	// treeAttrs caches the attribute positions of trees, rebuilt on
-	// structural change, so Match avoids map iteration order costs.
+	// probes lists trees with their attribute positions, so Match ranges
+	// over a slice, not the map; rebuildProbes follows every change.
 	probes []probe
 	// nonIndexable lists predicates with no indexable clause.
 	nonIndexable []unindexed
@@ -90,7 +90,8 @@ type relIndex struct {
 	fnSlots []fnSlot
 	// sum envelopes every interval clause of the predicates indexed
 	// here. Add widens it, Remove leaves it (stale-wide only
-	// over-admits), adopt rebuilds it from the predicates it visits.
+	// over-admits), adopt and a View's Without rebuild it from the
+	// predicates they keep.
 	sum prefilter.Summary
 }
 
@@ -175,8 +176,10 @@ func (ri *relIndex) admits(t tuple.Tuple) bool {
 	return len(ri.nonIndexable) > 0 || ri.sum.Admit(t)
 }
 
+// rebuildProbes lists ri's trees in attribute-name order, in a new
+// slice: the old one may be shared with a relIndex of a published View.
 func (ri *relIndex) rebuildProbes() {
-	ri.probes = ri.probes[:0]
+	ri.probes = make([]probe, 0, len(ri.trees))
 	attrs := make([]string, 0, len(ri.trees))
 	for a := range ri.trees {
 		attrs = append(attrs, a)
@@ -267,7 +270,7 @@ func (ix *Index) Add(p *pred.Predicate) error {
 	if _, dup := ix.preds[p.ID]; dup {
 		return fmt.Errorf("core: duplicate predicate id %d", p.ID)
 	}
-	b, err := p.Bind(ix.catalog, ix.funcs)
+	e, err := ix.bind(p)
 	if err != nil {
 		return err
 	}
@@ -277,9 +280,8 @@ func (ix *Index) Add(p *pred.Predicate) error {
 		ri = newRelIndex(rel, 0)
 		ix.rels[p.Rel] = ri
 	}
-	e := &entry{bound: b, clause: -1}
-	if ci, ok := selectivity.ChooseClause(p, ix.est); ok {
-		c := p.Clauses[ci]
+	if e.clause >= 0 {
+		c := p.Clauses[e.clause]
 		tree, ok := ri.trees[c.Attr]
 		if !ok {
 			tree = ix.factory()
@@ -289,14 +291,26 @@ func (ix *Index) Add(p *pred.Predicate) error {
 		if err := tree.Insert(p.ID, c.Iv); err != nil {
 			return fmt.Errorf("core: indexing clause %v: %w", c, err)
 		}
-		e.attr = c.Attr
-		e.clause = ci
 	} else {
 		ri.addUnindexed(e)
 	}
-	ri.widen(b)
+	ri.widen(e.bound)
 	ix.preds[p.ID] = e
 	return nil
+}
+
+// bind resolves p into its PREDICATES row with the clause to index
+// chosen (none: clause -1, no attr) and nothing inserted anywhere yet.
+func (ix *Index) bind(p *pred.Predicate) (*entry, error) {
+	b, err := p.Bind(ix.catalog, ix.funcs)
+	if err != nil {
+		return nil, err
+	}
+	e := &entry{bound: b, clause: -1}
+	if ci, ok := selectivity.ChooseClause(p, ix.est); ok {
+		e.attr, e.clause = p.Clauses[ci].Attr, ci
+	}
+	return e, nil
 }
 
 // Remove implements matcher.Matcher.
@@ -404,8 +418,8 @@ func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, scratch, dead []p
 // affecting the original (and vice versa). The PREDICATES table entries
 // are shared — they are immutable after Add — while the relation tables
 // and every attribute tree are rebuilt, costing one tree insertion per
-// indexed predicate. Clone is what the copy-on-write wrappers use to
-// prepare the next snapshot before publishing it.
+// indexed predicate. Clone is what ParallelMatcher uses to prepare
+// the next snapshot before publishing it.
 func (ix *Index) Clone() *Index { return ix.rebuild(nil, nil) }
 
 // rebuild is Clone generalized to a View merge: a fresh index holding

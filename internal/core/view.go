@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -15,22 +16,25 @@ import (
 // (internal/shard): a large base index, a small delta index of the
 // predicates added since the base was built, and the sorted IDs of the
 // base predicates removed since then (tombstones). This is how HINT
-// handles updates (PAPERS.md) — a write copies only the small side, and
-// the O(N) rebuild of the base is paid once per mergeLimit writes.
+// handles updates (PAPERS.md) — a write rebuilds one attribute tree of
+// the small side, and the O(N) rebuild of the base is paid once per
+// mergeLimit writes.
 //
-// A View and both of its indexes are frozen from construction: With and
-// Without return a new View that shares whatever they did not change,
+// A View and everything reachable from it are frozen from construction:
+// With and Without return a new View that shares whatever they did not
+// change — the base, and every tree of the delta but the one written —
 // so any number of goroutines may Match a View while a writer derives
 // the next one.
 //
 // The admission summary is part of the View: each index envelopes the
 // interval clauses of the predicates it holds, per relation, and Match
-// stabs an index only for a tuple its summary admits. With rebuilds the
-// delta's summary with the delta and widens it by the new predicate;
-// Without on a base predicate carries the base's summary unchanged, so
-// until the next merge it over-admits by at most mergeLimit tombstoned
-// predicates; Merged rebuilds it in the loop that re-inserts every live
-// predicate, after which it is exact.
+// stabs an index only for a tuple its summary admits. With widens a
+// copy of the delta's summary by the new predicate; Without recomputes
+// it from the delta predicates left, or, on a base predicate, carries
+// the base's summary unchanged, so until the next merge it over-admits
+// by at most mergeLimit tombstoned predicates; Merged rebuilds it in
+// the loop that re-inserts every live predicate, after which it is
+// exact.
 type View struct {
 	base, delta *Index
 	// dead masks base only. An ID may be tombstoned in base and live
@@ -50,24 +54,27 @@ func (v *View) Name() string { return v.base.name }
 // Len returns the number of live predicates.
 func (v *View) Len() int { return v.base.Len() - len(v.dead) + v.delta.Len() }
 
-// With returns v plus p. Only the delta is copied: |delta| tree
-// insertions, however large the base.
+// With returns v plus p. The base is shared, and so is every tree of
+// the delta but the one on p's indexed attribute, rebuilt from the
+// delta's predicates on it: about |delta|/A insertions for a relation
+// indexed on A attributes, however large the base.
 func (v *View) With(p *pred.Predicate) (*View, error) {
 	if _, inBase := v.base.preds[p.ID]; inBase && !masked(v.dead, p.ID) {
 		return nil, fmt.Errorf("core: duplicate predicate id %d", p.ID)
 	}
-	d := v.delta.Clone()
-	if err := d.Add(p); err != nil {
+	d, err := v.delta.with(p)
+	if err != nil {
 		return nil, err
 	}
 	return &View{base: v.base, delta: d, dead: v.dead}, nil
 }
 
-// Without returns v minus the predicate id: dropped from a copy of the
-// delta if it lives there, otherwise tombstoned in a copy of dead.
+// Without returns v minus the predicate id: taken out of the delta the
+// way With put it in — one tree rebuilt, the rest shared — if it lives
+// there, otherwise tombstoned in a copy of dead.
 func (v *View) Without(id pred.ID) (*View, error) {
 	if _, inDelta := v.delta.preds[id]; inDelta {
-		return &View{base: v.base, delta: v.delta.rebuild([]pred.ID{id}, nil), dead: v.dead}, nil
+		return &View{base: v.base, delta: v.delta.without(id), dead: v.dead}, nil
 	}
 	i, isDead := slices.BinarySearch(v.dead, id)
 	if _, inBase := v.base.preds[id]; !inBase || isDead {
@@ -76,11 +83,109 @@ func (v *View) Without(id pred.ID) (*View, error) {
 	return &View{base: v.base, delta: v.delta, dead: slices.Insert(slices.Clone(v.dead), i, id)}, nil
 }
 
+// fork returns a copy of the frozen index ix that may be written where
+// a write to rel lands and nowhere else: its own rels and preds maps
+// and, for rel, its own relIndex — created if ix has none — with its
+// own trees map. Every tree, every other relation's relIndex, and rel's
+// summary and probe, non-indexable and slot slices are still ix's: the
+// caller replaces the ones it changes and never writes through them.
+func (ix *Index) fork(rel *schema.Relation) (*Index, *relIndex) {
+	cp := *ix
+	cp.rels, cp.preds, cp.scratch = maps.Clone(ix.rels), maps.Clone(ix.preds), nil
+	ri := ix.rels[rel.Name()]
+	if ri == nil {
+		ri = newRelIndex(rel, 0)
+	} else {
+		own := *ri
+		own.trees = maps.Clone(ri.trees)
+		ri = &own
+	}
+	cp.rels[rel.Name()] = ri
+	return &cp, ri
+}
+
+// with returns a fork of ix plus p.
+func (ix *Index) with(p *pred.Predicate) (*Index, error) {
+	if _, dup := ix.preds[p.ID]; dup {
+		return nil, fmt.Errorf("core: duplicate predicate id %d", p.ID)
+	}
+	e, err := ix.bind(p)
+	if err != nil {
+		return nil, err
+	}
+	rel, _ := ix.catalog.Get(p.Rel)
+	cp, ri := ix.fork(rel)
+	cp.preds[p.ID] = e
+	ri.sum = ri.sum.Clone()
+	ri.widen(e.bound)
+	if e.clause < 0 {
+		ri.nonIndexable, ri.fnSlots = slices.Clone(ri.nonIndexable), slices.Clone(ri.fnSlots)
+		ri.addUnindexed(e)
+	} else if err := cp.retree(ri, e.attr); err != nil {
+		return nil, fmt.Errorf("core: indexing clause %v: %w", p.Clauses[e.clause], err)
+	}
+	return cp, nil
+}
+
+// without returns a fork of ix that no longer holds its predicate id.
+// The relation's summary is recomputed from the predicates left, so it
+// is exact, and the relation is dropped with its last predicate.
+func (ix *Index) without(id pred.ID) *Index {
+	e := ix.preds[id]
+	rel := e.bound.Pred.Rel
+	cp, ri := ix.fork(ix.rels[rel].rel)
+	delete(cp.preds, id)
+	if e.clause < 0 {
+		old := ri.nonIndexable
+		ri.nonIndexable, ri.fnSlots = make([]unindexed, 0, len(old)-1), nil
+		for _, x := range old {
+			if x.id != id {
+				ri.addUnindexed(x.e) // slots assigned afresh, as adopt does
+			}
+		}
+	} else if err := cp.retree(ri, e.attr); err != nil {
+		panic(fmt.Sprintf("core: re-insert after removing predicate %d: %v", id, err))
+	}
+	if len(ri.trees) == 0 && len(ri.nonIndexable) == 0 {
+		delete(cp.rels, rel)
+		return cp
+	}
+	ri.sum = prefilter.Make(ri.rel.Arity())
+	for _, o := range cp.preds {
+		if o.bound.Pred.Rel == rel {
+			ri.widen(o.bound)
+		}
+	}
+	return cp
+}
+
+// retree gives ri a fresh tree on attr holding ix's predicates indexed
+// there, or none if none is left; the tree it had stays as published.
+func (ix *Index) retree(ri *relIndex, attr string) error {
+	tree := ix.factory()
+	for id, e := range ix.preds {
+		if e.attr != attr || e.bound.Pred.Rel != ri.rel.Name() {
+			continue
+		}
+		if err := tree.Insert(id, e.bound.Pred.Clauses[e.clause].Iv); err != nil {
+			return err
+		}
+	}
+	if tree.Len() == 0 {
+		delete(ri.trees, attr)
+	} else {
+		ri.trees[attr] = tree
+	}
+	ri.rebuildProbes()
+	return nil
+}
+
 // mergeLimit is the overlay size (delta predicates plus tombstones) a
 // base of n predicates tolerates before Merged folds it in. A write
-// copies about half the limit L and pays 1/L of an n-insertion rebuild,
-// L/2 + n/L, least at L = √(2n); the floor keeps small relations from
-// merging on every write. DESIGN.md records the measured curve.
+// re-inserts one of the delta's A attribute trees, ~L/(2A), and pays
+// 1/L of an n-insertion rebuild: least at L = √(2n) for A = 1, and a
+// longer overlay for A > 1 measured no better (DESIGN.md §6). The
+// floor keeps small relations from merging on every write.
 func mergeLimit(n int) int { return max(16, int(math.Sqrt(float64(2*n)))) }
 
 // Merged returns v itself while its overlay is within mergeLimit, and

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"predmatch/internal/interval"
@@ -35,7 +37,11 @@ func sortedMatch(t *testing.T, m interface {
 // each predicate with plain Bound.Match, so the same run is the
 // differential of the function slots; and "events" never holds a
 // function-only or open-ended predicate, so a third of its tuples lie
-// outside every envelope and take Match's skip path.
+// outside every envelope and take Match's skip path. The random steps
+// run between two scripted sequences over the same oracle: writes that
+// change the shape of an all-delta view before them, a tombstoned ID
+// re-added and removed again after; and checkDelta holds every derived
+// delta to the shape Match relies on.
 func TestViewDifferential(t *testing.T) {
 	f := matchertest.NewFixture()
 	rng := rand.New(rand.NewSource(14))
@@ -76,6 +82,7 @@ func TestViewDifferential(t *testing.T) {
 		skips       int
 	)
 	publish := func(next *View) {
+		checkDelta(t, next)
 		m := next.Merged()
 		if m != next {
 			merges++
@@ -85,6 +92,68 @@ func TestViewDifferential(t *testing.T) {
 		}
 		v = m
 	}
+	add := func(p *pred.Predicate) {
+		t.Helper()
+		if err := oracle.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		next, err := v.With(p)
+		if err != nil {
+			t.Fatalf("With(%v): %v", p, err)
+		}
+		publish(next)
+		live = append(live, p.ID)
+	}
+	remove := func(j int) {
+		t.Helper()
+		id := live[j]
+		live = slices.Delete(live, j, j+1)
+		freed = append(freed, id)
+		if err := oracle.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		next, err := v.Without(id)
+		if err != nil {
+			t.Fatalf("Without(%d): %v", id, err)
+		}
+		publish(next)
+	}
+	check := func(rel *schema.Relation, tup tuple.Tuple) {
+		t.Helper()
+		got, want := sortedMatch(t, v, rel.Name(), tup), sortedMatch(t, oracle, rel.Name(), tup)
+		if !slices.Equal(got, want) {
+			t.Fatalf("Match(%s, %v) = %v, oracle %v", rel.Name(), tup, got, want)
+		}
+	}
+
+	// Scripted, on the empty view, where every write lands in the delta:
+	// a predicate with no indexed clause comes and goes beside two trees
+	// and leaves them probed; the last predicate on an attribute takes
+	// its tree with it, the last of the relation its relIndex.
+	emp := f.Rels[0]
+	rich := tuple.New(value.String_("a"), value.Int(30), value.Int(60), value.String_("toy"))
+	add(salaryAtLeast(0, 50))
+	add(pred.New(1, "emp", pred.EqClause("age", value.Int(30))))
+	before := v.delta.rels["emp"]
+	add(pred.New(2, "emp", pred.FnClause("age", "iseven")))
+	check(emp, rich)
+	remove(2)
+	check(emp, rich)
+	if ri := v.delta.rels["emp"]; len(ri.probes) != 2 || ri.trees["age"] != before.trees["age"] || ri.trees["salary"] != before.trees["salary"] {
+		t.Fatalf("a predicate with no indexed clause came and went and left %d probes over %d trees, want the 2 trees it found", len(ri.probes), len(ri.trees))
+	}
+	remove(1)
+	check(emp, rich)
+	if ri := v.delta.rels["emp"]; len(ri.trees) != 1 || ri.trees["salary"] != before.trees["salary"] {
+		t.Fatalf("%d trees after the last predicate on age left, want salary's alone and untouched", len(ri.trees))
+	}
+	remove(0)
+	check(emp, rich)
+	if _, ok := v.delta.rels["emp"]; ok || v.Admit("emp", rich) {
+		t.Fatal("the relation's last predicate left and its relIndex still admits")
+	}
+	nextID = 3
+
 	for step := 0; step < 6000; step++ {
 		switch r := rng.Intn(10); {
 		case r < 4: // add, re-using a freed ID one time in three
@@ -99,32 +168,13 @@ func TestViewDifferential(t *testing.T) {
 			} else {
 				nextID++
 			}
-			p := randomPredicate(id)
-			if err := oracle.Add(p); err != nil {
-				t.Fatal(err)
-			}
-			next, err := v.With(p)
-			if err != nil {
-				t.Fatalf("step %d: With(%v): %v", step, p, err)
-			}
-			publish(next)
-			live = append(live, id)
+			add(randomPredicate(id))
 		case r < 7 && len(live) > 0: // remove: recent IDs sit in delta, old ones in base
 			j := rng.Intn(len(live))
 			if rng.Intn(2) == 0 {
 				j = len(live) - 1 - rng.Intn(min(len(live), 8))
 			}
-			id := live[j]
-			live = slices.Delete(live, j, j+1)
-			freed = append(freed, id)
-			if err := oracle.Remove(id); err != nil {
-				t.Fatal(err)
-			}
-			next, err := v.Without(id)
-			if err != nil {
-				t.Fatalf("step %d: Without(%d): %v", step, id, err)
-			}
-			publish(next)
+			remove(j)
 		case r == 7: // error paths leave the view untouched
 			if len(live) > 0 {
 				if _, err := v.With(randomPredicate(live[rng.Intn(len(live))])); err == nil {
@@ -142,10 +192,7 @@ func TestViewDifferential(t *testing.T) {
 		default:
 			rel := f.Rels[rng.Intn(len(f.Rels))]
 			tup := randomTuple(rel)
-			got, want := sortedMatch(t, v, rel.Name(), tup), sortedMatch(t, oracle, rel.Name(), tup)
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d: Match(%s, %v) = %v, oracle %v", step, rel.Name(), tup, got, want)
-			}
+			check(rel, tup)
 			if !v.Admit(rel.Name(), tup) {
 				skips++
 			}
@@ -165,6 +212,17 @@ func TestViewDifferential(t *testing.T) {
 			stashes = append(stashes, s)
 		}
 	}
+	// Scripted: a base predicate is tombstoned, its ID re-added into the
+	// delta with another predicate, removed from there and added again.
+	j := slices.IndexFunc(live, func(id pred.ID) bool { _, inBase := v.base.preds[id]; return inBase })
+	id := live[j]
+	for _, salary := range []int64{10, 70} {
+		remove(slices.Index(live, id))
+		check(emp, rich)
+		freed = freed[:len(freed)-1]
+		add(salaryAtLeast(id, salary))
+		check(emp, rich)
+	}
 	if merges < 5 || reAdds < 5 || skips < 50 {
 		t.Fatalf("the run crossed %d merges, re-added %d tombstoned IDs and skipped %d tuples; want at least 5, 5 and 50", merges, reAdds, skips)
 	}
@@ -173,6 +231,26 @@ func TestViewDifferential(t *testing.T) {
 			rel := f.Rels[k/4].Name()
 			if got := sortedMatch(t, s.v, rel, tup); !slices.Equal(got, s.want[k]) {
 				t.Fatalf("view stashed at step %d changed: Match(%s, %v) = %v, was %v", i*250, rel, tup, got, s.want[k])
+			}
+		}
+	}
+}
+
+// checkDelta holds a derived delta to the shape Match relies on: every
+// tree non-empty and probed exactly once at its attribute's position,
+// and no relation kept without a predicate.
+func checkDelta(t *testing.T, v *View) {
+	t.Helper()
+	for name, ri := range v.delta.rels {
+		if len(ri.trees) == 0 && len(ri.nonIndexable) == 0 {
+			t.Fatalf("the delta keeps a relIndex for %s, which has no predicate there", name)
+		}
+		if len(ri.probes) != len(ri.trees) {
+			t.Fatalf("%s: %d probes over %d trees", name, len(ri.probes), len(ri.trees))
+		}
+		for _, pr := range ri.probes {
+			if attr := ri.rel.Attrs()[pr.pos].Name; ri.trees[attr] != pr.tree || pr.tree.Len() == 0 {
+				t.Fatalf("%s.%s: the probe holds a tree of %d intervals, the map another or none", name, attr, pr.tree.Len())
 			}
 		}
 	}
@@ -254,6 +332,190 @@ func TestViewTombstoneMasksBaseOnly(t *testing.T) {
 	}
 	if trees[0].Intervals != 1 || trees[1].Intervals != 18 {
 		t.Fatalf("Trees() intervals = %d, %d; want 1 (delta only) and 17 base + 1 delta", trees[0].Intervals, trees[1].Intervals)
+	}
+}
+
+// TestViewWriteRebuildsOneTree is a delta write's cost by count and its
+// sharing by identity: in a delta holding 4 predicates on each of a
+// relation's 5 attributes, With pays the 5 insertions of the tree its
+// predicate lands in and Without the 4 of what is left there (a copy of
+// the whole delta paid 21 and 20), and the successor's other four trees
+// and the other relation's relIndex are the predecessor's own. The
+// side of the property with nothing to share — one indexed attribute —
+// is internal/shard's TestWriteCostSublinear.
+func TestViewWriteRebuildsOneTree(t *testing.T) {
+	cat := schema.NewCatalog()
+	for _, name := range []string{"r", "q"} {
+		attrs := make([]schema.Attribute, 5)
+		for i := range attrs {
+			attrs[i] = schema.Attribute{Name: fmt.Sprintf("a%d", i), Type: value.KindInt}
+		}
+		if err := cat.Add(schema.MustRelation(name, attrs...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var inserts int
+	v := NewView(cat, pred.NewRegistry(), WithIndexFactory(func() AttrIndex {
+		return &matchertest.CountingIndex{Inserts: &inserts}
+	}))
+	on := func(id pred.ID, rel string, attr int) *pred.Predicate {
+		return pred.New(id, rel, pred.EqClause(fmt.Sprintf("a%d", attr), value.Int(int64(id))))
+	}
+	with := func(p *pred.Predicate) *View {
+		t.Helper()
+		next, err := v.With(p) // never Merged: everything stays in the delta
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	for id := pred.ID(0); id < 20; id++ {
+		v = with(on(id, "r", int(id)%5))
+	}
+	v = with(on(20, "q", 0))
+
+	// shared checks next against prev: only r's tree on a2 may differ.
+	shared := func(what string, prev, next *View) {
+		t.Helper()
+		if next.delta.rels["q"] != prev.delta.rels["q"] {
+			t.Errorf("%s: the other relation's relIndex was copied", what)
+		}
+		for attr, tree := range prev.delta.rels["r"].trees {
+			if same := next.delta.rels["r"].trees[attr] == tree; same != (attr != "a2") {
+				t.Errorf("%s: tree %s shared with the predecessor = %v", what, attr, same)
+			}
+		}
+	}
+	was := inserts
+	added := with(on(21, "r", 2))
+	if got := inserts - was; got != 5 {
+		t.Errorf("With on one of 5 attributes paid %d insertions, want the 5 of its tree", got)
+	}
+	shared("With", v, added)
+	was = inserts
+	removed, err := added.Without(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inserts - was; got != 4 {
+		t.Errorf("Without paid %d insertions, want the 4 left in its tree", got)
+	}
+	shared("Without", added, removed)
+	for i, want := range []int{4, 5, 4} {
+		if got := []*View{v, added, removed}[i].delta.rels["r"].trees["a2"].Len(); got != want {
+			t.Errorf("view %d holds %d intervals on a2, want %d", i, got, want)
+		}
+	}
+}
+
+// TestRetainedViewsUnderWriter: trees, probe lists, non-indexable lists
+// and slot tables are shared between a delta and its successors, so a
+// writer deriving the next view must not write anything a retained one
+// can reach. Four goroutines keep matching every view retained so far
+// while a writer derives 1,000 successors, a quarter of its adds with
+// no indexed clause, and beside each a sibling it discards; each
+// retained view must go on returning the seqscan answers recorded when
+// it was published. Run under -race.
+func TestRetainedViewsUnderWriter(t *testing.T) {
+	f := matchertest.NewFixture()
+	rng := rand.New(rand.NewSource(19))
+	oracle := seqscan.New(f.Catalog, f.Funcs)
+	type retained struct {
+		v    *View
+		tups []tuple.Tuple // four per relation, in f.Rels order
+		want [][]pred.ID
+	}
+	var (
+		mu   sync.Mutex
+		kept []retained // append-only: readers take the header under mu
+		wg   sync.WaitGroup
+	)
+	verify := func(r retained) bool {
+		for k, tup := range r.tups {
+			got, _ := r.v.Match(f.Rels[k/4].Name(), tup, nil)
+			slices.Sort(got)
+			if !slices.Equal(got, r.want[k]) {
+				t.Errorf("a retained view changed: Match(%s, %v) = %v, was %v", f.Rels[k/4].Name(), tup, got, r.want[k])
+				return false
+			}
+		}
+		return true
+	}
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				seen := kept
+				mu.Unlock()
+				for _, r := range seen {
+					if !verify(r) {
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	v := NewView(f.Catalog, f.Funcs)
+	var live []pred.ID
+	for w := 0; w < 1000; w++ {
+		var next *View
+		var err error
+		if len(live) < 24 || rng.Intn(2) == 0 {
+			p := f.RandomPredicate(rng, pred.ID(w))
+			if rng.Intn(4) == 0 {
+				p.Clauses = []pred.Clause{pred.FnClause(f.Rels[0].Attrs()[1+rng.Intn(2)].Name, "isodd")}
+				p.Rel = f.Rels[0].Name()
+			}
+			if err := oracle.Add(p); err != nil {
+				t.Fatal(err)
+			}
+			next, err = v.With(p)
+			live = append(live, p.ID)
+		} else {
+			j := len(live) - 1 - rng.Intn(16) // mostly still in the delta
+			if err := oracle.Remove(live[j]); err != nil {
+				t.Fatal(err)
+			}
+			next, err = v.Without(live[j])
+			live = slices.Delete(live, j, j+1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A sibling derived from the same predecessor and thrown away:
+		// its appends must not land in arrays next has inherited.
+		if _, err := v.With(pred.New(1<<20, f.Rels[0].Name(), pred.FnClause("salary", "iseven"))); err != nil {
+			t.Fatal(err)
+		}
+		v = next.Merged()
+		if w%10 != 0 {
+			continue
+		}
+		r := retained{v: v}
+		for _, rel := range f.Rels {
+			for k := 0; k < 4; k++ {
+				tup := f.RandomTuple(rng, rel)
+				r.tups = append(r.tups, tup)
+				r.want = append(r.want, sortedMatch(t, oracle, rel.Name(), tup))
+			}
+		}
+		mu.Lock()
+		kept = append(kept, r)
+		mu.Unlock()
+	}
+	close(stop)
+	wg.Wait()
+	for _, r := range kept {
+		verify(r)
 	}
 }
 

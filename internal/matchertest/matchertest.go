@@ -375,3 +375,21 @@ func equalIDs(a, b []pred.ID) bool {
 	}
 	return true
 }
+
+// CountingIndex is an attribute index (core.AttrIndex) that only
+// counts: the write-cost tests measure how many tree insertions a write
+// pays, not what they build. Every index a factory hands out adds to
+// the same Inserts.
+type CountingIndex struct {
+	Inserts *int
+	n       int
+}
+
+func (c *CountingIndex) Insert(pred.ID, interval.Interval[value.Value]) error {
+	*c.Inserts++
+	c.n++
+	return nil
+}
+func (c *CountingIndex) Delete(pred.ID) error                            { c.n--; return nil }
+func (c *CountingIndex) StabAppend(_ value.Value, d []pred.ID) []pred.ID { return d }
+func (c *CountingIndex) Len() int                                        { return c.n }

@@ -25,6 +25,7 @@ package prefilter
 
 import (
 	"math/bits"
+	"slices"
 
 	"predmatch/internal/interval"
 	"predmatch/internal/tuple"
@@ -48,6 +49,11 @@ func Make(arity int) Summary {
 		bits: make([]uint64, (arity+63)/64),
 		env:  make([]interval.Interval[value.Value], arity),
 	}
+}
+
+// Clone returns a copy of s that Widen can grow without touching s.
+func (s Summary) Clone() Summary {
+	return Summary{bits: slices.Clone(s.bits), env: slices.Clone(s.env)}
 }
 
 // Widen grows the envelope at attribute position pos to cover iv. A

@@ -15,9 +15,10 @@
 //     filter: a tuple outside every envelope touches no tree. Readers
 //     never block writers or each other.
 //   - Writers serialize per shard: Add/Remove take the shard's mutex,
-//     derive the next view — a copy of the delta with the change
-//     applied, or of the tombstone list; the base is shared, so that is
-//     O(|delta|) tree insertions however large the relation — and
+//     derive the next view — the delta with the one attribute tree the
+//     change lands in rebuilt, or a copy of the tombstone list; the
+//     base and the delta's other trees are shared, so that is O(|delta|)
+//     tree insertions at most, however large the relation — and
 //     publish it with an atomic store. Once in about √(2N) writes the
 //     overlay outgrows core's merge rule and the same writer first
 //     rebuilds the base, inline: O(√N) insertions per write amortized.

@@ -196,33 +196,25 @@ func TestSnapshotFrozen(t *testing.T) {
 	}
 }
 
-// countingIndex is an AttrIndex that only counts: the write-cost test
-// measures how many tree insertions a write pays, not what they build.
-type countingIndex struct {
-	inserts *int
-	n       int
-}
-
-func (c *countingIndex) Insert(pred.ID, interval.Interval[value.Value]) error {
-	*c.inserts++
-	c.n++
-	return nil
-}
-func (c *countingIndex) Delete(pred.ID) error                            { c.n--; return nil }
-func (c *countingIndex) StabAppend(_ value.Value, d []pred.ID) []pred.ID { return d }
-func (c *countingIndex) Len() int                                        { return c.n }
-
 // TestWriteCostSublinear counts tree insertions instead of timing them:
 // with N standing predicates in one relation, 1,000 alternating
 // add/remove writes (the churn workload's FIFO) average at most 4·√N
-// insertions each, merges included. Clone-per-write paid about N.
+// insertions each, merges included. Clone-per-write paid about N. Every
+// predicate here is indexed on the one attribute, so a write's tree is
+// the whole delta and sharing the others saves nothing: the counts are
+// held to what a copy of the delta per write paid (core's
+// TestViewWriteRebuildsOneTree is the five-attribute side).
 func TestWriteCostSublinear(t *testing.T) {
-	for _, n := range []int{500, 8000} {
+	for _, c := range []struct {
+		n    int
+		want float64 // insertions per write, as a copy of the delta per write paid
+	}{{500, 19.8}, {8000, 80.0}} {
+		n, want := c.n, c.want
 		f := matchertest.NewFixture()
 		var inserts int
 		m := shard.New(f.Catalog, f.Funcs,
 			shard.WithIndexOptions(core.WithIndexFactory(func() core.AttrIndex {
-				return &countingIndex{inserts: &inserts}
+				return &matchertest.CountingIndex{Inserts: &inserts}
 			})))
 		add := func(id pred.ID) {
 			t.Helper()
@@ -257,28 +249,44 @@ func TestWriteCostSublinear(t *testing.T) {
 		if per > limit {
 			t.Errorf("N=%d: %.1f tree insertions per write, want at most 4·√N = %.0f", n, per, limit)
 		}
+		if math.Abs(per-want) > 0.5 {
+			t.Errorf("N=%d: %.1f tree insertions per write on a single indexed attribute, want %.1f as before", n, per, want)
+		}
 	}
 }
 
-// TestMatchAllocs is the blocking allocation gate on the serving-layer
-// match at the benchmark's population (bench/inputs.go: 4 relations of
-// 500 predicates, 15 attributes, a third of them used): what is left
-// is the growth of the one candidate slice.
-func TestMatchAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1990))
-	pop, err := workload.SchemaSpec{
+// benchSpec is the benchmark's population (bench/inputs.go): 4
+// relations of 15 attributes, a third of them used, perRel predicates
+// of 2 clauses each.
+func benchSpec(perRel int) workload.SchemaSpec {
+	return workload.SchemaSpec{
 		Relations: 4, AttrsPerRel: 15, UsedAttrFrac: 1.0 / 3.0,
-		PredsPerRel: 500, ClausesPer: 2, IndexableFrac: 0.9, PointFrac: 0.5,
-	}.Build(rng)
+		PredsPerRel: perRel, ClausesPer: 2, IndexableFrac: 0.9, PointFrac: 0.5,
+	}
+}
+
+// loadBench registers the benchmark's 4 × 500 standing predicates.
+func loadBench(t *testing.T, rng *rand.Rand, opts ...shard.Option) (*workload.Population, *shard.ShardedMatcher) {
+	t.Helper()
+	pop, err := benchSpec(500).Build(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := shard.New(pop.Catalog, pop.Funcs)
+	m := shard.New(pop.Catalog, pop.Funcs, opts...)
 	for _, p := range pop.Preds {
 		if err := m.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return pop, m
+}
+
+// TestMatchAllocs is the blocking allocation gate on the serving-layer
+// match at the benchmark's population: what is left is the growth of
+// the one candidate slice.
+func TestMatchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1990))
+	pop, m := loadBench(t, rng)
 	tups := make([]tuple.Tuple, 256)
 	for i := range tups {
 		tups[i] = pop.Tuple(rng, pop.Rels[i%len(pop.Rels)])
@@ -290,6 +298,58 @@ func TestMatchAllocs(t *testing.T) {
 		i++
 	}); n > 4 {
 		t.Fatalf("shard.Match allocates %v times per match at the benchmark population, want at most 4", n)
+	}
+}
+
+// TestWriteAllocs is the blocking allocation gate on the predicate
+// write at the benchmark's population, with 16 churned predicates
+// registered per relation as the churn workload keeps them: adding one
+// more and removing it again — both land in the delta, and rebuild one
+// of its five trees each — allocates at most 200 times. A copy of the
+// whole delta per write paid about 550 here. No merge runs inside the
+// measured loop: a pair leaves the overlay as it found it, and each
+// relation's first pair is run beforehand.
+func TestWriteAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1990))
+	reg := obs.NewRegistry()
+	_, m := loadBench(t, rng, shard.WithMetrics(reg))
+	churn, err := benchSpec(64).Build(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spare []*pred.Predicate // a relation's predicates past its first 16
+	perRel := map[string]int{}
+	for i, p := range churn.Preds {
+		p = pred.New(1<<20+pred.ID(i), p.Rel, p.Clauses...)
+		if perRel[p.Rel]++; perRel[p.Rel] > 16 {
+			spare = append(spare, p)
+		} else if err := m.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	pair := func() {
+		p := spare[i%len(spare)]
+		i++
+		if err := m.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Remove(p.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range spare {
+		pair()
+	}
+	merges := reg.Counter("predmatch_shard_merges_total", "")
+	before := merges.Value()
+	n := testing.AllocsPerRun(2*len(spare), pair)
+	if merges.Value() != before {
+		t.Fatalf("%d merges inside the measured loop", merges.Value()-before)
+	}
+	t.Logf("%.1f allocations per Add + Remove pair", n)
+	if n > 200 {
+		t.Fatalf("an Add + Remove pair of a churn predicate allocates %v times at the benchmark population, want at most 200", n)
 	}
 }
 
