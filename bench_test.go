@@ -12,8 +12,6 @@
 //	BenchmarkMatcherStrategies        — Section 2 strategy shoot-out
 //	BenchmarkMarkSetRepresentation    — mark sets: sorted slice vs AVL
 //	BenchmarkParallelMatch            — Section 6 parallelism sketch
-//	BenchmarkConcurrentMatchers       — snapshot wrappers under parallel load
-//	BenchmarkShardedMatchBatch        — sharded MatchBatch amortization
 //	BenchmarkJoinNetwork              — Section 6 two-layer join network
 //	BenchmarkSchemeIndexAblation      — scheme over IBS-trees vs skip lists
 //	BenchmarkServingIndexSweep        — sharded layer per -index structure, three stab/write mixes
@@ -37,7 +35,6 @@ import (
 	"predmatch/internal/join"
 	"predmatch/internal/markset"
 	"predmatch/internal/matcher"
-	"predmatch/internal/obs"
 	"predmatch/internal/phylock"
 	"predmatch/internal/pred"
 	"predmatch/internal/pst"
@@ -481,167 +478,6 @@ func BenchmarkParallelMatch(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentMatchers drives the two concurrency-safe wrappers
-// — the copy-on-write ParallelMatcher and the relation-sharded snapshot
-// matcher — with every benchmark goroutine matching concurrently
-// (b.RunParallel), the mixed-traffic regime the sharding targets. The
-// "+writes" variants add one background writer publishing snapshots
-// while the readers run, the case the old RWMutex design convoyed on.
-func BenchmarkConcurrentMatchers(b *testing.B) {
-	rng := rand.New(rand.NewSource(1990))
-	spec := workload.SchemaSpec{
-		Relations:     4,
-		AttrsPerRel:   15,
-		UsedAttrFrac:  1.0 / 3.0,
-		PredsPerRel:   200,
-		ClausesPer:    2,
-		IndexableFrac: 0.9,
-		PointFrac:     0.5,
-	}
-	pop, err := spec.Build(rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tuples := make([]tuple.Tuple, 4096)
-	rels := make([]string, len(tuples))
-	for i := range tuples {
-		rel := pop.Rels[i%len(pop.Rels)]
-		rels[i] = rel.Name()
-		tuples[i] = pop.Tuple(rng, rel)
-	}
-	wrappers := map[string]func() matcher.Matcher{
-		"ibs-parallel": func() matcher.Matcher {
-			return core.NewParallel(core.New(pop.Catalog, pop.Funcs), 0)
-		},
-		"sharded": func() matcher.Matcher {
-			return shard.New(pop.Catalog, pop.Funcs)
-		},
-		// The sharded wrapper over HINT partitions instead of IBS-trees:
-		// same snapshot discipline, flat-array stabs. Compare against
-		// "sharded" to price the index swap (recorded in BENCH_PR6.json).
-		"sharded-hint": func() matcher.Matcher {
-			return shard.New(pop.Catalog, pop.Funcs,
-				shard.WithIndexOptions(
-					core.WithIndexFactory(func() core.AttrIndex {
-						return hint.New(value.Compare)
-					})),
-				shard.WithName("sharded-hint"))
-		},
-		// The fully instrumented daemon configuration: per-relation
-		// latency histograms plus shared IBS stab counters. Compare
-		// against "sharded" to price the telemetry (<5% is the budget,
-		// recorded in BENCH_PR4.json).
-		"sharded-instrumented": func() matcher.Matcher {
-			reg := obs.NewRegistry()
-			return shard.New(pop.Catalog, pop.Funcs,
-				shard.WithMetrics(reg),
-				shard.WithIndexOptions(core.WithTreeOptions(
-					ibs.Instrument(ibs.RegisterCounters(reg)))),
-				shard.WithName("sharded-instrumented"))
-		},
-	}
-	for name, mk := range wrappers {
-		for _, withWrites := range []bool{false, true} {
-			bname := name
-			if withWrites {
-				bname += "+writes"
-			}
-			b.Run(bname, func(b *testing.B) {
-				m := mk()
-				for _, p := range pop.Preds {
-					if err := m.Add(p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				stop := make(chan struct{})
-				var writerDone chan struct{}
-				if withWrites {
-					writerDone = make(chan struct{})
-					go func() {
-						defer close(writerDone)
-						// Toggle the last predicate of each relation
-						// forever: every iteration publishes a snapshot.
-						i := 0
-						for {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							p := pop.Preds[i%len(pop.Preds)]
-							if err := m.Remove(p.ID); err != nil {
-								b.Error(err)
-								return
-							}
-							if err := m.Add(p); err != nil {
-								b.Error(err)
-								return
-							}
-							i++
-						}
-					}()
-				}
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					var buf []pred.ID
-					i := 0
-					for pb.Next() {
-						j := i % len(tuples)
-						buf, _ = m.Match(rels[j], tuples[j], buf[:0])
-						i++
-					}
-				})
-				b.StopTimer()
-				if withWrites {
-					close(stop)
-					<-writerDone
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkShardedMatchBatch measures the batch API's snapshot
-// amortization and fan-out against a loop of single Matches on the
-// same sharded matcher.
-func BenchmarkShardedMatchBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1990))
-	spec := workload.PaperScenario()
-	spec.PredsPerRel = 2000 // enough per-tuple work for the fan-out to pay
-	pop, err := spec.Build(rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := shard.New(pop.Catalog, pop.Funcs)
-	for _, p := range pop.Preds {
-		if err := m.Add(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rel := pop.Rels[0]
-	batch := make([]tuple.Tuple, 256)
-	for i := range batch {
-		batch[i] = pop.Tuple(rng, rel)
-	}
-	b.Run("loop", func(b *testing.B) {
-		var buf []pred.ID
-		for i := 0; i < b.N; i++ {
-			for _, t := range batch {
-				buf, _ = m.Match(rel.Name(), t, buf[:0])
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batch)), "ns/tuple")
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := m.MatchBatch(rel.Name(), batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(batch)), "ns/tuple")
-	})
-}
-
 // BenchmarkJoinNetwork measures the two-layer discrimination network:
 // per-tuple cost of routing an insert through the selection layer and
 // the TREAT join layer, with alpha memories pre-populated.
@@ -706,7 +542,7 @@ func BenchmarkJoinNetwork(b *testing.B) {
 // its per-attribute interval index swapped: IBS-trees (the paper's
 // structure) versus interval skip lists (Hanson's successor) versus the
 // flat HINT partition index, on the Section 5.2 scenario. The loop is
-// pure stabbing — the stab-heavy regime BENCH_PR6.json records.
+// pure stabbing; EXPERIMENTS.md's Section 6 entry records the result.
 func BenchmarkSchemeIndexAblation(b *testing.B) {
 	rng := rand.New(rand.NewSource(1990))
 	pop, err := workload.PaperScenario().Build(rng)

@@ -27,7 +27,7 @@
 //	predmatch promote [-addr 127.0.0.1:7341]
 //	predmatch trace [-admin 127.0.0.1:7342] [-id trace-id] [-slow] [-json]
 //
-// stats prints shard, IBS-tree, relation, workload-profile, WAL,
+// stats prints prefilter, shard, IBS-tree, relation, WAL,
 // replication and per-connection statistics (the remote form of the
 // script interpreter's local `stats` statement). backup forces a
 // checkpoint on a running daemon; restore inspects a checkpoint file

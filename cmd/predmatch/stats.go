@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"predmatch/internal/client"
 	"predmatch/internal/wire"
@@ -53,31 +52,6 @@ func printStats(w io.Writer, st *wire.Stats) {
 		}
 		fmt.Fprintf(w, "prefilter: %d admitted / %d skipped (%.1f%% of tuples bypassed the index)\n",
 			st.Prefilter.Admitted, st.Prefilter.Skipped, pct)
-	}
-	if len(st.Profiles) > 0 {
-		fmt.Fprintf(w, "workload profile:\n")
-		fmt.Fprintf(w, "  %-12s %8s %8s %9s %8s %10s  %s\n",
-			"rel", "stabs", "skipped", "results", "writes", "stab avg", "queried attrs")
-		for _, p := range st.Profiles {
-			avg := "-"
-			if p.Stabs > 0 {
-				avg = fmt.Sprintf("%.1fµs", p.StabSecs/float64(p.Stabs)*1e6)
-			}
-			attrs := "-"
-			if len(p.Attrs) > 0 {
-				var parts []string
-				for _, a := range p.Attrs {
-					if a.Queried > 0 {
-						parts = append(parts, fmt.Sprintf("%s=%d", a.Name, a.Queried))
-					}
-				}
-				if len(parts) > 0 {
-					attrs = strings.Join(parts, " ")
-				}
-			}
-			fmt.Fprintf(w, "  %-12s %8d %8d %9d %8d %10s  %s\n",
-				p.Rel, p.Stabs, p.Skipped, p.Results, p.Writes, avg, attrs)
-		}
 	}
 	if len(st.Shards) > 0 {
 		fmt.Fprintf(w, "shards:\n")

@@ -7,14 +7,19 @@ import (
 	"predmatch/internal/wire"
 )
 
-// TestPrintStats pins the stats rendering against a representative
-// frame: shard, tree and per-connection sections must all surface, and
-// the falling-behind subscriber's queue/drop numbers must be visible.
+// TestPrintStats pins the stats rendering byte for byte against a
+// representative frame: every section printStats knows (prefilter,
+// shards, trees, relations, wal, replication, connections) is present,
+// including a subscriber whose queue is pinned at capacity and a replica
+// stream. The frame is rendered twice, once as a leader and once as a
+// follower, since a frame carries one replication role. Regenerate with
+// `go test ./cmd/predmatch -run TestPrintStats -update`.
 func TestPrintStats(t *testing.T) {
 	st := &wire.Stats{
 		Rules:      []string{"band", "senior"},
 		Matcher:    "sharded",
 		Predicates: 3,
+		Prefilter:  &wire.PrefilterStat{Admitted: 180, Skipped: 20},
 		Conns:      2,
 		Subs:       1,
 		Delivered:  90,
@@ -42,24 +47,9 @@ func TestPrintStats(t *testing.T) {
 	}
 	var b strings.Builder
 	printStats(&b, st)
-	out := b.String()
-	for _, want := range []string{
-		"matcher sharded: 3 predicates, 2 rules",
-		"conns 2 (1 subscribed), notifications 90 delivered / 10 dropped",
-		"emp",
-		"salary",
-		"version 7",
-		"structure hint",
-		"127.0.0.1:50001",
-		"128/128", // queue pinned at capacity: the slow consumer
-		"228",
-		"42 rows",
-		"wal: sync=interval, seq 230 (229 durable), 2 segments, snapshot at seq 100",
-		"replication: leader, 1 followers connected",
-		"repl@226",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("printStats output missing %q:\n%s", want, out)
-		}
-	}
+	st.Repl = &wire.ReplStat{Role: "follower", Leader: "127.0.0.1:7341",
+		AppliedSeq: 228, LeaderSeq: 230, Lag: 2, Reconnects: 3}
+	b.WriteString("--\n")
+	printStats(&b, st)
+	checkGolden(t, "stats.golden", b.String())
 }

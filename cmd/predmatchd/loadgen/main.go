@@ -27,7 +27,7 @@
 // replica addresses instead of the leader, each probe carrying the
 // worker's read-your-writes token (min_seq = the last acked WAL
 // sequence), and the report breaks read latency out per target — the
-// follower-read scaling measurement behind BENCH_PR7.json.
+// follower-read scaling measurement docs/REPLICATION.md describes.
 package main
 
 import (

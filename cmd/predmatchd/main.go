@@ -102,8 +102,8 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	// Metrics are always collected: the daemon is the one binary whose
-	// instrumentation overhead was budgeted for (see BENCH_PR4.json);
-	// -admin only controls whether they are exposed.
+	// instrumentation overhead is budgeted for (docs/OBSERVABILITY.md,
+	// "Overhead"); -admin only controls whether they are exposed.
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 

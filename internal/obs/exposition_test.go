@@ -12,7 +12,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden file")
 
 // TestExpositionGolden pins the exact Prometheus text format the
-// registry emits (same pattern as cmd/benchjson/testdata): scrapers
+// registry emits (same pattern as cmd/predmatch/testdata): scrapers
 // and the CI curl assertions depend on this shape, so it must not
 // drift silently. Regenerate with `go test ./internal/obs -update`.
 func TestExpositionGolden(t *testing.T) {

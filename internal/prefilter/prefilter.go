@@ -121,23 +121,6 @@ func (s Summary) Envelope(pos int) (iv interval.Interval[value.Value], ok bool) 
 	return s.env[pos], true
 }
 
-// Positions calls fn with every attribute position enveloped in a or in
-// b, ascending, each once.
-func Positions(a, b Summary, fn func(pos int)) {
-	for w := range max(len(a.bits), len(b.bits)) {
-		var word uint64
-		if w < len(a.bits) {
-			word = a.bits[w]
-		}
-		if w < len(b.bits) {
-			word |= b.bits[w]
-		}
-		for ; word != 0; word &= word - 1 {
-			fn(w*64 + bits.TrailingZeros64(word))
-		}
-	}
-}
-
 // Stats is a point-in-time snapshot of a matcher's admission counters.
 type Stats struct {
 	Admitted uint64 // tuples that proceeded to the full index probe

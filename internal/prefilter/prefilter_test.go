@@ -124,18 +124,6 @@ func TestAdmitEnvelope(t *testing.T) {
 			}
 		}
 	}
-
-	var got []int
-	other := prefilter.Make(3)
-	other.Widen(1, iv(0, 1))
-	other.Widen(2, iv(0, 1))
-	s = prefilter.Make(3)
-	s.Widen(2, iv(5, 6))
-	prefilter.Positions(s, other, func(pos int) { got = append(got, pos) })
-	prefilter.Positions(prefilter.Summary{}, s, func(pos int) { got = append(got, pos) })
-	if !slices.Equal(got, []int{1, 2, 2}) {
-		t.Errorf("Positions visited %v, want [1 2] then [2]", got)
-	}
 }
 
 // TestRemoveUnknown: the writes a view refuses leave its summary alone,

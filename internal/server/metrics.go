@@ -93,45 +93,5 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			}
 			return float64(n)
 		})
-	// Workload profile (see internal/trace.Profiles): sampled at scrape
-	// time from the always-on accumulator, costing the hot paths nothing
-	// beyond the atomic adds they already pay.
-	reg.GaugeSet("predmatch_workload_stabs_total",
-		"Index probes run per relation (workload profile).",
-		[]string{"rel"}, func(emit obs.Emit) {
-			for _, rp := range s.prof.Snapshot() {
-				emit(float64(rp.Stabs), rp.Relation)
-			}
-		})
-	reg.GaugeSet("predmatch_workload_results_total",
-		"Predicate matches returned per relation; divide by stabs for observed selectivity.",
-		[]string{"rel"}, func(emit obs.Emit) {
-			for _, rp := range s.prof.Snapshot() {
-				emit(float64(rp.Results), rp.Relation)
-			}
-		})
-	reg.GaugeSet("predmatch_workload_stab_seconds_total",
-		"Cumulative stab latency per relation (workload profile).",
-		[]string{"rel"}, func(emit obs.Emit) {
-			for _, rp := range s.prof.Snapshot() {
-				emit(rp.StabSecs, rp.Relation)
-			}
-		})
-	reg.GaugeSet("predmatch_workload_writes_total",
-		"Applied mutation events per relation (workload profile).",
-		[]string{"rel"}, func(emit obs.Emit) {
-			for _, rp := range s.prof.Snapshot() {
-				emit(float64(rp.Writes), rp.Relation)
-			}
-		})
-	reg.GaugeSet("predmatch_workload_attr_queried_total",
-		"Stabs that consulted each attribute (interval clauses present).",
-		[]string{"rel", "attr"}, func(emit obs.Emit) {
-			for _, rp := range s.prof.Snapshot() {
-				for _, a := range rp.Attrs {
-					emit(float64(a.Queried), rp.Relation, a.Name)
-				}
-			}
-		})
 	return m
 }

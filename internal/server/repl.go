@@ -285,13 +285,6 @@ func (s *Server) replApplyRecord(rec *wal.Record, sp *trace.Span) error {
 		s.mu.Unlock()
 		return fmt.Errorf("server: apply replicated record %d: %w", rec.Seq, err)
 	}
-	if rec.Kind == wal.KindMutate {
-		// db.Apply bypasses storage observers, so the follower feeds the
-		// write profile here (one write per replicated event).
-		for _, we := range rec.Events {
-			s.profileRel(we.Rel).RecordWrite()
-		}
-	}
 	asp := sp.Child("wal.append")
 	_, err := s.wal.AppendExact(rec)
 	asp.End()

@@ -237,12 +237,6 @@ type Server struct {
 	// met holds the request-path metric handles; nil when cfg.Registry
 	// is nil, which compiles the instrumentation down to nil checks.
 	met *serverMetrics
-
-	// prof accumulates the per-relation workload profile (stab latency,
-	// selectivity, write rate, queried attributes) that feeds the stats
-	// surface and /varz; always on — its cost is a few uncontended
-	// atomic adds per operation. See internal/trace.Profiles.
-	prof *trace.Profiles
 }
 
 // subscription is one connection's notification filter and counters,
@@ -277,17 +271,11 @@ func newServer(cfg Config) *Server {
 		subs:        make(map[*conn]*subscription),
 		directPreds: make(map[int64]*wire.Predicate),
 		appliedWait: make(chan struct{}),
-		prof:        trace.NewProfiles(),
 	}
 	s.nextPredID.Store(int64(DirectPredBase))
 	if cfg.FollowerOf != "" {
 		s.isFollower.Store(true)
 	}
-	// Workload profiling: count every applied storage event (trigger and
-	// cascade) against its relation. Registered before the engine's
-	// observer so a rule raise (which aborts the notify chain) cannot
-	// hide an applied event from the profile.
-	s.db.Observe(s.onEventProfile)
 	if cfg.DataDir != "" {
 		// The WAL capture observer must be registered before the engine's:
 		// the notify chain aborts at the first observer error (a rule
@@ -322,9 +310,6 @@ func newServer(cfg Config) *Server {
 		smOpts = append(smOpts, shard.WithName("sharded-"+idx))
 	}
 	s.sm = shard.New(s.db.Catalog(), s.funcs, smOpts...)
-	// Install the profile accumulator before any predicate registration
-	// (recovery replay included): shards resolve their handle at creation.
-	s.sm.SetProfiles(s.prof)
 	s.eng = engine.New(s.db, s.funcs, s.sm, engOpts...)
 	s.met = newServerMetrics(cfg.Registry, s)
 	s.eng.OnFire(s.onFire)
@@ -884,9 +869,6 @@ func (s *Server) handle(c *conn, req *wire.Request) wire.Message {
 // admin endpoint serves /traces from its flight recorder.
 func (s *Server) Tracer() *trace.Tracer { return s.cfg.Tracer }
 
-// Profiles returns the workload profile accumulator (never nil).
-func (s *Server) Profiles() *trace.Profiles { return s.prof }
-
 // traceCtx converts a request's span into the wire form a WAL record
 // carries through the log and the replication stream (nil = untraced).
 func traceCtx(sp *trace.Span) *wire.TraceContext {
@@ -894,30 +876,6 @@ func traceCtx(sp *trace.Span) *wire.TraceContext {
 		return nil
 	}
 	return &wire.TraceContext{ID: sp.TraceID(), Span: sp.SpanID()}
-}
-
-// onEventProfile feeds the workload profile: one applied storage event
-// (trigger or cascade) = one write against its relation. Never errors,
-// so it can never abort the notify chain.
-func (s *Server) onEventProfile(ev storage.Event) error {
-	s.profileRel(ev.Rel).RecordWrite()
-	return nil
-}
-
-// profileRel resolves a relation's profile accumulator, creating it
-// with the catalog's attribute names on first sight (relations that
-// never get a predicate still profile their write rate).
-func (s *Server) profileRel(rel string) *trace.RelProfile {
-	if rp := s.prof.Lookup(rel); rp != nil {
-		return rp
-	}
-	var names []string
-	if r, ok := s.db.Catalog().Get(rel); ok {
-		for _, a := range r.Attrs() {
-			names = append(names, a.Name)
-		}
-	}
-	return s.prof.Rel(rel, names)
 }
 
 // dispatch routes one request to its handler. On a follower every
@@ -1294,16 +1252,6 @@ func (s *Server) handleStats(req *wire.Request) wire.Message {
 	}
 	if pf, ok := s.sm.PrefilterStats(); ok {
 		st.Prefilter = &wire.PrefilterStat{Admitted: pf.Admitted, Skipped: pf.Skipped}
-	}
-	for _, rp := range s.prof.Snapshot() {
-		ps := wire.ProfileStat{
-			Rel: rp.Relation, Stabs: rp.Stabs, Skipped: rp.Skipped,
-			Results: rp.Results, StabSecs: rp.StabSecs, Writes: rp.Writes,
-		}
-		for _, a := range rp.Attrs {
-			ps.Attrs = append(ps.Attrs, wire.AttrProfile{Name: a.Name, Queried: a.Queried})
-		}
-		st.Profiles = append(st.Profiles, ps)
 	}
 	for _, sh := range s.sm.Stats() {
 		st.Shards = append(st.Shards, wire.ShardStat{

@@ -65,11 +65,6 @@ type ShardedMatcher struct {
 	name    string
 	met     *metrics // nil unless built with WithMetrics
 
-	// prof is the workload profile accumulator fed by every Match (stab
-	// count/latency/results, prefilter skips, queried attributes). nil
-	// unless installed with SetProfiles.
-	prof *trace.Profiles
-
 	// admitted and skipped count the verdicts of the views' admission
 	// summaries: tuples that went on to an index probe, and tuples
 	// proven unmatchable without touching a tree.
@@ -106,9 +101,6 @@ type relShard struct {
 	// once at shard creation so Match never takes the vec's lookup
 	// lock. nil when the matcher is uninstrumented.
 	lat *obs.Histogram
-	// prof is the relation's workload-profile handle, resolved once at
-	// shard creation for the same reason. nil when unprofiled.
-	prof *trace.RelProfile
 }
 
 // Option configures a ShardedMatcher.
@@ -152,12 +144,6 @@ func New(catalog *schema.Catalog, funcs *pred.Registry, opts ...Option) *Sharded
 	return m
 }
 
-// SetProfiles installs the workload profile accumulator every shard
-// feeds. Install before registering predicates (shards resolve their
-// profile handle at creation); the server does this right after
-// constructing the matcher, before recovery replays any DDL.
-func (m *ShardedMatcher) SetProfiles(p *trace.Profiles) { m.prof = p }
-
 // Name implements matcher.Matcher.
 func (m *ShardedMatcher) Name() string { return m.name }
 
@@ -193,15 +179,6 @@ func (m *ShardedMatcher) shardOrCreate(rel string) *relShard {
 	sh := &relShard{}
 	if m.met != nil {
 		sh.lat = m.met.lat.With(rel)
-	}
-	if m.prof != nil {
-		var names []string
-		if r, ok := m.catalog.Get(rel); ok {
-			for _, a := range r.Attrs() {
-				names = append(names, a.Name)
-			}
-		}
-		sh.prof = m.prof.Rel(rel, names)
 	}
 	next[rel] = sh
 	m.dir.Store(&next)
@@ -275,7 +252,6 @@ func (m *ShardedMatcher) publish(sh *relShard, next *core.View) {
 	merged := next.Merged()
 	sh.snap.Store(merged)
 	sh.version.Add(1)
-	sh.prof.RecordWrite() // one write against the relation's index structure
 	if m.met != nil {
 		m.met.swaps.Inc()
 		if merged != next {
@@ -316,25 +292,16 @@ func (m *ShardedMatcher) MatchTraced(rel string, t tuple.Tuple, dst []pred.ID, s
 		psp.End()
 	}
 	if !admit {
-		sh.prof.Skip()
 		return dst, nil
 	}
-	if sh.lat == nil && sh.prof == nil && sp == nil {
+	if sh.lat == nil && sp == nil {
 		return snap.Match(rel, t, dst)
 	}
 	tsp := sp.Child("shard.stab")
 	t0 := time.Now()
 	out, err := snap.Match(rel, t, dst)
-	d := time.Since(t0)
 	if sh.lat != nil {
-		sh.lat.Observe(d.Seconds())
-	}
-	if sh.prof != nil {
-		sh.prof.Stab(d, len(out))
-		// Attribute the stab to the positions the index consulted: those
-		// carrying at least one interval clause.
-		base, delta := snap.Summaries(rel)
-		prefilter.Positions(base, delta, sh.prof.QueriedAttr)
+		sh.lat.Observe(time.Since(t0).Seconds())
 	}
 	if sp != nil {
 		tsp.SetStr("rel", rel)

@@ -19,7 +19,6 @@ func TestRecorderConcurrency(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	tr := New(Config{SampleEvery: 2, Slow: 500 * time.Microsecond, Capacity: 32, SlowCapacity: 8})
-	prof := NewProfiles()
 	const workers = 8
 	const iters = 200
 
@@ -48,14 +47,10 @@ func TestRecorderConcurrency(t *testing.T) {
 					sp.Child("wal.append").End()
 					sp.End()
 				}
-				rp := prof.Rel("emp", []string{"age", "salary"})
-				rp.Stab(time.Microsecond, 1)
-				rp.QueriedAttr(i % 2)
-				rp.RecordWrite()
 			}
 		}(w)
 	}
-	// Concurrent readers: the /traces handler and the stats snapshot.
+	// Concurrent reader: the /traces handler.
 	stop := make(chan struct{})
 	var rd sync.WaitGroup
 	rd.Add(1)
@@ -69,7 +64,6 @@ func TestRecorderConcurrency(t *testing.T) {
 			}
 			WriteText(io.Discard, tr.Traces())
 			WriteJSON(io.Discard, tr.SlowTraces())
-			prof.Snapshot()
 		}
 	}()
 	wg.Wait()

@@ -238,56 +238,3 @@ func TestIDUniqueness(t *testing.T) {
 		seen[id] = true
 	}
 }
-
-func TestProfilesNilSafety(t *testing.T) {
-	var p *Profiles
-	rp := p.Rel("emp", []string{"age"})
-	if rp != nil {
-		t.Error("nil Profiles: Rel returned non-nil")
-	}
-	if p.Lookup("emp") != nil {
-		t.Error("nil Profiles: Lookup returned non-nil")
-	}
-	if p.Snapshot() != nil {
-		t.Error("nil Profiles: Snapshot returned non-nil")
-	}
-	rp.Stab(time.Millisecond, 3)
-	rp.Skip()
-	rp.QueriedAttr(0)
-	rp.RecordWrite()
-}
-
-func TestProfilesAccumulate(t *testing.T) {
-	p := NewProfiles()
-	rp := p.Rel("emp", []string{"age", "salary"})
-	if p.Rel("emp", []string{"other"}) != rp {
-		t.Fatal("second Rel did not return the same accumulator")
-	}
-	if p.Lookup("emp") != rp {
-		t.Fatal("Lookup did not find the accumulator")
-	}
-	rp.Stab(2*time.Millisecond, 3)
-	rp.Stab(time.Millisecond, 0)
-	rp.Skip()
-	rp.QueriedAttr(1)
-	rp.QueriedAttr(1)
-	rp.QueriedAttr(5) // out of range: ignored
-	rp.RecordWrite()
-	p.Rel("dept", nil).RecordWrite()
-
-	snap := p.Snapshot()
-	if len(snap) != 2 || snap[0].Relation != "dept" || snap[1].Relation != "emp" {
-		t.Fatalf("snapshot order = %+v", snap)
-	}
-	emp := snap[1]
-	if emp.Stabs != 2 || emp.Skipped != 1 || emp.Results != 3 || emp.Writes != 1 {
-		t.Errorf("emp counters = %+v", emp)
-	}
-	if want := 0.003; emp.StabSecs != want {
-		t.Errorf("emp.StabSecs = %v, want %v", emp.StabSecs, want)
-	}
-	if len(emp.Attrs) != 2 || emp.Attrs[0].Queried != 0 || emp.Attrs[1].Queried != 2 ||
-		emp.Attrs[1].Name != "salary" {
-		t.Errorf("emp attr histogram = %+v", emp.Attrs)
-	}
-}

@@ -256,41 +256,12 @@ type PrefilterStat struct {
 	Skipped  uint64 `json:"skipped"`
 }
 
-// ProfileStat is one relation's workload profile in the stats
-// response: the feed for index-strategy selection (stab volume and
-// latency, observed selectivity, write rate, and which attributes the
-// probes actually consulted).
-type ProfileStat struct {
-	Rel string `json:"rel"`
-	// Stabs counts index probes that ran; Skipped the probes the
-	// prefilter proved unmatchable without touching a tree.
-	Stabs   uint64 `json:"stabs"`
-	Skipped uint64 `json:"skipped,omitempty"`
-	// Results is the total matches returned across all stabs
-	// (Results/Stabs = observed selectivity).
-	Results uint64 `json:"results,omitempty"`
-	// StabSecs is cumulative stab latency in seconds.
-	StabSecs float64 `json:"stab_secs,omitempty"`
-	// Writes counts applied mutation events against the relation.
-	Writes uint64 `json:"writes,omitempty"`
-	// Attrs is the queried-attribute histogram: per attribute, how many
-	// stabs consulted it (i.e. it carried an interval clause).
-	Attrs []AttrProfile `json:"attrs,omitempty"`
-}
-
-// AttrProfile is one attribute's entry in the queried histogram.
-type AttrProfile struct {
-	Name    string `json:"name"`
-	Queried uint64 `json:"queried"`
-}
-
 // Stats is the payload of a stats response.
 type Stats struct {
 	Rules       []string       `json:"rules"`
 	Matcher     string         `json:"matcher"`
 	Predicates  int            `json:"predicates"`
 	Prefilter   *PrefilterStat `json:"prefilter,omitempty"`
-	Profiles    []ProfileStat  `json:"profiles,omitempty"`
 	Shards      []ShardStat    `json:"shards,omitempty"`
 	Trees       []TreeStat     `json:"trees,omitempty"`
 	Relations   []RelStat      `json:"relations,omitempty"`

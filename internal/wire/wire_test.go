@@ -130,27 +130,55 @@ func TestIDConversion(t *testing.T) {
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// TestStatsFrameWithRetiredMetaSection: daemons from before the
-// adaptive selector was removed attach a "meta" section to stats
-// responses. A current client must still decode such a frame, skipping
-// the section and keeping everything around it.
+// TestStatsFrameWithRetiredMetaSection: older daemons attach sections
+// to stats responses that current clients no longer model — "meta" from
+// before the adaptive selector was removed, "profiles" from before the
+// workload profile was. A current client must still decode such a
+// frame, skipping the retired key and keeping every section around it,
+// both through the codec client.readLoop uses and through
+// encoding/json.
 func TestStatsFrameWithRetiredMetaSection(t *testing.T) {
-	frame := `{"type":"response","id":7,"ok":true,"stats":{"rules":["band"],"matcher":"meta","predicates":2,` +
-		`"shards":[{"rel":"emp","predicates":2,"version":5,"structure":"hint"}],` +
-		`"meta":{"default":"ibs","rels":[{"rel":"emp","structure":"hint","since_secs":41,"migrations":2,` +
-		`"reason":"hint, because stab-heavy","est_ns":300,"alt":"ibs","alt_ns":2100}]},` +
-		`"conns":1,"subs":0,"delivered":3,"dropped":0}}` + "\n"
-	dec := json.NewDecoder(bytes.NewBufferString(frame))
-	dec.UseNumber()
-	var m wire.Message
-	if err := dec.Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats
-	if st == nil || st.Matcher != "meta" || st.Predicates != 2 || st.Delivered != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if len(st.Shards) != 1 || st.Shards[0].Structure != "hint" || st.Shards[0].Version != 5 {
-		t.Fatalf("shards = %+v", st.Shards)
+	for _, tc := range []struct{ name, retired string }{
+		{"meta", `"meta":{"default":"ibs","rels":[{"rel":"emp","structure":"hint","since_secs":41,"migrations":2,` +
+			`"reason":"hint, because stab-heavy","est_ns":300,"alt":"ibs","alt_ns":2100}]}`},
+		{"profiles", `"profiles":[{"rel":"emp","stabs":12,"skipped":1,"results":30,"stab_secs":0.000041,"writes":4,` +
+			`"attrs":[{"name":"name","queried":0},{"name":"salary","queried":12}]},{"rel":"dept","stabs":0,"writes":1}]`},
+	} {
+		frame := `{"type":"response","id":7,"ok":true,"stats":{"rules":["band"],"matcher":"sharded","predicates":2,` +
+			`"prefilter":{"admitted":12,"skipped":1},` + tc.retired + `,` +
+			`"shards":[{"rel":"emp","predicates":2,"version":5,"structure":"hint"}],` +
+			`"relations":[{"name":"emp","rows":4,"next_id":5}],` +
+			`"conns":1,"subs":0,"delivered":3,"dropped":0}}` + "\n"
+		decoders := map[string]func(*wire.Message) error{
+			"codec": func(m *wire.Message) error {
+				_, err := wire.DecodeMessageLiterals([]byte(frame), m)
+				return err
+			},
+			"encoding/json": func(m *wire.Message) error {
+				dec := json.NewDecoder(bytes.NewBufferString(frame))
+				dec.UseNumber()
+				return dec.Decode(m)
+			},
+		}
+		for dname, decode := range decoders {
+			var m wire.Message
+			if err := decode(&m); err != nil {
+				t.Fatalf("%s via %s: %v", tc.name, dname, err)
+			}
+			st := m.Stats
+			if m.ID != 7 || !m.OK || st == nil || st.Matcher != "sharded" || st.Predicates != 2 ||
+				st.Conns != 1 || st.Delivered != 3 {
+				t.Fatalf("%s via %s: message %+v, stats %+v", tc.name, dname, m, st)
+			}
+			if st.Prefilter == nil || *st.Prefilter != (wire.PrefilterStat{Admitted: 12, Skipped: 1}) {
+				t.Errorf("%s via %s: prefilter = %+v", tc.name, dname, st.Prefilter)
+			}
+			if len(st.Shards) != 1 || st.Shards[0] != (wire.ShardStat{Rel: "emp", Predicates: 2, Version: 5, Structure: "hint"}) {
+				t.Errorf("%s via %s: shards = %+v", tc.name, dname, st.Shards)
+			}
+			if len(st.Relations) != 1 || st.Relations[0] != (wire.RelStat{Name: "emp", Rows: 4, NextID: 5}) {
+				t.Errorf("%s via %s: relations = %+v", tc.name, dname, st.Relations)
+			}
+		}
 	}
 }
