@@ -1,6 +1,8 @@
 // Fixture mirroring the real server's handler shapes: apply under mu,
-// append under mu, commit off-mutex, then ack. The seeded violations
-// each break the log-before-ack contract a different way.
+// append under mu, commit off-mutex, then ack. DDL handlers build a
+// record and pass it to command, which applies it through applyRecord.
+// The seeded violations each break the log-before-ack contract a
+// different way.
 package server
 
 import (
@@ -35,6 +37,13 @@ var errEmpty = &fixtureError{"empty relation"}
 type fixtureError struct{ msg string }
 
 func (e *fixtureError) Error() string { return e.msg }
+
+// applyRecord applies one record; the caller logs it.
+//
+//predmatchvet:holds mu
+func (s *Server) applyRecord(rec *wal.Record) (string, error) {
+	return "", s.declareRelation(rec.Relation)
+}
 
 //predmatchvet:holds mu
 func (s *Server) logCommand(rec *wal.Record) (uint64, error) {
@@ -72,13 +81,52 @@ func (s *Server) handleMatch(req *wire.Request) wire.Message {
 	return okMsg(req.ID)
 }
 
-// applyRecord is the replication shape: errors only, commit after
+// command is the shared DDL shape: apply the record, append it, commit,
+// then ack — clean.
+func (s *Server) command(id uint64, rec *wal.Record) wire.Message {
+	s.mu.Lock()
+	if _, err := s.applyRecord(rec); err != nil {
+		s.mu.Unlock()
+		return errMsg(id, err)
+	}
+	seq, werr := s.logCommand(rec)
+	s.mu.Unlock()
+	if err := s.commit(seq, werr); err != nil {
+		return errMsg(id, err)
+	}
+	m := okMsg(id)
+	m.WalSeq = seq
+	return m
+}
+
+// handleIndex delegates to command: it calls no helper itself, so the
+// contract does not cover it, and command's checks stand for it.
+func (s *Server) handleIndex(req *wire.Request) wire.Message {
+	return s.command(req.ID, &wal.Record{Kind: "index", Relation: req.Relation})
+}
+
+// replApplyRecord is the replication shape: errors only, commit after
 // append — clean.
-func (s *Server) applyRecord(rec *wal.Record) error {
+func (s *Server) replApplyRecord(rec *wal.Record) error {
+	if _, err := s.applyRecord(rec); err != nil {
+		return err
+	}
 	if _, err := s.wal.AppendExact(rec); err != nil {
 		return err
 	}
 	return s.wal.Commit(rec.Seq)
+}
+
+// applyWithoutLog applies a record and acks without logging it: the
+// command shape with logCommand dropped.
+func (s *Server) applyWithoutLog(id uint64, rec *wal.Record) wire.Message {
+	s.mu.Lock()
+	_, err := s.applyRecord(rec)
+	s.mu.Unlock()
+	if err != nil {
+		return errMsg(id, err)
+	}
+	return okMsg(id) // want "success response on a path without a dominating WAL append"
 }
 
 // ackWithoutAppend applies a DDL change and acks without ever logging

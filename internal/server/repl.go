@@ -2,7 +2,7 @@
 // `replicate` op by streaming its WAL — newest snapshot if the
 // follower's resume cursor was pruned, then the live record tail — over
 // the ordinary wire protocol. A follower (Config.FollowerOf set)
-// applies that stream through the same code paths recovery uses,
+// applies that stream through applyRecord, the code path recovery uses,
 // serves lock-free reads, and rejects mutations with a leader-redirect
 // error until it is promoted.
 //
@@ -27,9 +27,7 @@ import (
 	"fmt"
 	"time"
 
-	"predmatch/internal/storage"
 	"predmatch/internal/trace"
-	"predmatch/internal/tuple"
 	"predmatch/internal/wal"
 	"predmatch/internal/wire"
 )
@@ -281,7 +279,7 @@ func (s *Server) replApplyRecord(rec *wal.Record, sp *trace.Span) error {
 		s.mu.Unlock()
 		return fmt.Errorf("server: replication gap: want seq %d, got %d", want, rec.Seq)
 	}
-	if err := s.applyRecord(rec); err != nil {
+	if _, err := s.applyRecord(rec); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("server: apply replicated record %d: %w", rec.Seq, err)
 	}
@@ -289,13 +287,7 @@ func (s *Server) replApplyRecord(rec *wal.Record, sp *trace.Span) error {
 	_, err := s.wal.AppendExact(rec)
 	asp.End()
 	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	csp := sp.Child("wal.commit")
-	err = s.wal.Commit(rec.Seq)
-	csp.End()
-	if err != nil {
+	if err := s.commit(rec.Seq, err, sp); err != nil {
 		return err
 	}
 	s.advanceApplied(rec.Seq)
@@ -325,20 +317,10 @@ func (s *Server) replNotify(rec *wal.Record) {
 	if !wanted {
 		return
 	}
-	for _, we := range rec.Events {
-		op, err := parseEventOp(we.Op)
-		if err != nil || op == storage.OpDelete || we.Tuple == nil {
-			continue
+	for i := range rec.Events {
+		if ev, err := s.decodeEvent(&rec.Events[i]); err == nil && ev.New != nil {
+			s.onEventPreds(ev)
 		}
-		rel, ok := s.db.Catalog().Get(we.Rel)
-		if !ok {
-			continue
-		}
-		t, terr := wire.ToTuple(rel, we.Tuple)
-		if terr != nil {
-			continue
-		}
-		s.onEventPreds(storage.Event{Rel: we.Rel, Op: op, ID: tuple.ID(we.ID), New: t})
 	}
 }
 

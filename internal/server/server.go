@@ -931,139 +931,79 @@ func (s *Server) dispatch(c *conn, req *wire.Request, sp *trace.Span) wire.Messa
 	}
 }
 
-// Every DDL handler follows the log-before-ack shape: apply under mu,
-// append the command record under mu (so log order equals apply order),
-// release mu, then wait for durability — the group-commit window, in
-// which other mutators append and share the fsync.
+// command is where every DDL handler ends, once it has checked what
+// only a request needs and built the command's wal.Record. It applies
+// the record through applyRecord — the code that recovery and followers
+// replay it with — and acks it log-before-ack: apply under mu, append
+// the record under mu (so log order equals apply order), release mu,
+// then wait for durability — the group-commit window, in which other
+// mutators append and share the fsync. An addpred record gets its ID
+// here, under mu, so that ID allocation, the snapshot registry and the
+// log record are one atomic step with respect to checkpoints: a
+// snapshot can never capture a predicate whose record lies after the
+// snapshot's sequence.
 //
-// Acks carry the record's WAL sequence (WalSeq, 0 when not durable) as
-// a read-your-writes token: a client hands it to any replica as
-// Request.MinSeq and the replica serves the read only once its applied
-// state covers it.
-
-func (s *Server) handleDeclare(req *wire.Request, sp *trace.Span) wire.Message {
+// The ack carries the record's WAL sequence (WalSeq, 0 when not
+// durable) as a read-your-writes token: a client hands it to any replica
+// as Request.MinSeq and the replica serves the read only once its
+// applied state covers it.
+func (s *Server) command(id uint64, rec *wal.Record, sp *trace.Span) wire.Message {
 	s.mu.Lock()
-	if err := s.declareRelation(req.Relation, req.Attrs); err != nil {
-		s.mu.Unlock()
-		return errMsg(req.ID, err)
+	if rec.Kind == wal.KindAddPred {
+		rec.PredID = s.nextPredID.Load()
 	}
-	seq, werr := s.logCommand(&wal.Record{
-		Kind: wal.KindDeclare, Relation: req.Relation, Attrs: req.Attrs,
-	}, sp)
+	rule, err := s.applyRecord(rec)
+	if err != nil {
+		s.mu.Unlock()
+		return errMsg(id, err)
+	}
+	seq, werr := s.logCommand(rec, sp)
 	s.mu.Unlock()
 	if err := s.commit(seq, werr, sp); err != nil {
-		return errMsg(req.ID, err)
+		return errMsg(id, err)
 	}
-	m := okMsg(req.ID)
+	m := okMsg(id)
+	m.Name = rule
 	m.WalSeq = seq
 	return m
+}
+
+func (s *Server) handleDeclare(req *wire.Request, sp *trace.Span) wire.Message {
+	return s.command(req.ID, &wal.Record{Kind: wal.KindDeclare, Relation: req.Relation, Attrs: req.Attrs}, sp)
 }
 
 func (s *Server) handleIndex(req *wire.Request, sp *trace.Span) wire.Message {
-	s.mu.Lock()
-	tab, ok := s.db.Table(req.Relation)
-	if !ok {
-		s.mu.Unlock()
-		return errMsg(req.ID, fmt.Errorf("unknown relation %q", req.Relation))
-	}
-	if err := tab.CreateIndex(req.Attr); err != nil {
-		s.mu.Unlock()
-		return errMsg(req.ID, err)
-	}
-	seq, werr := s.logCommand(&wal.Record{
-		Kind: wal.KindIndex, Relation: req.Relation, Attr: req.Attr,
-	}, sp)
-	s.mu.Unlock()
-	if err := s.commit(seq, werr, sp); err != nil {
-		return errMsg(req.ID, err)
-	}
-	m := okMsg(req.ID)
-	m.WalSeq = seq
-	return m
+	return s.command(req.ID, &wal.Record{Kind: wal.KindIndex, Relation: req.Relation, Attr: req.Attr}, sp)
 }
 
+// handleRule acks with the defined rule's name.
 func (s *Server) handleRule(req *wire.Request, sp *trace.Span) wire.Message {
-	s.mu.Lock()
-	r, err := s.eng.DefineRule(req.Source)
-	if err != nil {
-		s.mu.Unlock()
-		return errMsg(req.ID, err)
-	}
-	seq, werr := s.logCommand(&wal.Record{Kind: wal.KindRule, Source: req.Source}, sp)
-	s.mu.Unlock()
-	if err := s.commit(seq, werr, sp); err != nil {
-		return errMsg(req.ID, err)
-	}
-	m := okMsg(req.ID)
-	m.Name = r.Name
-	m.WalSeq = seq
-	return m
+	return s.command(req.ID, &wal.Record{Kind: wal.KindRule, Source: req.Source}, sp)
 }
 
 func (s *Server) handleDropRule(req *wire.Request, sp *trace.Span) wire.Message {
-	s.mu.Lock()
-	if err := s.eng.DropRule(req.Name); err != nil {
-		s.mu.Unlock()
-		return errMsg(req.ID, err)
-	}
-	seq, werr := s.logCommand(&wal.Record{Kind: wal.KindDropRule, Name: req.Name}, sp)
-	s.mu.Unlock()
-	if err := s.commit(seq, werr, sp); err != nil {
-		return errMsg(req.ID, err)
-	}
-	m := okMsg(req.ID)
-	m.WalSeq = seq
-	return m
+	return s.command(req.ID, &wal.Record{Kind: wal.KindDropRule, Name: req.Name}, sp)
 }
 
-// handleAddPred registers a client predicate. It takes the mutation
-// mutex (although the sharded matcher tolerates concurrent
-// registration) so that ID allocation, the snapshot registry, and the
-// WAL record are one atomic step with respect to checkpoints — a
-// snapshot can never capture a predicate whose log record lies after
-// the snapshot's sequence.
+// handleAddPred registers a client predicate and acks with the ID
+// command assigned it.
 func (s *Server) handleAddPred(req *wire.Request, sp *trace.Span) wire.Message {
 	if req.Pred == nil {
 		return errMsg(req.ID, errors.New("addpred needs a pred"))
 	}
-	s.mu.Lock()
-	id := pred.ID(s.nextPredID.Load())
-	if err := s.addDirectPred(id, req.Pred); err != nil {
-		s.mu.Unlock()
-		return errMsg(req.ID, err)
+	rec := &wal.Record{Kind: wal.KindAddPred, Pred: req.Pred}
+	m := s.command(req.ID, rec, sp)
+	if m.OK {
+		m.PredID = rec.PredID
 	}
-	seq, werr := s.logCommand(&wal.Record{
-		Kind: wal.KindAddPred, PredID: int64(id), Pred: req.Pred,
-	}, sp)
-	s.mu.Unlock()
-	if err := s.commit(seq, werr, sp); err != nil {
-		return errMsg(req.ID, err)
-	}
-	m := okMsg(req.ID)
-	m.PredID = int64(id)
-	m.WalSeq = seq
 	return m
 }
 
 func (s *Server) handleRemovePred(req *wire.Request, sp *trace.Span) wire.Message {
-	id := pred.ID(req.PredID)
-	if id < DirectPredBase {
+	if pred.ID(req.PredID) < DirectPredBase {
 		return errMsg(req.ID, fmt.Errorf("predicate %d is not client-registered", req.PredID))
 	}
-	s.mu.Lock()
-	if err := s.sm.Remove(id); err != nil {
-		s.mu.Unlock()
-		return errMsg(req.ID, err)
-	}
-	delete(s.directPreds, req.PredID)
-	seq, werr := s.logCommand(&wal.Record{Kind: wal.KindRemovePred, PredID: req.PredID}, sp)
-	s.mu.Unlock()
-	if err := s.commit(seq, werr, sp); err != nil {
-		return errMsg(req.ID, err)
-	}
-	m := okMsg(req.ID)
-	m.WalSeq = seq
-	return m
+	return s.command(req.ID, &wal.Record{Kind: wal.KindRemovePred, PredID: req.PredID}, sp)
 }
 
 // handleMutation applies insert/update/delete through the engine under

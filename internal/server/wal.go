@@ -5,14 +5,17 @@
 // demand (the backup op).
 //
 // The logging strategy is split by operation class. DDL (declare,
-// index, rule, droprule, addpred, rmpred) is command-logged and
-// replayed back through the same code path that executed it. Mutations
-// are event-logged: the record carries every storage change the
-// request applied — the triggering insert/update/delete plus all
-// rule-cascade changes — captured by a storage observer registered
-// *before* the engine's (the notify chain aborts at the first observer
-// error, e.g. a rule raise, and the triggering change stays applied;
-// capture must therefore run first to see every applied event). Replay
+// index, rule, droprule, addpred, rmpred) is command-logged, and
+// applyRecord is its single apply path: the leader's handlers build the
+// wal.Record and apply it through applyRecord before logging it, and
+// recovery and followers replay the same record through the same
+// function. Mutations are event-logged: the record carries every
+// storage change the request applied — the triggering
+// insert/update/delete plus all rule-cascade changes — captured by a
+// storage observer registered *before* the engine's (the notify chain
+// aborts at the first observer error, e.g. a rule raise, and the
+// triggering change stays applied; capture must therefore run first to
+// see every applied event). Replay
 // installs those events directly through storage.Apply, bypassing the
 // engine, so rules do not re-fire and recovery reproduces exactly the
 // state that was acked — including the effects of rules that were
@@ -57,7 +60,12 @@ func Open(cfg Config) (*Server, error) {
 	}
 	l, info, err := wal.Recover(opt, wal.Handler{
 		LoadSnapshot: s.loadSnapshot,
-		Apply:        s.applyRecord,
+		Apply: func(rec *wal.Record) error {
+			if _, err := s.applyRecord(rec); err != nil {
+				return fmt.Errorf("server: replay record %d: %w", rec.Seq, err)
+			}
+			return nil
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -112,16 +120,12 @@ func (s *Server) logPending(sp *trace.Span) (uint64, error) {
 	// mutation overwrites both. Append has encoded it into the log's
 	// buffer before it returns and keeps no reference to it (followers and
 	// tails read records back from the segment files).
-	s.mutRec = wal.Record{Kind: wal.KindMutate, Events: s.pending, Trace: traceCtx(sp)}
-	asp := sp.Child("wal.append")
-	seq, err := s.wal.Append(&s.mutRec)
-	asp.SetInt("seq", int64(seq))
-	asp.SetInt("events", int64(len(s.pending)))
-	asp.End()
-	return seq, err
+	s.mutRec = wal.Record{Kind: wal.KindMutate, Events: s.pending}
+	return s.logCommand(&s.mutRec, sp)
 }
 
-// logCommand appends one DDL command record. Returns seq 0 when the
+// logCommand appends one record — a DDL command, or a mutation's events
+// — and records the append as a wal.append span. Returns seq 0 when the
 // server has no WAL.
 //
 //predmatchvet:holds mu
@@ -133,6 +137,9 @@ func (s *Server) logCommand(rec *wal.Record, sp *trace.Span) (uint64, error) {
 	asp := sp.Child("wal.append")
 	seq, err := s.wal.Append(rec)
 	asp.SetInt("seq", int64(seq))
+	if n := len(rec.Events); n > 0 {
+		asp.SetInt("events", int64(n))
+	}
 	asp.End()
 	return seq, err
 }
@@ -166,12 +173,32 @@ func parseEventOp(op string) (storage.Op, error) {
 	case "delete":
 		return storage.OpDelete, nil
 	default:
-		return 0, fmt.Errorf("server: replay: unknown event op %q", op)
+		return 0, fmt.Errorf("unknown event op %q", op)
 	}
 }
 
+// decodeEvent turns a logged event back into the storage event it
+// records, coercing its tuple to the relation's (already installed)
+// schema. Deletes carry no tuple.
+func (s *Server) decodeEvent(we *wal.Event) (storage.Event, error) {
+	op, err := parseEventOp(we.Op)
+	if err != nil {
+		return storage.Event{}, err
+	}
+	ev := storage.Event{Rel: we.Rel, Op: op, ID: tuple.ID(we.ID)}
+	if op == storage.OpDelete {
+		return ev, nil
+	}
+	rel, ok := s.db.Catalog().Get(we.Rel)
+	if !ok {
+		return ev, fmt.Errorf("unknown relation %q", we.Rel)
+	}
+	ev.New, err = wire.ToTuple(rel, we.Tuple)
+	return ev, err
+}
+
 // declareRelation builds and installs a schema from wire attributes
-// (shared by the declare handler and replay).
+// (shared by applyRecord and snapshot load).
 //
 //predmatchvet:holds mu
 func (s *Server) declareRelation(name string, wattrs []wire.Attr) error {
@@ -192,8 +219,8 @@ func (s *Server) declareRelation(name string, wattrs []wire.Attr) error {
 }
 
 // addDirectPred installs a client predicate under the given ID and
-// tracks its wire form for snapshots (shared by the addpred handler,
-// replay, and snapshot load).
+// tracks its wire form for snapshots (shared by applyRecord and
+// snapshot load).
 //
 //predmatchvet:holds mu
 func (s *Server) addDirectPred(id pred.ID, wp *wire.Predicate) error {
@@ -212,62 +239,59 @@ func (s *Server) addDirectPred(id pred.ID, wp *wire.Predicate) error {
 	return nil
 }
 
-// applyRecord replays one log record during recovery (no clients are
-// connected; the caller owns the server exclusively, hence the holds
-// directive).
+// applyRecord applies one log record to the in-memory state. It is the
+// only apply path for DDL: the leader's command handlers run it before
+// logging the record (see command), recovery replays through it, and
+// followers apply the replication stream through it. A KindMutate
+// record installs its events directly, without running rules. For a
+// KindRule record it returns the defined rule's name, which the rule
+// ack carries and replay ignores. Errors carry no prefix: a leader
+// hands them to the client as they are, and the replay call sites add
+// their own context.
 //
 //predmatchvet:holds mu
-func (s *Server) applyRecord(rec *wal.Record) error {
+func (s *Server) applyRecord(rec *wal.Record) (rule string, err error) {
 	switch rec.Kind {
 	case wal.KindDeclare:
-		return s.declareRelation(rec.Relation, rec.Attrs)
+		return "", s.declareRelation(rec.Relation, rec.Attrs)
 	case wal.KindIndex:
 		tab, ok := s.db.Table(rec.Relation)
 		if !ok {
-			return fmt.Errorf("server: replay: unknown relation %q", rec.Relation)
+			return "", fmt.Errorf("unknown relation %q", rec.Relation)
 		}
-		return tab.CreateIndex(rec.Attr)
+		return "", tab.CreateIndex(rec.Attr)
 	case wal.KindRule:
-		_, err := s.eng.DefineRule(rec.Source)
-		return err
+		r, err := s.eng.DefineRule(rec.Source)
+		if err != nil {
+			return "", err
+		}
+		return r.Name, nil
 	case wal.KindDropRule:
-		return s.eng.DropRule(rec.Name)
+		return "", s.eng.DropRule(rec.Name)
 	case wal.KindAddPred:
 		if rec.Pred == nil {
-			return fmt.Errorf("server: replay: addpred record %d has no pred", rec.Seq)
+			return "", fmt.Errorf("addpred record %d has no pred", rec.Seq)
 		}
-		return s.addDirectPred(pred.ID(rec.PredID), rec.Pred)
+		return "", s.addDirectPred(pred.ID(rec.PredID), rec.Pred)
 	case wal.KindRemovePred:
 		if err := s.sm.Remove(pred.ID(rec.PredID)); err != nil {
-			return err
+			return "", err
 		}
 		delete(s.directPreds, rec.PredID)
-		return nil
+		return "", nil
 	case wal.KindMutate:
-		for _, we := range rec.Events {
-			op, err := parseEventOp(we.Op)
+		for i := range rec.Events {
+			ev, err := s.decodeEvent(&rec.Events[i])
 			if err != nil {
-				return err
-			}
-			ev := storage.Event{Rel: we.Rel, Op: op, ID: tuple.ID(we.ID)}
-			if op != storage.OpDelete {
-				rel, ok := s.db.Catalog().Get(we.Rel)
-				if !ok {
-					return fmt.Errorf("server: replay: unknown relation %q", we.Rel)
-				}
-				t, err := wire.ToTuple(rel, we.Tuple)
-				if err != nil {
-					return fmt.Errorf("server: replay record %d: %w", rec.Seq, err)
-				}
-				ev.New = t
+				return "", err
 			}
 			if err := s.db.Apply(ev); err != nil {
-				return fmt.Errorf("server: replay record %d: %w", rec.Seq, err)
+				return "", err
 			}
 		}
-		return nil
+		return "", nil
 	default:
-		return fmt.Errorf("server: replay: unknown record kind %q", rec.Kind)
+		return "", fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
 }
 
@@ -288,15 +312,12 @@ func (s *Server) loadSnapshot(snap *wal.Snapshot) error {
 				return err
 			}
 		}
-		rel := tab.Relation()
 		for _, row := range sr.Rows {
-			t, err := wire.ToTuple(rel, row.Tuple)
+			ev, err := s.decodeEvent(&wal.Event{Rel: sr.Name, Op: storage.OpInsert.String(), ID: row.ID, Tuple: row.Tuple})
 			if err != nil {
 				return fmt.Errorf("server: snapshot %s row %d: %w", sr.Name, row.ID, err)
 			}
-			if err := s.db.Apply(storage.Event{
-				Rel: sr.Name, Op: storage.OpInsert, ID: tuple.ID(row.ID), New: t,
-			}); err != nil {
+			if err := s.db.Apply(ev); err != nil {
 				return err
 			}
 		}
