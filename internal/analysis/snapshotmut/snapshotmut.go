@@ -8,23 +8,23 @@
 // (Store/CompareAndSwap), and any snapshot obtained from a published
 // location (atomic Load, or a matcher's Snapshot accessor) is frozen —
 // readers stab it lock-free, so a single mutation is a data race and a
-// silent index corruption. A View's base and delta indexes are frozen
-// with it: successive Views share them. Mutation is legal only on a
-// fresh index (core.New or Clone) before it is published or built into
-// a View; a View changes only by deriving the next one (With, Without,
-// Merged).
+// silent index corruption. A View's base index is frozen with it:
+// successive Views share it. Mutation is legal only on a fresh index
+// (core.New or Clone) before it is published or built into a View; a
+// View changes only by deriving the next one (With, Without, Merged).
 //
 // The analyzer reports, within each function:
 //
 //   - a mutating Index method call (Add, Remove, Match, Candidates —
-//     Match and Candidates write the index's scratch buffer) or a direct
-//     field write on a variable after it was passed to an atomic
-//     Store/CompareAndSwap;
+//     Candidates writes the index's scratch buffer, and Match is held
+//     to the same rule, so a frozen Index is read through the View or
+//     ParallelMatcher that published it) or a direct field write on a
+//     variable after it was passed to an atomic Store/CompareAndSwap;
 //   - a mutating Index method call, or a field write, on a value
 //     obtained from an atomic Pointer[core.Index or core.View].Load or
 //     from a method named Snapshot, directly or via a variable;
 //   - a mutating method call on an Index reached through a field of a
-//     View (v.delta.Add(p)), directly or via a variable.
+//     View (v.base.Add(p)), directly or via a variable.
 //
 // The check is intraprocedural and source-position based: publishing
 // and reassignment are tracked in order of appearance. Clone and New
@@ -50,7 +50,8 @@ var (
 	IndexType = "Index"
 	ViewType  = "View"
 	// MutatingMethods are Index methods that are illegal on a frozen
-	// snapshot (Match and Candidates reuse the index scratch buffer).
+	// snapshot (Candidates reuses the index scratch buffer; Match is
+	// held to the same rule).
 	MutatingMethods = map[string]bool{
 		"Add": true, "Remove": true, "Match": true, "Candidates": true,
 	}
@@ -186,7 +187,7 @@ func checkMutation(pass *analysis.Pass, facts *funcFacts, recv ast.Expr, pos tok
 		}
 		return
 	}
-	// Direct chain through a View: v.delta.Add(p).
+	// Direct chain through a View: v.base.Add(p).
 	if viewIndexField(pass, recv) {
 		pass.Reportf(pos, "%s on an index reached through a %s: a View's indexes are frozen with it (Clone it first)", what, ViewType)
 		return
@@ -245,7 +246,7 @@ func isSnapshotPtr(t types.Type) bool {
 }
 
 // viewIndexField reports whether e selects an Index-typed field of a
-// View (v.base, v.delta).
+// View (v.base).
 func viewIndexField(pass *analysis.Pass, e ast.Expr) bool {
 	sel, ok := e.(*ast.SelectorExpr)
 	return ok && isIndexPtr(pass.TypeOf(sel)) && analysis.IsNamed(pass.TypeOf(sel.X), IndexPkg, ViewType)

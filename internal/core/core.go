@@ -89,9 +89,9 @@ type relIndex struct {
 	// predicate by Remove is never evaluated, and adopt assigns afresh.
 	fnSlots []fnSlot
 	// sum envelopes every interval clause of the predicates indexed
-	// here. Add widens it, Remove leaves it (stale-wide only
-	// over-admits), adopt and a View's Without rebuild it from the
-	// predicates they keep.
+	// here. place widens it, Remove leaves it (stale-wide only
+	// over-admits), and a merge rebuilds it by placing every live row
+	// afresh.
 	sum prefilter.Summary
 }
 
@@ -122,8 +122,8 @@ type fnSlot struct {
 	fn   pred.Func
 }
 
-func newRelIndex(rel *schema.Relation, trees int) *relIndex {
-	return &relIndex{rel: rel, trees: make(map[string]AttrIndex, trees), sum: prefilter.Make(rel.Arity())}
+func newRelIndex(rel *schema.Relation) *relIndex {
+	return &relIndex{rel: rel, trees: make(map[string]AttrIndex), sum: prefilter.Make(rel.Arity())}
 }
 
 // addUnindexed appends e to the non-indexable list, giving each of its
@@ -160,13 +160,17 @@ func (ri *relIndex) slot(name string, pos int, fn pred.Func) int {
 	return len(ri.fnSlots) - 1
 }
 
-// widen grows ri's summary by the interval clauses of b.
-func (ri *relIndex) widen(b *pred.Bound) {
+// envelop grows sum by the interval clauses of b and reports whether b
+// has any: one without is opaque to a summary.
+func envelop(sum *prefilter.Summary, b *pred.Bound) bool {
+	found := false
 	for i := range b.Pred.Clauses {
 		if c := &b.Pred.Clauses[i]; c.Kind == pred.KindInterval {
-			ri.sum.Widen(b.Pos(i), c.Iv)
+			sum.Widen(b.Pos(i), c.Iv)
+			found = true
 		}
 	}
+	return found
 }
 
 // admits reports whether any predicate indexed here could match t: one
@@ -191,9 +195,10 @@ func (ri *relIndex) rebuildProbes() {
 	}
 }
 
-// Index is the full predicate index of Figure 1. It is not safe for
-// concurrent use (Match reuses an internal scratch buffer); wrap it in
-// a ParallelMatcher for a lock-protected, intra-query-parallel variant.
+// Index is the full predicate index of Figure 1. Match writes nothing,
+// but Add, Remove and Candidates (which reuses an internal scratch
+// buffer) do, so it is not safe for concurrent use; wrap it in a
+// ParallelMatcher for a lock-protected, intra-query-parallel variant.
 type Index struct {
 	catalog *schema.Catalog
 	funcs   *pred.Registry
@@ -274,29 +279,47 @@ func (ix *Index) Add(p *pred.Predicate) error {
 	if err != nil {
 		return err
 	}
-	rel, _ := ix.catalog.Get(p.Rel)
+	return ix.place(e)
+}
+
+// place files the bound row e: its indexed clause into the tree of its
+// attribute, created on first use, or the row onto its relation's
+// non-indexable list; then it widens the relation's summary and enters
+// e in the PREDICATES table. Add and every merge place rows through it.
+func (ix *Index) place(e *entry) error {
+	p := e.bound.Pred
 	ri, ok := ix.rels[p.Rel]
 	if !ok {
-		ri = newRelIndex(rel, 0)
+		rel, _ := ix.catalog.Get(p.Rel)
+		ri = newRelIndex(rel)
 		ix.rels[p.Rel] = ri
 	}
 	if e.clause >= 0 {
-		c := p.Clauses[e.clause]
-		tree, ok := ri.trees[c.Attr]
+		c := &p.Clauses[e.clause]
+		tree, ok := ri.trees[e.attr]
 		if !ok {
 			tree = ix.factory()
-			ri.trees[c.Attr] = tree
+			ri.trees[e.attr] = tree
 			ri.rebuildProbes()
 		}
 		if err := tree.Insert(p.ID, c.Iv); err != nil {
-			return fmt.Errorf("core: indexing clause %v: %w", c, err)
+			return fmt.Errorf("core: indexing clause %v: %w", *c, err)
 		}
 	} else {
 		ri.addUnindexed(e)
 	}
-	ri.widen(e.bound)
+	envelop(&ri.sum, e.bound)
 	ix.preds[p.ID] = e
 	return nil
+}
+
+// mustPlace is place for a row bound and validated already, whose ID
+// the index does not hold: a failure means an index invariant is
+// broken.
+func (ix *Index) mustPlace(e *entry) {
+	if err := ix.place(e); err != nil {
+		panic(fmt.Sprintf("core: placing predicate %d: %v", e.bound.Pred.ID, err))
+	}
 }
 
 // bind resolves p into its PREDICATES row with the clause to index
@@ -341,50 +364,36 @@ func (ix *Index) Remove(id pred.ID) error {
 // Match implements matcher.Matcher: probe each attribute's IBS-tree with
 // the tuple's value for that attribute (a stabbing query), then complete
 // every partial match — and every non-indexable predicate — against the
-// PREDICATES table.
+// PREDICATES table. It writes nothing to the index.
 func (ix *Index) Match(rel string, t tuple.Tuple, dst []pred.ID) ([]pred.ID, error) {
 	ri, ok := ix.rels[rel]
 	if !ok {
 		return dst, nil
 	}
-	dst, ix.scratch = ix.matchMasked(ri, t, dst, ix.scratch[:0], nil)
-	return dst, nil
+	return ix.matchMasked(ri, t, dst, nil), nil
 }
 
-// MatchSnapshot is Match without the shared scratch buffer: it performs
-// no writes to the index at all, so any number of goroutines may call it
-// on the same Index concurrently — provided nothing mutates the index
-// meanwhile. This is the serial read path of ParallelMatcher, which
-// treats every published Index as frozen; internal/shard reads through
-// View.Match, built on the same matchMasked.
-func (ix *Index) MatchSnapshot(rel string, t tuple.Tuple, dst []pred.ID) ([]pred.ID, error) {
-	ri, ok := ix.rels[rel]
-	if !ok {
-		return dst, nil
-	}
-	dst, _ = ix.matchMasked(ri, t, dst, nil, nil)
-	return dst, nil
-}
-
-// matchMasked is the match of one relation: stab ri's trees into
-// scratch, then complete every candidate and every non-indexable
-// predicate whose ID is not in dead (sorted; nil masks nothing). It
-// never writes to the index, so it is safe against a frozen snapshot,
-// and returns the grown scratch for the caller to reuse: Match keeps it
-// in the index, a View carries it from its base to its delta.
-func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, scratch, dead []pred.ID) (out, buf []pred.ID) {
+// matchMasked is the match of one relation: stab ri's trees into dst's
+// spare capacity, complete the candidates there in place, compacting
+// the survivors down, then test the non-indexable predicates; an ID in
+// dead (sorted; nil masks nothing) is left out. A caller that reuses a
+// dst with room for the candidates allocates nothing. It never writes
+// to the index, so it is safe against a frozen snapshot.
+func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, dead []pred.ID) []pred.ID {
+	n := len(dst)
 	for _, pr := range ri.probes {
-		scratch = pr.tree.StabAppend(t[pr.pos], scratch)
+		dst = pr.tree.StabAppend(t[pr.pos], dst)
 	}
-	for _, id := range scratch {
+	for _, id := range dst[n:] {
 		if masked(dead, id) {
 			continue
 		}
-		e := ix.preds[id]
-		if e.bound.MatchSkipping(t, e.clause) {
-			dst = append(dst, id)
+		if e := ix.preds[id]; e.bound.MatchSkipping(t, e.clause) {
+			dst[n] = id
+			n++
 		}
 	}
+	dst = dst[:n]
 	// known marks the function slots evaluated for t so far, val their
 	// answers: a slot's function runs the first time a predicate needs
 	// it and is two ANDs for every predicate after that.
@@ -411,7 +420,7 @@ func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, scratch, dead []p
 			dst = append(dst, x.id)
 		}
 	}
-	return dst, scratch
+	return dst
 }
 
 // Clone returns a copy of the index that can be mutated without
@@ -420,20 +429,9 @@ func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, scratch, dead []p
 // and every attribute tree are rebuilt, costing one tree insertion per
 // indexed predicate. Clone is what ParallelMatcher uses to prepare
 // the next snapshot before publishing it.
-func (ix *Index) Clone() *Index { return ix.rebuild(nil, nil) }
-
-// rebuild is Clone generalized to a View merge: a fresh index holding
-// ix's predicates except the IDs in dead (sorted), plus every predicate
-// of delta when delta is non-nil.
-func (ix *Index) rebuild(dead []pred.ID, delta *Index) *Index {
+func (ix *Index) Clone() *Index {
 	cp := ix.blank()
-	cp.adopt(ix, dead)
-	if delta != nil {
-		cp.adopt(delta, nil)
-	}
-	for _, ri := range cp.rels {
-		ri.rebuildProbes()
-	}
+	cp.adopt(ix, nil)
 	return cp
 }
 
@@ -450,44 +448,22 @@ func (ix *Index) blank() *Index {
 	}
 }
 
-// adopt re-indexes src's predicates, minus the IDs in skip (sorted),
-// into ix: one tree insertion per indexed predicate, sharing the
-// PREDICATES rows, with the function slots assigned and the summaries
-// widened afresh — so what ix admits is exact for the predicates it
-// ends up holding. Probe lists are left for the caller to rebuild.
+// adopt places src's predicates, minus the IDs in skip (sorted), into
+// ix: one tree insertion per indexed predicate, sharing the PREDICATES
+// rows, with the function slots assigned and the summaries widened
+// afresh — so what ix admits is exact for the predicates it ends up
+// holding. Each non-indexable list keeps its order.
 func (ix *Index) adopt(src *Index, skip []pred.ID) {
-	for name, ri := range src.rels {
-		cri, ok := ix.rels[name]
-		if !ok {
-			cri = newRelIndex(ri.rel, len(ri.trees))
-			ix.rels[name] = cri
-		}
-		cri.nonIndexable = slices.Grow(cri.nonIndexable, len(ri.nonIndexable))
+	for _, ri := range src.rels {
 		for _, x := range ri.nonIndexable {
 			if !masked(skip, x.id) {
-				cri.addUnindexed(x.e)
+				ix.mustPlace(x.e)
 			}
 		}
 	}
 	for id, e := range src.preds {
-		if masked(skip, id) {
-			continue
-		}
-		ix.preds[id] = e
-		ri := ix.rels[e.bound.Pred.Rel]
-		ri.widen(e.bound)
-		if e.clause < 0 {
-			continue
-		}
-		tree, ok := ri.trees[e.attr]
-		if !ok {
-			tree = ix.factory()
-			ri.trees[e.attr] = tree
-		}
-		if err := tree.Insert(id, e.bound.Pred.Clauses[e.clause].Iv); err != nil {
-			// The clause was inserted into an equivalent tree once
-			// already; failing here means an index invariant is broken.
-			panic(fmt.Sprintf("core: rebuild re-insert of predicate %d: %v", id, err))
+		if e.clause >= 0 && !masked(skip, id) {
+			ix.mustPlace(e)
 		}
 	}
 }

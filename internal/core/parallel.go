@@ -111,8 +111,7 @@ func (ix *Index) matchParallel(rel string, t tuple.Tuple, dst []pred.ID, workers
 	// threshold is deliberately coarse — the crossover is measured by
 	// BenchmarkParallelMatch.
 	if len(ri.probes) <= 1 && len(ri.nonIndexable) < 64 {
-		dst, _ = ix.matchMasked(ri, t, dst, nil, nil)
-		return dst, nil
+		return ix.matchMasked(ri, t, dst, nil), nil
 	}
 
 	// Phase 1: one goroutine per attribute tree (the paper's "processor

@@ -40,8 +40,7 @@ func sortedMatch(t *testing.T, m interface {
 // outside every envelope and take Match's skip path. The random steps
 // run between two scripted sequences over the same oracle: writes that
 // change the shape of an all-delta view before them, a tombstoned ID
-// re-added and removed again after; and checkDelta holds every derived
-// delta to the shape Match relies on.
+// re-added and removed again after.
 func TestViewDifferential(t *testing.T) {
 	f := matchertest.NewFixture()
 	rng := rand.New(rand.NewSource(14))
@@ -82,12 +81,11 @@ func TestViewDifferential(t *testing.T) {
 		skips       int
 	)
 	publish := func(next *View) {
-		checkDelta(t, next)
 		m := next.Merged()
 		if m != next {
 			merges++
-			if m.delta.Len() != 0 || len(m.dead) != 0 {
-				t.Fatalf("merge left an overlay: delta %d, dead %d", m.delta.Len(), len(m.dead))
+			if m.deltaLen() != 0 || len(m.dead) != 0 {
+				t.Fatalf("merge left an overlay: delta %d, dead %d", m.deltaLen(), len(m.dead))
 			}
 		}
 		v = m
@@ -127,30 +125,30 @@ func TestViewDifferential(t *testing.T) {
 	}
 
 	// Scripted, on the empty view, where every write lands in the delta:
-	// a predicate with no indexed clause comes and goes beside two trees
-	// and leaves them probed; the last predicate on an attribute takes
-	// its tree with it, the last of the relation its relIndex.
+	// a predicate with no interval clause makes the relation's rows admit
+	// every tuple while it is there and no longer once it is gone; the
+	// last predicate of the relation takes its rows with it.
 	emp := f.Rels[0]
 	rich := tuple.New(value.String_("a"), value.Int(30), value.Int(60), value.String_("toy"))
+	poor := tuple.New(value.String_("a"), value.Int(31), value.Int(10), value.String_("toy"))
 	add(salaryAtLeast(0, 50))
 	add(pred.New(1, "emp", pred.EqClause("age", value.Int(30))))
-	before := v.delta.rels["emp"]
 	add(pred.New(2, "emp", pred.FnClause("age", "iseven")))
 	check(emp, rich)
+	if !v.Admit("emp", poor) {
+		t.Fatal("a row with no interval clause is in the delta and a tuple outside every envelope is skipped")
+	}
 	remove(2)
 	check(emp, rich)
-	if ri := v.delta.rels["emp"]; len(ri.probes) != 2 || ri.trees["age"] != before.trees["age"] || ri.trees["salary"] != before.trees["salary"] {
-		t.Fatalf("a predicate with no indexed clause came and went and left %d probes over %d trees, want the 2 trees it found", len(ri.probes), len(ri.trees))
+	if d := v.delta["emp"]; len(d.rows) != 2 || v.Admit("emp", poor) {
+		t.Fatalf("the row with no interval clause left %d rows that admit a tuple outside every envelope", len(d.rows))
 	}
 	remove(1)
 	check(emp, rich)
-	if ri := v.delta.rels["emp"]; len(ri.trees) != 1 || ri.trees["salary"] != before.trees["salary"] {
-		t.Fatalf("%d trees after the last predicate on age left, want salary's alone and untouched", len(ri.trees))
-	}
 	remove(0)
 	check(emp, rich)
-	if _, ok := v.delta.rels["emp"]; ok || v.Admit("emp", rich) {
-		t.Fatal("the relation's last predicate left and its relIndex still admits")
+	if _, ok := v.delta["emp"]; ok || v.Admit("emp", rich) {
+		t.Fatal("the relation's last predicate left and its delta still admits")
 	}
 	nextID = 3
 
@@ -236,26 +234,6 @@ func TestViewDifferential(t *testing.T) {
 	}
 }
 
-// checkDelta holds a derived delta to the shape Match relies on: every
-// tree non-empty and probed exactly once at its attribute's position,
-// and no relation kept without a predicate.
-func checkDelta(t *testing.T, v *View) {
-	t.Helper()
-	for name, ri := range v.delta.rels {
-		if len(ri.trees) == 0 && len(ri.nonIndexable) == 0 {
-			t.Fatalf("the delta keeps a relIndex for %s, which has no predicate there", name)
-		}
-		if len(ri.probes) != len(ri.trees) {
-			t.Fatalf("%s: %d probes over %d trees", name, len(ri.probes), len(ri.trees))
-		}
-		for _, pr := range ri.probes {
-			if attr := ri.rel.Attrs()[pr.pos].Name; ri.trees[attr] != pr.tree || pr.tree.Len() == 0 {
-				t.Fatalf("%s.%s: the probe holds a tree of %d intervals, the map another or none", name, attr, pr.tree.Len())
-			}
-		}
-	}
-}
-
 func salaryAtLeast(id pred.ID, n int64) *pred.Predicate {
 	return pred.New(id, "emp", pred.IvClause("salary", interval.AtLeast(value.Int(n))))
 }
@@ -277,8 +255,8 @@ func TestViewTombstoneMasksBaseOnly(t *testing.T) {
 	for id := pred.ID(0); id <= 16; id++ {
 		v = must(v.With(salaryAtLeast(id, 50)))
 	}
-	if v.base.Len() != 17 || v.delta.Len() != 0 {
-		t.Fatalf("base %d, delta %d after the first merge; want 17, 0", v.base.Len(), v.delta.Len())
+	if v.base.Len() != 17 || v.deltaLen() != 0 {
+		t.Fatalf("base %d, delta %d after the first merge; want 17, 0", v.base.Len(), v.deltaLen())
 	}
 	emp := func(salary int64) tuple.Tuple {
 		return tuple.New(value.String_("a"), value.Int(30), value.Int(salary), value.String_("toy"))
@@ -323,87 +301,76 @@ func TestViewTombstoneMasksBaseOnly(t *testing.T) {
 		t.Fatal("a view changed after a later write")
 	}
 
-	// One stats row per tree, summed over base and delta.
+	// Trees reports the base's trees alone: the delta rows are not in
+	// one. The tombstoned copy of 3 still occupies the salary tree.
 	v = must(v.With(salaryAtLeast(100, 10)))
 	v = must(v.With(pred.New(101, "emp", pred.EqClause("age", value.Int(44)))))
-	trees := v.Trees()
-	if len(trees) != 2 || trees[0].Attr != "age" || trees[1].Attr != "salary" {
-		t.Fatalf("Trees() = %+v, want one row for age and one for salary", trees)
-	}
-	if trees[0].Intervals != 1 || trees[1].Intervals != 18 {
-		t.Fatalf("Trees() intervals = %d, %d; want 1 (delta only) and 17 base + 1 delta", trees[0].Intervals, trees[1].Intervals)
+	if trees := v.Trees(); len(trees) != 1 || trees[0].Attr != "salary" || trees[0].Intervals != 17 {
+		t.Fatalf("Trees() = %+v, want one row for the base's salary tree of 17 intervals", trees)
 	}
 }
 
-// TestViewWriteRebuildsOneTree is a delta write's cost by count and its
-// sharing by identity: in a delta holding 4 predicates on each of a
-// relation's 5 attributes, With pays the 5 insertions of the tree its
-// predicate lands in and Without the 4 of what is left there (a copy of
-// the whole delta paid 21 and 20), and the successor's other four trees
-// and the other relation's relIndex are the predecessor's own. The
-// side of the property with nothing to share — one indexed attribute —
-// is internal/shard's TestWriteCostSublinear.
-func TestViewWriteRebuildsOneTree(t *testing.T) {
-	cat := schema.NewCatalog()
-	for _, name := range []string{"r", "q"} {
-		attrs := make([]schema.Attribute, 5)
-		for i := range attrs {
-			attrs[i] = schema.Attribute{Name: fmt.Sprintf("a%d", i), Type: value.KindInt}
-		}
-		if err := cat.Add(schema.MustRelation(name, attrs...)); err != nil {
-			t.Fatal(err)
-		}
+// TestViewDeltaAliasing: Views derived from one parent share its delta
+// rows, so a write that appended into the parent's backing array would
+// let one child overwrite a row another child or the parent still
+// holds. Children are derived from parents of 1 to 8 rows, where an
+// appending With would find spare capacity at some size: With(p) and
+// With(q) side by side, and With after each delta Without. Every View
+// must match exactly its own predicate set against the seqscan oracle,
+// and the parent must be unchanged.
+func TestViewDeltaAliasing(t *testing.T) {
+	f := matchertest.NewFixture()
+	salaryIs := func(id pred.ID) *pred.Predicate {
+		return pred.New(id, "emp", pred.EqClause("salary", value.Int(int64(id))))
 	}
-	var inserts int
-	v := NewView(cat, pred.NewRegistry(), WithIndexFactory(func() AttrIndex {
-		return &matchertest.CountingIndex{Inserts: &inserts}
-	}))
-	on := func(id pred.ID, rel string, attr int) *pred.Predicate {
-		return pred.New(id, rel, pred.EqClause(fmt.Sprintf("a%d", attr), value.Int(int64(id))))
-	}
-	with := func(p *pred.Predicate) *View {
+	with := func(v *View, p *pred.Predicate) *View {
 		t.Helper()
-		next, err := v.With(p) // never Merged: everything stays in the delta
+		next, err := v.With(p) // never Merged: every row stays in the delta
 		if err != nil {
 			t.Fatal(err)
 		}
 		return next
 	}
-	for id := pred.ID(0); id < 20; id++ {
-		v = with(on(id, "r", int(id)%5))
-	}
-	v = with(on(20, "q", 0))
-
-	// shared checks next against prev: only r's tree on a2 may differ.
-	shared := func(what string, prev, next *View) {
+	same := func(what string, v *View, preds []*pred.Predicate) {
 		t.Helper()
-		if next.delta.rels["q"] != prev.delta.rels["q"] {
-			t.Errorf("%s: the other relation's relIndex was copied", what)
+		oracle := seqscan.New(f.Catalog, f.Funcs)
+		for _, p := range preds {
+			if err := oracle.Add(p); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for attr, tree := range prev.delta.rels["r"].trees {
-			if same := next.delta.rels["r"].trees[attr] == tree; same != (attr != "a2") {
-				t.Errorf("%s: tree %s shared with the predecessor = %v", what, attr, same)
+		if v.Len() != len(preds) {
+			t.Fatalf("%s: Len %d, want %d", what, v.Len(), len(preds))
+		}
+		for salary := int64(0); salary < 16; salary++ {
+			tup := tuple.New(value.String_("a"), value.Int(30), value.Int(salary), value.String_("toy"))
+			if got, want := sortedMatch(t, v, "emp", tup), sortedMatch(t, oracle, "emp", tup); !slices.Equal(got, want) {
+				t.Fatalf("%s: Match(salary %d) = %v, oracle %v", what, salary, got, want)
 			}
 		}
 	}
-	was := inserts
-	added := with(on(21, "r", 2))
-	if got := inserts - was; got != 5 {
-		t.Errorf("With on one of 5 attributes paid %d insertions, want the 5 of its tree", got)
-	}
-	shared("With", v, added)
-	was = inserts
-	removed, err := added.Without(21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := inserts - was; got != 4 {
-		t.Errorf("Without paid %d insertions, want the 4 left in its tree", got)
-	}
-	shared("Without", added, removed)
-	for i, want := range []int{4, 5, 4} {
-		if got := []*View{v, added, removed}[i].delta.rels["r"].trees["a2"].Len(); got != want {
-			t.Errorf("view %d holds %d intervals on a2, want %d", i, got, want)
+	for n := 1; n <= 8; n++ {
+		parent := NewView(f.Catalog, f.Funcs)
+		var preds []*pred.Predicate
+		for id := pred.ID(1); id <= pred.ID(n); id++ {
+			parent = with(parent, salaryIs(id))
+			preds = append(preds, salaryIs(id))
+		}
+		p, q := salaryIs(10), salaryIs(11)
+		vp, vq := with(parent, p), with(parent, q)
+		same(fmt.Sprintf("%d rows + p", n), vp, append(slices.Clip(preds), p))
+		same(fmt.Sprintf("%d rows + q", n), vq, append(slices.Clip(preds), q))
+		same(fmt.Sprintf("the parent of %d rows", n), parent, preds)
+		for i := range preds {
+			rest := slices.Concat(preds[:i], preds[i+1:])
+			w, err := parent.Without(preds[i].ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ww := with(w, salaryIs(12))
+			same(fmt.Sprintf("%d rows - row %d", n, i), w, rest)
+			same(fmt.Sprintf("%d rows - row %d + r", n, i), ww, append(slices.Clip(rest), salaryIs(12)))
+			same(fmt.Sprintf("the parent of %d rows", n), parent, preds)
 		}
 	}
 }
@@ -519,14 +486,11 @@ func TestRetainedViewsUnderWriter(t *testing.T) {
 	}
 }
 
-// TestViewMatchAllocs: the overlay adds no allocation to a match. The
-// tombstone filter and the delta stab run in the scratch slice the base
-// stab grew, so for every tuple View.Match allocates exactly what
-// Index.MatchSnapshot on its base does — with the delta empty, where
-// the two hold the same predicate set, and with it populated. (An Index
-// rebuilt over base+delta has differently shaped trees, so its
-// append-growth count differs by one either way for reasons that are
-// not the overlay's.)
+// TestViewMatchAllocs: a match allocates nothing when the caller's dst
+// has room for the candidates. The base stab runs in dst's spare
+// capacity, the tombstone filter compacts it in place and the delta
+// rows are tested where they lie, with the delta empty and with it
+// populated.
 func TestViewMatchAllocs(t *testing.T) {
 	f := matchertest.NewFixture()
 	rng := rand.New(rand.NewSource(3))
@@ -536,9 +500,6 @@ func TestViewMatchAllocs(t *testing.T) {
 		tups[i] = f.RandomTuple(rng, emp)
 	}
 	dst := make([]pred.ID, 0, 1024)
-	allocs := func(match func(string, tuple.Tuple, []pred.ID) ([]pred.ID, error), tup tuple.Tuple) float64 {
-		return testing.AllocsPerRun(5, func() { dst, _ = match("emp", tup, dst[:0]) })
-	}
 	v := NewView(f.Catalog, f.Funcs)
 	checked := map[bool]int{}
 	for id := pred.ID(0); id < 400; id++ {
@@ -546,25 +507,26 @@ func TestViewMatchAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if id%7 == 0 && id > 0 {
+			if next, err = next.Without(id / 2); err != nil { // a tombstone or a delta removal
+				t.Fatal(err)
+			}
+		}
 		v = next.Merged()
-		emptyDelta := v.delta.Len() == 0
+		emptyDelta := v.deltaLen() == 0
 		if id < 300 || checked[emptyDelta] > 0 {
 			continue
 		}
-		base, delta := v.base.Clone(), v.delta.Clone() // Candidates writes its index's scratch
 		for _, tup := range tups {
-			if delta.Candidates("emp", tup) > base.Candidates("emp", tup) {
-				continue // the delta stab outgrows the base's scratch: nothing to share
-			}
 			checked[emptyDelta]++
-			if got, want := allocs(v.Match, tup), allocs(v.base.MatchSnapshot, tup); got != want {
-				t.Errorf("%d predicates, %d in delta: View.Match(%v) allocates %v times, MatchSnapshot on the base %v",
-					v.Len(), v.delta.Len(), tup, got, want)
+			if n := testing.AllocsPerRun(5, func() { dst, _ = v.Match("emp", tup, dst[:0]) }); n != 0 {
+				t.Errorf("%d predicates, %d in delta, %d tombstoned: View.Match(%v) allocates %v times, want 0",
+					v.Len(), v.deltaLen(), len(v.dead), tup, n)
 			}
 		}
 	}
 	if checked[true] < 32 || checked[false] < 32 {
-		t.Fatalf("compared %d tuples with an empty delta and %d with a populated one; want at least 32 of each",
+		t.Fatalf("checked %d tuples with an empty delta and %d with a populated one; want at least 32 of each",
 			checked[true], checked[false])
 	}
 }

@@ -36,11 +36,10 @@
 // Insert and Delete update a registry of live intervals and invalidate
 // the built arrays; the next stab rebuilds them and publishes the result
 // with an atomic store. This matches the repository's serving layer,
-// which never mutates a published index — a writer re-inserts only the
-// small delta of a core.View into a fresh index and republishes
+// which never mutates a published index — a writer appends to the
+// small, unindexed delta of a core.View and republishes
 // (internal/shard), so the arrays over a relation's large base are
-// built once per merge and only the delta's few are rebuilt per write,
-// each on first probe. Concurrent stabs of the same index
+// built once per merge, on first probe, and no write rebuilds them. Concurrent stabs of the same index
 // are safe (the lazy build is guarded by a mutex and published
 // atomically — a reader either sees nil and builds, or sees a fully
 // built structure, never a torn one); mutation requires the same

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -85,6 +86,14 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 	if _, err := c.DefineRule("rule band on insert to emp when salary between 100 and 200 do log 'b'"); err != nil {
 		t.Fatal(err)
+	}
+	// A relation's first 16 predicates sit in its shard's delta, which
+	// is scanned, not stabbed; the 17th write merges them all into the
+	// base trees, so the matches below stab an IBS-tree.
+	for i := 0; i < 16; i++ {
+		if _, err := c.DefineRule(fmt.Sprintf("rule never%d on insert to emp when age > %d do log 'n'", i, 1000+i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 0; i < 10; i++ {
 		if _, _, err := c.Insert("emp", tuple.New(value.Int(30), value.Int(int64(100+i*10)))); err != nil {

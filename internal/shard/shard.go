@@ -2,24 +2,24 @@
 // paper's first-level hash on relation name (Figure 1) becomes the unit
 // of concurrency. Every relation gets its own shard, and every shard
 // holds an atomically published, immutable core.View covering only that
-// relation's predicates: a large base index, a small delta index of
-// recent adds, and the tombstones of recent removes.
+// relation's predicates: a large base index, a flat delta of the rows
+// of recent adds, and the tombstones of recent removes.
 //
 // Concurrency model:
 //
 //   - Match is lock-free: one atomic load of the shard directory, one
-//     atomic load of the shard's view, then a read-only two-level stab —
-//     base hits minus tombstones, then delta hits — against the frozen
-//     view. The view carries its own admission summary (the envelopes
+//     atomic load of the shard's view, then a read-only two-level read —
+//     base hits minus tombstones, then the delta rows the tuple
+//     satisfies — against the frozen view. The view carries its own admission summary (the envelopes
 //     of its interval clauses), so the same load yields index and
 //     filter: a tuple outside every envelope touches no tree. Readers
 //     never block writers or each other.
 //   - Writers serialize per shard: Add/Remove take the shard's mutex,
-//     derive the next view — the delta with the one attribute tree the
-//     change lands in rebuilt, or a copy of the tombstone list; the
-//     base and the delta's other trees are shared, so that is O(|delta|)
-//     tree insertions at most, however large the relation — and
-//     publish it with an atomic store. Once in about √(2N) writes the
+//     derive the next view — a copy of the delta's rows with one row
+//     added or dropped, or a copy of the tombstone list; the base is
+//     shared, so that is O(|delta|) pointer copies and no tree
+//     insertion, however large the relation — and publish it with an
+//     atomic store. Once in about √(2N) writes the
 //     overlay outgrows core's merge rule and the same writer first
 //     rebuilds the base, inline: O(√N) insertions per write amortized.
 //     Writers to different relations proceed fully in parallel — the
