@@ -6,24 +6,28 @@ import (
 	"testing"
 
 	"predmatch/internal/script"
+	"predmatch/internal/strategy"
 )
 
 func TestMatcherFactory(t *testing.T) {
-	for _, name := range []string{"ibs", "ibs-unbalanced", "hashseq", "seqscan", "rtree", "sharded"} {
+	for _, name := range strategy.Names() {
 		mk, err := matcherFactory(name)
 		if err != nil || mk == nil {
 			t.Errorf("matcherFactory(%q) = %v", name, err)
 		}
 	}
-	if _, err := matcherFactory("bogus"); err == nil {
-		t.Error("unknown matcher accepted")
+	// The comparison-only structures are not served.
+	for _, name := range []string{"bogus", "ibs-unbalanced", "segtree", "inttree", "pst", "augtree", "hashseq", "rtree"} {
+		if _, err := matcherFactory(name); err == nil {
+			t.Errorf("matcherFactory(%q) accepted", name)
+		}
 	}
 }
 
-// TestDemoScript runs the built-in demo through every matcher; its
-// statements must parse and execute cleanly everywhere.
+// TestDemoScript runs the built-in demo through every registered
+// strategy; its statements must parse and execute cleanly everywhere.
 func TestDemoScript(t *testing.T) {
-	for _, name := range []string{"ibs", "ibs-unbalanced", "hashseq", "seqscan", "rtree", "sharded"} {
+	for _, name := range strategy.Names() {
 		mk, err := matcherFactory(name)
 		if err != nil {
 			t.Fatal(err)

@@ -40,19 +40,21 @@ func TestFactoryCoversRegistry(t *testing.T) {
 		t.Error("matcherFactory accepted unknown strategy")
 	} else {
 		// The error must enumerate the real choices.
-		for _, name := range strategy.Names() {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("unknown-strategy error omits %q: %v", name, err)
-			}
+		want := `unknown matcher "nosuch" (want one of ibs, hint, islist, seqscan, sharded, sharded-hint)`
+		if err.Error() != want {
+			t.Errorf("unknown-strategy error = %q, want %q", err, want)
 		}
+	}
+	if want := "matching strategy (one of ibs, hint, islist, seqscan, sharded, sharded-hint)"; help != want {
+		t.Errorf("flag help = %q, want %q", help, want)
 	}
 }
 
 // TestIndexNamesAreCoreStrategies asserts every predmatchd -index
 // choice resolves CoreOptions and appears in the index flag help, and
-// that anything else — a whole-matcher strategy, a comparison-only
-// structure, the removed adaptive selector — is rejected with an error
-// naming exactly the served choices.
+// that anything else — a whole-matcher strategy, an unregistered
+// comparison structure, the removed adaptive selector — is rejected
+// with an error naming exactly the served choices.
 func TestIndexNamesAreCoreStrategies(t *testing.T) {
 	help := strategy.IndexFlagHelp()
 	for _, name := range strategy.IndexNames() {

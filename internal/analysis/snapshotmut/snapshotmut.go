@@ -1,10 +1,10 @@
 // Package snapshotmut defines an analyzer that enforces the repo's
 // copy-on-write snapshot discipline for the predicate index.
 //
-// The concurrency model of internal/shard and core.ParallelMatcher
-// rests on one rule: a snapshot — the *core.View a shard publishes, the
-// *core.Index a ParallelMatcher publishes — becomes immutable the
-// moment it is published through an atomic.Pointer
+// The concurrency model of internal/shard rests on one rule: a
+// snapshot — the *core.View a shard publishes, or a *core.Index
+// published the same way — becomes immutable the moment it is
+// published through an atomic.Pointer
 // (Store/CompareAndSwap), and any snapshot obtained from a published
 // location (atomic Load, or a matcher's Snapshot accessor) is frozen —
 // readers stab it lock-free, so a single mutation is a data race and a
@@ -17,8 +17,8 @@
 //
 //   - a mutating Index method call (Add, Remove, Match, Candidates —
 //     Candidates writes the index's scratch buffer, and Match is held
-//     to the same rule, so a frozen Index is read through the View or
-//     ParallelMatcher that published it) or a direct field write on a
+//     to the same rule, so a frozen Index is read through the View
+//     that holds it) or a direct field write on a
 //     variable after it was passed to an atomic Store/CompareAndSwap;
 //   - a mutating Index method call, or a field write, on a value
 //     obtained from an atomic Pointer[core.Index or core.View].Load or

@@ -197,8 +197,8 @@ func (ri *relIndex) rebuildProbes() {
 
 // Index is the full predicate index of Figure 1. Match writes nothing,
 // but Add, Remove and Candidates (which reuses an internal scratch
-// buffer) do, so it is not safe for concurrent use; wrap it in a
-// ParallelMatcher for a lock-protected, intra-query-parallel variant.
+// buffer) do, so it is not safe for concurrent use; the serving layer
+// (internal/shard) publishes immutable Views for concurrent readers.
 type Index struct {
 	catalog *schema.Catalog
 	funcs   *pred.Registry
@@ -427,8 +427,7 @@ func (ix *Index) matchMasked(ri *relIndex, t tuple.Tuple, dst, dead []pred.ID) [
 // affecting the original (and vice versa). The PREDICATES table entries
 // are shared — they are immutable after Add — while the relation tables
 // and every attribute tree are rebuilt, costing one tree insertion per
-// indexed predicate. Clone is what ParallelMatcher uses to prepare
-// the next snapshot before publishing it.
+// indexed predicate.
 func (ix *Index) Clone() *Index {
 	cp := ix.blank()
 	cp.adopt(ix, nil)

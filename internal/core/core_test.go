@@ -33,8 +33,8 @@ func TestConformanceUnbalanced(t *testing.T) {
 
 // TestConcurrentConformance drives the read/write storm harness; the
 // bare Index is single-threaded (shared scratch buffer), so it runs
-// under the Synchronized wrapper. ParallelMatcher and the sharded
-// matcher run the same harness bare in their own tests.
+// under the Synchronized wrapper. The sharded matcher runs the same
+// harness bare in its own tests.
 func TestConcurrentConformance(t *testing.T) {
 	matchertest.RunConcurrent(t, func(f *matchertest.Fixture) matcher.Matcher {
 		return matchertest.Synchronized(core.New(f.Catalog, f.Funcs))

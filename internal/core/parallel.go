@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"predmatch/internal/pred"
 	"predmatch/internal/tuple"
@@ -22,87 +21,14 @@ import (
 // tests and the non-indexable list across workers. As the paper notes,
 // the initial relation-name hash is a per-tuple cost and does not scale.
 
-// ParallelMatcher wraps an Index with a worker pool configuration,
-// yielding a matcher that is safe for concurrent use and exploits
-// intra-query parallelism. Construct with NewParallel.
-//
-// Concurrency model: the matcher holds an atomically published,
-// immutable Index snapshot. Match performs one atomic load and then
-// runs entirely against that frozen snapshot — no lock is held while
-// trees are stabbed or candidates are completed, so readers never block
-// writers or each other. Writers (Add/Remove) serialize on a mutex,
-// clone the current snapshot, apply the change to the clone, and
-// publish it; a Match that is already in flight keeps observing the
-// snapshot it loaded. Every Match therefore sees some index state that
-// existed between the call's start and end, never a half-applied write.
-type ParallelMatcher struct {
-	writeMu sync.Mutex // serializes clone-and-publish writers
-	snap    atomic.Pointer[Index]
-	workers int
-}
-
-// NewParallel wraps ix, adopting it as the initial snapshot; the caller
-// must not use ix directly afterwards. workers bounds the
-// completion-test fan-out; workers <= 0 selects GOMAXPROCS.
-func NewParallel(ix *Index, workers int) *ParallelMatcher {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pm := &ParallelMatcher{workers: workers}
-	pm.snap.Store(ix)
-	return pm
-}
-
-// Name implements matcher.Matcher.
-func (pm *ParallelMatcher) Name() string { return pm.snap.Load().Name() + "-parallel" }
-
-// Len implements matcher.Matcher.
-func (pm *ParallelMatcher) Len() int { return pm.snap.Load().Len() }
-
-// Add implements matcher.Matcher by clone-and-publish: the new snapshot
-// becomes visible to subsequent Match calls in one atomic store.
-func (pm *ParallelMatcher) Add(p *pred.Predicate) error {
-	pm.writeMu.Lock()
-	defer pm.writeMu.Unlock()
-	next := pm.snap.Load().Clone()
-	if err := next.Add(p); err != nil {
-		return err
-	}
-	pm.snap.Store(next)
-	return nil
-}
-
-// Remove implements matcher.Matcher by clone-and-publish.
-func (pm *ParallelMatcher) Remove(id pred.ID) error {
-	pm.writeMu.Lock()
-	defer pm.writeMu.Unlock()
-	next := pm.snap.Load().Clone()
-	if err := next.Remove(id); err != nil {
-		return err
-	}
-	pm.snap.Store(next)
-	return nil
-}
-
-// Match implements matcher.Matcher using intra-query parallelism. The
-// only synchronization is the snapshot acquisition — one atomic load —
-// so the critical section no longer spans candidate completion.
-func (pm *ParallelMatcher) Match(rel string, t tuple.Tuple, dst []pred.ID) ([]pred.ID, error) {
-	return pm.snap.Load().matchParallel(rel, t, dst, pm.workers)
-}
-
 // MatchParallel runs one match with per-attribute tree probes in
 // parallel and the completion tests partitioned over workers
-// (workers <= 0 selects GOMAXPROCS). Unlike ParallelMatcher, it adds no
-// snapshotting: the caller must not mutate the index concurrently.
+// (workers <= 0 selects GOMAXPROCS). It adds no snapshotting: the
+// caller must not mutate the index concurrently.
 func (ix *Index) MatchParallel(rel string, t tuple.Tuple, dst []pred.ID, workers int) ([]pred.ID, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return ix.matchParallel(rel, t, dst, workers)
-}
-
-func (ix *Index) matchParallel(rel string, t tuple.Tuple, dst []pred.ID, workers int) ([]pred.ID, error) {
 	ri, ok := ix.rels[rel]
 	if !ok {
 		return dst, nil

@@ -4,29 +4,39 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"predmatch/internal/core"
 	"predmatch/internal/matcher"
 	"predmatch/internal/matchertest"
+	"predmatch/internal/pred"
+	"predmatch/internal/tuple"
 	"predmatch/internal/workload"
 )
 
-// TestParallelConformance runs the wrapped parallel matcher through the
-// full matcher conformance suite.
+// parallel is an Index whose Match is MatchParallel, so the matcher
+// gauntlets cover parallel matching.
+type parallel struct{ *core.Index }
+
+func (p parallel) Match(rel string, t tuple.Tuple, dst []pred.ID) ([]pred.ID, error) {
+	return p.MatchParallel(rel, t, dst, 4)
+}
+
+// TestParallelConformance runs parallel matching through the full
+// matcher conformance suite.
 func TestParallelConformance(t *testing.T) {
 	matchertest.Run(t, func(f *matchertest.Fixture) matcher.Matcher {
-		return core.NewParallel(core.New(f.Catalog, f.Funcs), 4)
+		return parallel{core.New(f.Catalog, f.Funcs)}
 	})
 }
 
 // TestParallelConcurrentConformance runs the read/write storm harness
-// against the wrapper bare: its copy-on-write snapshot design is the
-// thing under test, so no Synchronized crutch.
+// over parallel matching behind the Synchronized wrapper: a Match's
+// worker goroutines must all finish before it returns, or the race
+// detector sees them overlap the next write.
 func TestParallelConcurrentConformance(t *testing.T) {
 	matchertest.RunConcurrent(t, func(f *matchertest.Fixture) matcher.Matcher {
-		return core.NewParallel(core.New(f.Catalog, f.Funcs), 4)
+		return matchertest.Synchronized(parallel{core.New(f.Catalog, f.Funcs)})
 	})
 }
 
@@ -65,64 +75,6 @@ func TestMatchParallelEqualsSerial(t *testing.T) {
 				t.Fatalf("tuple %d workers %d: parallel %v != serial %v", i, workers, par, serial)
 			}
 		}
-	}
-}
-
-// TestParallelMatcherConcurrentUse hammers the wrapper from many
-// goroutines mixing reads and writes; the race detector (go test -race)
-// is the real assertion here.
-func TestParallelMatcherConcurrentUse(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pop, err := workload.PaperScenario().Build(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm := core.NewParallel(core.New(pop.Catalog, pop.Funcs), 4)
-	for _, p := range pop.Preds[:100] {
-		if err := pm.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rel := pop.Rels[0]
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 100; i++ {
-				tup := pop.Tuple(rng, rel)
-				if _, err := pm.Match(rel.Name(), tup, nil); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	// Concurrent writer.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, p := range pop.Preds[100:150] {
-			if err := pm.Add(p); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-		for _, p := range pop.Preds[100:120] {
-			if err := pm.Remove(p.ID); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	if pm.Len() != 130 {
-		t.Fatalf("Len = %d, want 130", pm.Len())
-	}
-	if pm.Name() != "ibs-parallel" {
-		t.Fatalf("Name = %q", pm.Name())
 	}
 }
 

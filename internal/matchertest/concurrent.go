@@ -15,9 +15,9 @@ import (
 // Synchronized wraps a matcher that is not safe for concurrent use with
 // a mutex, so every strategy can run the RunConcurrent harness: the
 // wrapper supplies thread safety, the harness checks that matching
-// stays exact under interleaved Add/Remove/Match. Concurrency-native
-// matchers (core.ParallelMatcher, shard.ShardedMatcher) should be
-// passed to RunConcurrent bare instead.
+// stays exact under interleaved Add/Remove/Match. A concurrency-native
+// matcher (shard.ShardedMatcher) should be passed to RunConcurrent bare
+// instead.
 func Synchronized(m matcher.Matcher) matcher.Matcher {
 	return &syncMatcher{m: m}
 }

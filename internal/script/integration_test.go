@@ -5,14 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"predmatch/internal/core"
-	"predmatch/internal/hashseq"
-	"predmatch/internal/ibs"
 	"predmatch/internal/matcher"
 	"predmatch/internal/pred"
-	"predmatch/internal/rtree"
-	"predmatch/internal/seqscan"
 	"predmatch/internal/storage"
+	"predmatch/internal/strategy"
 )
 
 // TestFullScenario drives every language feature in one session: schema
@@ -92,9 +88,9 @@ func TestFullScenario(t *testing.T) {
 }
 
 // TestScenarioAcrossMatchers replays a rule scenario under every
-// matching strategy exposed by cmd/predmatch and requires identical
-// observable behavior — the paper's thesis that the strategies differ
-// only in speed.
+// strategy in the registry (what cmd/predmatch -matcher offers) and
+// requires identical observable behavior — the paper's thesis that the
+// strategies differ only in speed.
 func TestScenarioAcrossMatchers(t *testing.T) {
 	src := `
 relation emp (name string, age int, salary int, dept string)
@@ -106,30 +102,14 @@ insert emp ('v', 33, 50, 'shoe')
 insert emp ('w', 70, 300, 'toy')
 update emp 2 ('v', 35, 120, 'shoe')
 `
-	factories := map[string]func(db *storage.DB, funcs *pred.Registry) matcher.Matcher{
-		"ibs": func(db *storage.DB, funcs *pred.Registry) matcher.Matcher {
-			return core.New(db.Catalog(), funcs)
-		},
-		"ibs-unbalanced": func(db *storage.DB, funcs *pred.Registry) matcher.Matcher {
-			return core.New(db.Catalog(), funcs, core.WithTreeOptions(ibs.Balanced(false)))
-		},
-		"hashseq": func(db *storage.DB, funcs *pred.Registry) matcher.Matcher {
-			return hashseq.New(db.Catalog(), funcs)
-		},
-		"seqscan": func(db *storage.DB, funcs *pred.Registry) matcher.Matcher {
-			return seqscan.New(db.Catalog(), funcs)
-		},
-		"rtree": func(db *storage.DB, funcs *pred.Registry) matcher.Matcher {
-			return rtree.NewPredMatcher(db.Catalog(), funcs)
-		},
-	}
 	var reference string
-	for i, name := range []string{"ibs", "ibs-unbalanced", "hashseq", "seqscan", "rtree"} {
+	for i, st := range strategy.All() {
 		var buf bytes.Buffer
-		mk := factories[name]
-		in := New(&buf, WithMatcher(mk))
+		in := New(&buf, WithMatcher(func(db *storage.DB, funcs *pred.Registry) matcher.Matcher {
+			return st.New(db.Catalog(), funcs)
+		}))
 		if err := in.Run(strings.NewReader(src)); err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", st.Name, err)
 		}
 		// Strip the stats-free output; firing lines must be identical.
 		out := buf.String()
@@ -144,7 +124,7 @@ update emp 2 ('v', 35, 120, 'shoe')
 		}
 		if out != reference {
 			t.Fatalf("%s output differs from ibs reference:\n--- ibs ---\n%s\n--- %s ---\n%s",
-				name, reference, name, out)
+				st.Name, reference, st.Name, out)
 		}
 	}
 }

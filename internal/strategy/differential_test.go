@@ -52,12 +52,12 @@ func sweepMatrix() []sweepSpec {
 	return out
 }
 
-// TestDifferentialSweep runs EVERY registered strategy against the
-// seqscan oracle over the full workload generator matrix: same
-// predicate population, same tuple stream, identical match sets — then
-// removes a third of the predicates and checks again. Subtests are
-// per-strategy/per-cell so a failure names the strategy, the cell, and
-// the seed.
+// TestDifferentialSweep runs every registered strategy and every
+// comparison matcher against the seqscan oracle over the full workload
+// generator matrix: same predicate population, same tuple stream,
+// identical match sets — then removes a third of the predicates and
+// checks again. Subtests are per-strategy/per-cell so a failure names
+// the strategy, the cell, and the seed.
 func TestDifferentialSweep(t *testing.T) {
 	oracleInfo, ok := strategy.Lookup("seqscan")
 	if !ok {
@@ -126,7 +126,7 @@ func TestDifferentialSweep(t *testing.T) {
 			wantPruned[i] = oracleMatch(pr.rel, pr.t)
 		}
 
-		for _, in := range strategy.All() {
+		for _, in := range allMatchers() {
 			in := in
 			t.Run(in.Name+"/"+cell.name, func(t *testing.T) {
 				m := in.New(pop.Catalog, pop.Funcs)

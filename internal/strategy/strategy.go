@@ -1,37 +1,34 @@
-// Package strategy is the single registry of predicate-matching
-// strategies: every way this repository can stand up a matcher.Matcher,
-// keyed by the name users pass to `predmatch -matcher`, `predmatchd
-// -index`, the benchmarks, and the cross-strategy conformance sweep.
-// The binaries derive their flag help from this registry, so the
-// documented list can never drift from the implemented one (a test
-// asserts exactly that).
+// Package strategy is the single registry of the predicate-matching
+// strategies the binaries serve, keyed by the name users pass to
+// `predmatch -matcher` and `predmatchd -index`. The binaries derive
+// their flag help from this registry, so the documented list can never
+// drift from the implemented one (a test asserts exactly that).
 //
 // Two families live here:
 //
-//   - Whole-matcher strategies (hashseq, seqscan, rtree, sharded…):
-//     self-contained matcher.Matcher implementations.
-//   - Attribute-index strategies (ibs, islist, pst, hint…): the paper's
+//   - Whole-matcher strategies (seqscan, sharded, sharded-hint):
+//     self-contained matcher.Matcher implementations; seqscan is the
+//     oracle every other strategy is checked against.
+//   - Attribute-index strategies (ibs, hint, islist): the paper's
 //     Figure-1 scheme (core.Index) with the per-attribute interval
-//     structure swapped via core.WithIndexFactory. The served ones
-//     (ibs, hint, islist) also report CoreOptions, which lets predmatchd
-//     run the sharded serving layer with them as the per-shard index;
-//     the rest exist for the paper's comparison experiments only.
+//     structure swapped via core.WithIndexFactory. They also report
+//     CoreOptions, which lets predmatchd run the sharded serving layer
+//     with them as the per-shard index.
+//
+// The structures of the paper's Section 6 comparison (segment tree,
+// interval tree, priority search tree, R-tree, …) are not served; the
+// reproduction in internal/experiments builds them directly.
 package strategy
 
 import (
 	"fmt"
 	"strings"
 
-	"predmatch/internal/augtree"
 	"predmatch/internal/core"
-	"predmatch/internal/hashseq"
 	"predmatch/internal/hint"
-	"predmatch/internal/ibs"
 	"predmatch/internal/islist"
 	"predmatch/internal/matcher"
 	"predmatch/internal/pred"
-	"predmatch/internal/pst"
-	"predmatch/internal/rtree"
 	"predmatch/internal/schema"
 	"predmatch/internal/seqscan"
 	"predmatch/internal/shard"
@@ -46,9 +43,9 @@ type Info struct {
 	Name    string
 	Summary string // one line for help text and docs
 	New     Factory
-	// coreOpts is non-nil for the attribute-index strategies the daemon
-	// serves: the core.Option set that makes a core.Index (or each shard
-	// of a ShardedMatcher) use this structure.
+	// coreOpts is non-nil for the attribute-index strategies: the
+	// core.Option set that makes a core.Index (or each shard of a
+	// ShardedMatcher) use this structure.
 	coreOpts func() []core.Option
 }
 
@@ -71,18 +68,9 @@ func attrIndexStrategy(name, summary string, factory func() core.AttrIndex) Info
 	}
 }
 
-// comparisonOnly keeps an attribute-index strategy registered for
-// `predmatch -matcher`, the conformance gauntlet, the differential sweep
-// and cmd/experiments — the only traffic it has — but withholds it from
-// `predmatchd -index`.
-func comparisonOnly(in Info) Info {
-	in.coreOpts = nil
-	return in
-}
-
 // registry holds every strategy in presentation order: the paper's
-// scheme and its attribute-index variants first, then the whole-matcher
-// alternatives, then the serving-layer wrappers.
+// scheme and its attribute-index variants first, then the seqscan
+// oracle, then the serving-layer wrappers.
 var registry = []Info{
 	{
 		Name:    "ibs",
@@ -92,52 +80,17 @@ var registry = []Info{
 		},
 		coreOpts: func() []core.Option { return nil },
 	},
-	{
-		Name:    "ibs-unbalanced",
-		Summary: "IBS-trees without rebalancing, the paper's original insert",
-		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
-			return core.New(cat, funcs,
-				core.WithTreeOptions(ibs.Balanced(false)),
-				core.WithName("ibs-unbalanced"))
-		},
-	},
 	attrIndexStrategy("hint",
 		"HINT-style flat hierarchical domain partitioning (cache-conscious, lazily rebuilt)",
 		func() core.AttrIndex { return hint.New(value.Compare) }),
 	attrIndexStrategy("islist",
 		"interval skip list attribute indexes",
 		func() core.AttrIndex { return islist.New(value.Compare) }),
-	comparisonOnly(attrIndexStrategy("segtree",
-		"immutable segment tree attribute indexes, lazily rebuilt",
-		newSegtreeIndex)),
-	comparisonOnly(attrIndexStrategy("inttree",
-		"immutable centered interval tree attribute indexes, lazily rebuilt",
-		newInttreeIndex)),
-	comparisonOnly(attrIndexStrategy("pst",
-		"priority search tree attribute indexes",
-		func() core.AttrIndex { return pst.New(value.Compare) })),
-	comparisonOnly(attrIndexStrategy("augtree",
-		"augmented AVL interval tree attribute indexes",
-		func() core.AttrIndex { return augtree.New(value.Compare) })),
-	{
-		Name:    "hashseq",
-		Summary: "hash on relation, then sequential clause evaluation",
-		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
-			return hashseq.New(cat, funcs)
-		},
-	},
 	{
 		Name:    "seqscan",
 		Summary: "flat sequential scan over every predicate (the oracle)",
 		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
 			return seqscan.New(cat, funcs)
-		},
-	},
-	{
-		Name:    "rtree",
-		Summary: "1-D R-tree over indexable clause intervals",
-		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
-			return rtree.NewPredMatcher(cat, funcs)
 		},
 	},
 	{
@@ -198,10 +151,9 @@ func IndexNames() []string {
 }
 
 // CoreOptions returns the core.Option set that makes a core.Index use
-// the named strategy's attribute structure; ok is false for
-// whole-matcher strategies (hashseq, rtree, sharded, …) that don't
-// decompose into per-attribute indexes, and for the comparison-only
-// structures the daemon does not serve.
+// the named strategy's attribute structure; ok is false for the
+// whole-matcher strategies (seqscan, sharded, sharded-hint), which don't
+// decompose into per-attribute indexes.
 func CoreOptions(name string) ([]core.Option, bool) {
 	in, ok := Lookup(name)
 	if !ok || in.coreOpts == nil {

@@ -14,12 +14,7 @@ func TestRegistryShape(t *testing.T) {
 	if len(names) != len(strategy.All()) {
 		t.Fatalf("Names/All length mismatch")
 	}
-	seen := map[string]bool{}
 	for _, n := range names {
-		if seen[n] {
-			t.Errorf("duplicate strategy name %q", n)
-		}
-		seen[n] = true
 		in, ok := strategy.Lookup(n)
 		if !ok || in.Name != n {
 			t.Errorf("Lookup(%q) = %+v, %v", n, in, ok)
@@ -28,23 +23,22 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("strategy %q has no summary", n)
 		}
 	}
-	// The thirteen strategies the conformance sweep must cover, by
-	// contract.
-	for _, want := range []string{
-		"ibs", "ibs-unbalanced", "hashseq", "seqscan", "rtree",
-		"islist", "segtree", "inttree", "pst", "augtree", "hint",
-		"sharded", "sharded-hint",
-	} {
-		if !seen[want] {
-			t.Errorf("registry is missing strategy %q", want)
+	// The registry holds exactly the strategies a binary serves.
+	served := []string{"ibs", "hint", "islist", "seqscan", "sharded", "sharded-hint"}
+	if !reflect.DeepEqual(names, served) {
+		t.Errorf("Names() = %v, want %v", names, served)
+	}
+	for _, in := range comparison {
+		if _, ok := strategy.Lookup(in.Name); ok {
+			t.Errorf("comparison-only matcher %q is registered", in.Name)
 		}
 	}
 	if _, ok := strategy.Lookup("nosuch"); ok {
 		t.Error("Lookup accepted unknown name")
 	}
 	// The daemon serves exactly three attribute-index structures:
-	// comparison-only structures, whole-matcher strategies and the
-	// removed adaptive selector all stay out of -index.
+	// whole-matcher strategies and the removed adaptive selector stay
+	// out of -index.
 	serving := []string{"ibs", "hint", "islist"}
 	if got := strategy.IndexNames(); !reflect.DeepEqual(got, serving) {
 		t.Errorf("IndexNames() = %v, want %v", got, serving)
@@ -66,10 +60,11 @@ func TestRegistryShape(t *testing.T) {
 
 // TestConformanceAllStrategies runs the full matchertest behavioral
 // gauntlet — conformance, error contract, multi-relation isolation,
-// dst-append semantics — over every registered strategy, with
-// per-strategy subtests so a failure names the offender.
+// dst-append semantics — over every registered strategy and every
+// comparison matcher, with per-strategy subtests so a failure names the
+// offender.
 func TestConformanceAllStrategies(t *testing.T) {
-	for _, in := range strategy.All() {
+	for _, in := range allMatchers() {
 		in := in
 		t.Run(in.Name, func(t *testing.T) {
 			matchertest.Run(t, func(f *matchertest.Fixture) matcher.Matcher {
