@@ -2,18 +2,14 @@
 // multichecker that machine-checks the concurrency and mark-discipline
 // invariants the hot path relies on (see docs/INVARIANTS.md).
 //
-// Run it standalone over package patterns:
+// The go command drives it over every package and test variant:
 //
-//	go run ./cmd/predmatchvet ./...
+//	go build -o /tmp/predmatchvet ./cmd/predmatchvet
+//	go vet -vettool=/tmp/predmatchvet ./...
 //
-// or install it and let the go command drive it over every package and
-// test variant:
-//
-//	go build -o "$(go env GOPATH)/bin/predmatchvet" ./cmd/predmatchvet
-//	go vet -vettool="$(which predmatchvet)" ./...
-//
-// Exit status: 0 clean, 1 findings, 2 usage or internal error. Findings
-// can be suppressed case by case with
+// Run directly with package arguments, it prints that usage and exits
+// 2. Exit status: 0 clean, 1 findings, 2 usage or internal error.
+// Findings can be suppressed case by case with
 //
 //	//predmatchvet:ignore <analyzer> <reason>
 //
@@ -26,7 +22,6 @@ import (
 	"predmatch/internal/analysis/guardedby"
 	"predmatch/internal/analysis/lockorder"
 	"predmatch/internal/analysis/markdiscipline"
-	"predmatch/internal/analysis/snapshotmut"
 	"predmatch/internal/analysis/walack"
 	"predmatch/internal/analysis/wireexhaustive"
 )
@@ -37,7 +32,6 @@ func main() {
 		guardedby.Analyzer,
 		lockorder.Analyzer,
 		markdiscipline.Analyzer,
-		snapshotmut.Analyzer,
 		walack.Analyzer,
 		wireexhaustive.Analyzer,
 	)

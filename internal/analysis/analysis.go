@@ -5,11 +5,12 @@
 // provides the three pieces the checkers need:
 //
 //   - the Analyzer / Pass / Diagnostic API (analysis.go);
-//   - a package loader built on `go list -export` plus the standard
-//     library's gc export-data importer (load.go);
-//   - a driver that runs either standalone over package patterns or as
-//     a `go vet -vettool` backend speaking cmd/go's vet .cfg protocol
-//     (run.go, vet.go).
+//   - a type-checker front end over the standard library's gc
+//     export-data importer (load.go);
+//   - a `go vet -vettool` driver speaking cmd/go's vet .cfg protocol
+//     (run.go, vet.go). It is the only driver: the go command hands it
+//     every package and test variant, so `_test.go` files are vetted
+//     too.
 //
 // The sibling package analysistest runs an analyzer over a fixture tree
 // and checks its diagnostics against `// want` comments, mirroring
@@ -187,15 +188,9 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File, badDirective fu
 }
 
 // Check applies every analyzer to one loaded package and returns the
-// surviving diagnostics sorted by position. It is the hook the
-// analysistest fixture runner drives.
+// surviving diagnostics sorted by position. The vet driver runs it once
+// per vet unit, and the analysistest fixture runner once per fixture.
 func Check(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	return runAnalyzers(pkg, analyzers)
-}
-
-// runAnalyzers applies every analyzer to one loaded package and returns
-// the surviving diagnostics sorted by position.
-func runAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	supp := collectSuppressions(pkg.Fset, pkg.Files, report)

@@ -1,8 +1,8 @@
 // Package atomicpub defines an analyzer that enforces the repo's
-// publish-then-freeze discipline for every atomic.Pointer[T], not just
-// the core.Index pointer snapshotmut knows about (hint's built
-// hierarchy, the prefilter's relation summaries, the shard directory,
-// the strategy adapters' holders).
+// publish-then-freeze discipline for every atomic.Pointer[T]. Three
+// exist today: hint.Index.built (the lazily built flat hierarchy),
+// ShardedMatcher.dir (the copy-on-write relation directory) and
+// relShard.snap (each relation's published core.View).
 //
 // Three rules, all intraprocedural over the framework's CFG:
 //

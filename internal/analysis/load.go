@@ -25,79 +25,6 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// listedPackage is the subset of `go list -json` output the loader uses.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Export     string
-	GoFiles    []string
-	Standard   bool
-	DepOnly    bool
-	Incomplete bool
-	Error      *struct{ Err string }
-}
-
-// Load lists the packages matching patterns (with their dependencies
-// compiled for export data), parses each target package's Go files and
-// type-checks them. It shells out to the go command once; dependencies
-// are imported from gc export data, so only the target packages are
-// parsed from source.
-//
-// Test files are not loaded in standalone mode; run the binary via
-// `go vet -vettool` to cover test packages (cmd/go feeds them as
-// separate vet units).
-func Load(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Incomplete,Error",
-	}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
-	}
-
-	exports := make(map[string]string)
-	var targets []*listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("go list: decoding output: %w", err)
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			cp := p
-			targets = append(targets, &cp)
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	var pkgs []*Package
-	for _, t := range targets {
-		if len(t.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := checkPackage(fset, imp, t.ImportPath, t.Dir, t.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
 // ExportDataImporter builds a types.Importer over the named packages
 // (and their dependencies) by asking the go command to compile them for
 // export data. The analysistest fixture loader uses it to resolve
@@ -117,7 +44,10 @@ func ExportDataImporter(fset *token.FileSet, paths []string) (types.Importer, er
 	exports := make(map[string]string)
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
-		var p listedPackage
+		var p struct {
+			ImportPath, Export string
+			Error              *struct{ Err string }
+		}
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {

@@ -7,12 +7,15 @@ import (
 	"strings"
 )
 
-// Main is the entry point of a multichecker binary. It supports three
-// invocation shapes:
+// Main is the entry point of a multichecker binary driven by
+// `go vet -vettool`. The go command invokes it in three shapes:
 //
-//	predmatchvet [packages]        standalone, like `go build` patterns
-//	predmatchvet -V=full           version handshake for cmd/go
-//	predmatchvet [flags] foo.cfg   one vet unit, driven by `go vet -vettool`
+//	predmatchvet -V=full           version handshake
+//	predmatchvet -flags            the tool's flag surface (none)
+//	predmatchvet [flags] foo.cfg   one vet unit: a package or test variant
+//
+// Any other arguments, package patterns included, print the usage text
+// naming the go vet command.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or internal error.
 func Main(analyzers ...*Analyzer) {
@@ -36,29 +39,14 @@ func Main(analyzers ...*Analyzer) {
 		}
 	}
 
-	// A single *.cfg argument means cmd/go is driving one vet unit.
+	// A trailing *.cfg argument means cmd/go is driving one vet unit.
 	// Ignore any analyzer flags vet forwards; the suite has none.
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		diags, err := runVetUnit(args[n-1], analyzers)
-		exitWith(diags, err)
+	n := len(args)
+	if n == 0 || !strings.HasSuffix(args[n-1], ".cfg") {
+		usage(os.Stderr, analyzers)
+		os.Exit(2)
 	}
-
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	for _, p := range patterns {
-		if strings.HasPrefix(p, "-") {
-			fmt.Fprintf(os.Stderr, "predmatchvet: unknown flag %s\n\n", p)
-			usage(os.Stderr, analyzers)
-			os.Exit(2)
-		}
-	}
-	diags, err := Run(".", patterns, analyzers)
-	exitWith(diags, err)
-}
-
-func exitWith(diags []Diagnostic, err error) {
+	diags, err := runVetUnit(args[n-1], analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "predmatchvet: %v\n", err)
 		os.Exit(2)
@@ -69,25 +57,6 @@ func exitWith(diags []Diagnostic, err error) {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-	os.Exit(0)
-}
-
-// Run loads the packages matching patterns and applies every analyzer,
-// returning the diagnostics sorted by position.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	pkgs, err := Load(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		ds, err := runAnalyzers(pkg, analyzers)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, ds...)
-	}
-	return diags, nil
 }
 
 func printVersion() {
@@ -103,9 +72,9 @@ func printVersion() {
 
 func usage(w io.Writer, analyzers []*Analyzer) {
 	fmt.Fprintf(w, "predmatchvet: machine-checked predmatch invariants\n\n")
-	fmt.Fprintf(w, "usage:\n")
-	fmt.Fprintf(w, "  predmatchvet [packages]       # standalone, e.g. predmatchvet ./...\n")
-	fmt.Fprintf(w, "  go vet -vettool=$(which predmatchvet) ./...\n\n")
+	fmt.Fprintf(w, "usage: the go command drives it over packages and their tests:\n")
+	fmt.Fprintf(w, "  go build -o predmatchvet ./cmd/predmatchvet\n")
+	fmt.Fprintf(w, "  go vet -vettool=$(pwd)/predmatchvet ./...\n\n")
 	fmt.Fprintf(w, "analyzers:\n")
 	for _, a := range analyzers {
 		summary, _, _ := strings.Cut(a.Doc, "\n")

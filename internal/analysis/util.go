@@ -2,21 +2,16 @@ package analysis
 
 import "go/types"
 
-// Deref returns the pointee type of t if t is a pointer, else t.
-func Deref(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
 // NamedOf returns the (possibly instantiated) named type of t, looking
 // through one level of pointer, or nil.
 func NamedOf(t types.Type) *types.Named {
 	if t == nil {
 		return nil
 	}
-	n, _ := Deref(t).(*types.Named)
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
 	return n
 }
 
@@ -31,17 +26,4 @@ func IsNamed(t types.Type, pkgPath, name string) bool {
 	obj := n.Origin().Obj()
 	return obj != nil && obj.Name() == name &&
 		obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
-// TypeArg returns the i'th type argument of t's named type, or nil.
-func TypeArg(t types.Type, i int) types.Type {
-	n := NamedOf(t)
-	if n == nil {
-		return nil
-	}
-	args := n.TypeArgs()
-	if args == nil || i >= args.Len() {
-		return nil
-	}
-	return args.At(i)
 }

@@ -88,7 +88,7 @@ func checkVetUnit(cfg *vetConfig, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runAnalyzers(pkg, analyzers)
+	return Check(pkg, analyzers...)
 }
 
 type importerFunc func(path string) (*types.Package, error)
