@@ -590,10 +590,11 @@ func BenchmarkSchemeIndexAblation(b *testing.B) {
 
 // BenchmarkServingIndexSweep is the three-cell sweep docs/MATCHERS.md
 // ("Choosing -index") records: the sharded serving layer over 512
-// standing predicates of one relation, with each structure
-// `predmatchd -index` offers, under three stab/write mixes. A churn op
-// adds a transient predicate and removes it again (two published
-// views); the rest are match probes.
+// standing predicates of one relation, with the two structures
+// `predmatchd -index` offers and islist, which it no longer serves,
+// under three stab/write mixes. A churn op adds a transient predicate
+// and removes it again (two published views); the rest are match
+// probes.
 func BenchmarkServingIndexSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1990))
 	pop, err := workload.SchemaSpec{

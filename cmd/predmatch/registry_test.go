@@ -36,16 +36,15 @@ func TestFactoryCoversRegistry(t *testing.T) {
 			t.Errorf("flag help omits strategy %q: %s", in.Name, help)
 		}
 	}
-	if _, err := matcherFactory("nosuch"); err == nil {
-		t.Error("matcherFactory accepted unknown strategy")
-	} else {
-		// The error must enumerate the real choices.
-		want := `unknown matcher "nosuch" (want one of ibs, hint, islist, seqscan, sharded, sharded-hint)`
-		if err.Error() != want {
-			t.Errorf("unknown-strategy error = %q, want %q", err, want)
+	// An unknown name, or the reproduction-only islist, is rejected with
+	// an error enumerating the real choices.
+	for _, name := range []string{"nosuch", "islist"} {
+		want := `unknown matcher "` + name + `" (want one of ibs, hint, seqscan, sharded, sharded-hint)`
+		if _, err := matcherFactory(name); err == nil || err.Error() != want {
+			t.Errorf("matcherFactory(%q) error = %v, want %q", name, err, want)
 		}
 	}
-	if want := "matching strategy (one of ibs, hint, islist, seqscan, sharded, sharded-hint)"; help != want {
+	if want := "matching strategy (one of ibs, hint, seqscan, sharded, sharded-hint)"; help != want {
 		t.Errorf("flag help = %q, want %q", help, want)
 	}
 }
@@ -65,14 +64,14 @@ func TestIndexNamesAreCoreStrategies(t *testing.T) {
 			t.Errorf("index flag help omits %q: %s", name, help)
 		}
 	}
-	if want := "per-shard attribute index structure (one of ibs, hint, islist)"; help != want {
+	if want := "per-shard attribute index structure (one of ibs, hint)"; help != want {
 		t.Errorf("index flag help = %q, want %q", help, want)
 	}
-	for _, name := range []string{"rtree", "pst", "meta"} {
+	for _, name := range []string{"islist", "rtree", "pst", "meta"} {
 		if _, ok := strategy.CoreOptions(name); ok {
 			t.Errorf("CoreOptions accepted %q, which the daemon does not serve", name)
 		}
-		want := `unknown index "` + name + `" (want one of ibs, hint, islist)`
+		want := `unknown index "` + name + `" (want one of ibs, hint)`
 		if got := strategy.UnknownIndexErr(name).Error(); got != want {
 			t.Errorf("UnknownIndexErr(%q) = %q, want %q", name, got, want)
 		}

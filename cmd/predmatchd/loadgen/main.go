@@ -1,7 +1,8 @@
 // Command loadgen drives a predmatchd daemon with a synthetic rule
 // workload and reports throughput. It declares an EMP-style relation,
-// defines a handful of rules with varied selectivity, starts one
-// subscriber draining the notification stream, and runs N workers each
+// defines a handful of rules with varied selectivity, registers a
+// standing population of direct predicates, starts one subscriber
+// draining the notification stream, and runs N workers each
 // streaming a deterministic mix of inserts, updates, deletes and match
 // probes over its own connection.
 //
@@ -45,6 +46,7 @@ import (
 	"time"
 
 	"predmatch/internal/client"
+	"predmatch/internal/interval"
 	"predmatch/internal/obs"
 	"predmatch/internal/pred"
 	"predmatch/internal/schema"
@@ -56,10 +58,14 @@ import (
 	"predmatch/internal/wire"
 )
 
+// standingPreds is the size of the standing direct-predicate population
+// loadgen registers before streaming load.
+const standingPreds = 32
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7341", "daemon address to drive")
 	self := flag.Bool("self", false, "start an in-process daemon on a loopback port instead of dialing -addr")
-	selfIndex := flag.String("index", "ibs", "with -self: the daemon's per-shard index structure (same values as predmatchd -index)")
+	selfIndex := flag.String("index", "ibs", "with -self: the daemon's "+strategy.IndexFlagHelp())
 	workers := flag.Int("workers", 4, "concurrent mutation/match workers, one connection each")
 	duration := flag.Duration("duration", 2*time.Second, "how long to stream load")
 	seed := flag.Int64("seed", 1, "base seed for the deterministic workload")
@@ -73,11 +79,11 @@ func main() {
 	target := *addr
 	var srv *server.Server
 	if *self {
-		opts, ok := strategy.CoreOptions(*selfIndex)
-		if !ok {
-			logger.Fatalf("%v", strategy.UnknownIndexErr(*selfIndex))
+		var err error
+		srv, err = server.Open(server.Config{Addr: "127.0.0.1:0", MaxConns: *workers + 8, Index: *selfIndex})
+		if err != nil {
+			logger.Fatalf("%v", err)
 		}
-		srv = server.New(server.Config{Addr: "127.0.0.1:0", MaxConns: *workers + 8, IndexOptions: opts})
 		errc := make(chan error, 1)
 		go func() { errc <- srv.ListenAndServe() }()
 		for srv.Addr() == nil {
@@ -135,6 +141,18 @@ func main() {
 	for _, src := range rules {
 		if _, err := admin.DefineRule(src); err != nil {
 			logger.Fatalf("rule: %v", err)
+		}
+	}
+	// A standing population of direct predicates, overlapping salary
+	// bands across the workload's range. A shard keeps its most recent
+	// predicates in a flat delta and indexes them only when it merges,
+	// so without these the five rules never reach the -index structure
+	// and no probe or insert would stab it.
+	for i := range standingPreds {
+		lo := int64(10000 + i*90000/standingPreds)
+		p := pred.New(0, emp, pred.IvClause("salary", interval.Closed(value.Int(lo), value.Int(lo+5000))))
+		if _, err := admin.AddPredicate(p); err != nil {
+			logger.Fatalf("addpred: %v", err)
 		}
 	}
 

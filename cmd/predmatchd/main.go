@@ -14,9 +14,9 @@
 //	           [-snapshot-every 0] [-follow leader-addr]
 //	           [-trace-sample 0] [-trace-buf 256]
 //
-// -index picks the per-shard attribute index structure from the shared
-// strategy registry (internal/strategy): the paper's IBS-trees by
-// default, or hint or islist (docs/MATCHERS.md, "Choosing -index");
+// -index picks the per-shard attribute index structure by its name in
+// the shared strategy registry (internal/strategy): the paper's
+// IBS-trees by default, or hint (docs/MATCHERS.md, "Choosing -index");
 // `predmatch stats` shows each shard's structure.
 //
 // With -admin, a second HTTP listener serves the operational surface:
@@ -58,6 +58,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -107,11 +108,7 @@ func main() {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 
-	// The strategy registry supplies the per-shard attribute index; ibs
-	// resolves to no options, the zero-Config behavior (and its
-	// instrumented tree counters).
-	indexOpts, ok := strategy.CoreOptions(*indexName)
-	if !ok {
+	if !slices.Contains(strategy.IndexNames(), *indexName) {
 		fmt.Fprintf(os.Stderr, "predmatchd: %v\n", strategy.UnknownIndexErr(*indexName))
 		os.Exit(2)
 	}
@@ -125,7 +122,7 @@ func main() {
 		Registry:     reg,
 		Logger:       logger,
 		SlowRequest:  *slowReq,
-		IndexOptions: indexOpts,
+		Index:        *indexName,
 		// The tracer is always on: client-initiated traces and slow-trace
 		// retention work without any flag; -trace-sample adds server-side
 		// head sampling on top.
@@ -134,11 +131,6 @@ func main() {
 			Slow:        *slowReq,
 			Capacity:    *traceBuf,
 		}),
-	}
-	if *verbose {
-		cfg.Logf = func(format string, args ...any) {
-			logger.Debug(fmt.Sprintf(format, args...))
-		}
 	}
 	if *dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(*fsync)

@@ -13,23 +13,18 @@ import (
 	"predmatch/internal/schema"
 	"predmatch/internal/seqscan"
 	"predmatch/internal/server"
-	"predmatch/internal/strategy"
 	"predmatch/internal/tuple"
 	"predmatch/internal/value"
 )
 
 // TestServerHintIndexE2E is the daemon-level check of `predmatchd
-// -index hint`: a durable server whose shards are built from the hint
-// IndexOptions answers match probes exactly like the seqscan oracle
-// while addpred/rmpred writers republish the shard beside them, and
-// after a close and reopen the recovered matcher still serves the same
-// match sets from hint shards.
+// -index hint`: a durable server configured with Index "hint" answers
+// match probes exactly like the seqscan oracle while addpred/rmpred
+// writers republish the shard beside them, reports sharded-hint over
+// hint shards, and after a close and reopen the recovered matcher still
+// serves the same match sets from hint shards.
 func TestServerHintIndexE2E(t *testing.T) {
-	opts, ok := strategy.CoreOptions("hint")
-	if !ok {
-		t.Fatal("hint is not a served index")
-	}
-	cfg := server.Config{DataDir: t.TempDir(), IndexOptions: opts}
+	cfg := server.Config{DataDir: t.TempDir(), Index: "hint"}
 
 	cat := schema.NewCatalog()
 	if err := cat.Add(empRel); err != nil {
@@ -150,4 +145,17 @@ func TestServerHintIndexE2E(t *testing.T) {
 	defer c.Close()
 	checkStats(c, standing)
 	checkProbes(c)
+}
+
+// TestOpenRejectsUnknownIndex checks Config.Index accepts exactly the
+// served index names: the reproduction-only islist and the
+// whole-matcher strategies fail Open with the registry's error.
+func TestOpenRejectsUnknownIndex(t *testing.T) {
+	for _, index := range []string{"islist", "seqscan", "sharded-hint"} {
+		_, err := server.Open(server.Config{Index: index})
+		want := `unknown index "` + index + `" (want one of ibs, hint)`
+		if err == nil || err.Error() != want {
+			t.Errorf("Open(Index %q) = %v, want %s", index, err, want)
+		}
+	}
 }

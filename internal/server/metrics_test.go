@@ -33,16 +33,7 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	// one is never run.
 	repl.New(addr, s, repl.Options{Registry: reg})
 
-	var exp bytes.Buffer
-	if err := reg.WritePrometheus(&exp); err != nil {
-		t.Fatal(err)
-	}
-	registered := map[string]string{} // family -> exposition type
-	for _, line := range strings.Split(exp.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasPrefix(f[2], "predmatch_") {
-			registered[f[2]] = f[3]
-		}
-	}
+	registered := families(t, reg)
 	if len(registered) == 0 {
 		t.Fatal("no predmatch_* family in the exposition")
 	}
@@ -74,6 +65,44 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	for name := range documented {
 		if _, ok := registered[name]; !ok {
 			t.Errorf("docs/OBSERVABILITY.md documents %s, which nothing registers", name)
+		}
+	}
+}
+
+// families maps every predmatch_* family in reg's exposition to its
+// # TYPE.
+func families(t *testing.T, reg *obs.Registry) map[string]string {
+	t.Helper()
+	var exp bytes.Buffer
+	if err := reg.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(exp.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasPrefix(f[2], "predmatch_") {
+			out[f[2]] = f[3]
+		}
+	}
+	return out
+}
+
+// TestIBSCountersFollowIndex checks the IBS-tree counters are
+// registered only where they can move: under the default index, whose
+// trees feed them, and not under hint, which has no IBS-tree.
+func TestIBSCountersFollowIndex(t *testing.T) {
+	ibsFamilies := []string{
+		"predmatch_ibs_stabs_total", "predmatch_ibs_nodes_visited_total",
+		"predmatch_ibs_comparisons_total", "predmatch_ibs_rotations_total",
+	}
+	for _, index := range []string{"", "ibs", "hint"} {
+		reg := obs.NewRegistry()
+		s := server.New(server.Config{Registry: reg, Index: index})
+		got := families(t, reg)
+		s.Close()
+		for _, name := range ibsFamilies {
+			if _, ok := got[name]; ok != (index != "hint") {
+				t.Errorf("Index %q: %s registered = %v", index, name, ok)
+			}
 		}
 	}
 }

@@ -58,10 +58,6 @@ func (s *Server) AttachFollower(info FollowerInfo, stop func()) {
 // hint for where stale clients came from.
 func (s *Server) Leader() string { return s.cfg.FollowerOf }
 
-// IsFollower reports whether the server currently rejects mutations
-// and applies a replication stream.
-func (s *Server) IsFollower() bool { return s.isFollower.Load() }
-
 // notLeaderMsg is the mutation-rejection response on a follower: the
 // error names the leader and the Leader field carries it structurally
 // for clients that redirect automatically.

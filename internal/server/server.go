@@ -77,15 +77,13 @@ type Config struct {
 	// IdleTimeout closes connections with no active subscription that
 	// send no request for this long (default 0 = never).
 	IdleTimeout time.Duration
-	// Logf receives connection-level diagnostics (default: discard).
-	Logf func(format string, args ...any)
 	// Registry receives the daemon's metrics and turns on hot-path
 	// instrumentation down through the matcher and the IBS-trees
 	// (default nil = fully uninstrumented; see internal/obs).
 	Registry *obs.Registry
 	// Logger receives structured lifecycle events: connection
-	// accept/reject/close, slow requests, shutdown phases (default:
-	// discard).
+	// accept/reject/close and read/write errors (debug), slow requests,
+	// shutdown phases (default: discard).
 	Logger *slog.Logger
 	// SlowRequest logs any request slower than this threshold at Warn
 	// level via Logger (default 0 = disabled).
@@ -105,12 +103,12 @@ type Config struct {
 	// SnapshotEvery checkpoints the full state on this period (default
 	// 0 = only on shutdown and on explicit backup requests).
 	SnapshotEvery time.Duration
-	// IndexOptions configures each relation shard's core.Index — e.g.
-	// the core.WithIndexFactory set internal/strategy.CoreOptions
-	// resolves for `predmatchd -index hint` (default nil = IBS-trees).
-	// A structure other than ibs shows in the matcher's reported name:
+	// Index names each relation shard's attribute index structure, one
+	// of internal/strategy's IndexNames: "ibs", the paper's IBS-trees
+	// (the default for ""), or "hint". Open rejects any other name. A
+	// structure other than ibs shows in the matcher's reported name:
 	// "sharded-hint" rather than "sharded".
-	IndexOptions []core.Option
+	Index string
 	// FollowerOf starts the server as a replication follower of the
 	// leader at this address: mutations and DDL are rejected with a
 	// redirect, and state arrives by applying the leader's WAL stream
@@ -144,8 +142,8 @@ func (c *Config) fill() {
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
+	if c.Index == "" {
+		c.Index = "ibs"
 	}
 	if c.Logger == nil {
 		// A handler whose level no record reaches: Enabled() fails before
@@ -250,7 +248,8 @@ type subscription struct {
 
 // New builds a daemon with an empty database, the built-in function
 // registry and a sharded matcher. For a durable daemon (Config.DataDir
-// set) use Open, which can report recovery errors; New panics on them.
+// set) or a configured Config.Index use Open, which can report
+// recovery and unknown-index errors; New panics on them.
 func New(cfg Config) *Server {
 	s, err := Open(cfg)
 	if err != nil {
@@ -260,8 +259,9 @@ func New(cfg Config) *Server {
 }
 
 // newServer assembles the in-memory daemon; Open layers recovery and
-// the WAL on top. cfg must already be filled.
-func newServer(cfg Config) *Server {
+// the WAL on top. cfg must already be filled, and idxOpts are the core
+// options strategy.CoreOptions resolved for cfg.Index.
+func newServer(cfg Config, idxOpts []core.Option) *Server {
 	s := &Server{
 		cfg:         cfg,
 		db:          storage.NewDB(),
@@ -283,34 +283,19 @@ func newServer(cfg Config) *Server {
 		// the abort.
 		s.db.Observe(s.onEventWAL)
 	}
-	var smOpts []shard.Option
-	var engOpts []engine.Option
-	// All core options must land in ONE WithIndexOptions call (it
-	// replaces rather than appends). cfg.IndexOptions come last so a
-	// configured WithIndexFactory wins over the instrumentation's IBS
-	// tree options.
-	var idxOpts []core.Option
-	if cfg.Registry != nil {
+	if cfg.Registry != nil && cfg.Index == "ibs" {
 		// One ibs.Counters is shared by every tree of every copy-on-write
 		// snapshot: the index factory bakes the Instrument option in, so
 		// clones keep feeding the same counters.
-		smOpts = append(smOpts, shard.WithMetrics(cfg.Registry))
 		idxOpts = append(idxOpts, core.WithTreeOptions(
 			ibs.Instrument(ibs.RegisterCounters(cfg.Registry))))
-		engOpts = append(engOpts, engine.WithMetrics(cfg.Registry))
 	}
-	idxOpts = append(idxOpts, cfg.IndexOptions...)
-	if len(idxOpts) > 0 {
-		smOpts = append(smOpts, shard.WithIndexOptions(idxOpts...))
-	}
-	// The index name the options carry (core.WithName) is the name every
-	// shard snapshot will report; an empty index is the cheapest way to
-	// read it back.
-	if idx := core.New(s.db.Catalog(), s.funcs, cfg.IndexOptions...).Name(); idx != "ibs" {
-		smOpts = append(smOpts, shard.WithName("sharded-"+idx))
+	smOpts := []shard.Option{shard.WithMetrics(cfg.Registry), shard.WithIndexOptions(idxOpts...)}
+	if cfg.Index != "ibs" {
+		smOpts = append(smOpts, shard.WithName("sharded-"+cfg.Index))
 	}
 	s.sm = shard.New(s.db.Catalog(), s.funcs, smOpts...)
-	s.eng = engine.New(s.db, s.funcs, s.sm, engOpts...)
+	s.eng = engine.New(s.db, s.funcs, s.sm, engine.WithMetrics(cfg.Registry))
 	s.met = newServerMetrics(cfg.Registry, s)
 	s.eng.OnFire(s.onFire)
 	// Predicate-match streaming: a second observer (after the engine's)
@@ -384,7 +369,6 @@ func (s *Server) startConn(nc net.Conn) {
 	}
 	if len(s.conns) >= s.cfg.MaxConns {
 		s.connMu.Unlock()
-		s.cfg.Logf("server: rejecting %s: connection limit %d reached", nc.RemoteAddr(), s.cfg.MaxConns)
 		s.cfg.Logger.Warn("connection rejected",
 			"remote", nc.RemoteAddr().String(), "limit", s.cfg.MaxConns)
 		if s.met != nil {
@@ -666,7 +650,7 @@ func (c *conn) readLoop() {
 			case errors.Is(err, wire.ErrFrameTooLong):
 				c.send(errMsg(0, fmt.Errorf("request frame exceeds %d bytes", wire.MaxLineBytes)))
 			case err != io.EOF:
-				c.s.cfg.Logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
+				c.s.cfg.Logger.Debug("read failed", "remote", c.nc.RemoteAddr().String(), "err", err)
 			}
 			return
 		}
@@ -731,7 +715,7 @@ func (c *conn) writeLoop() {
 		if err != nil {
 			// Write error or missed deadline: a partially written frame
 			// cannot be recovered under line framing, so tear down.
-			c.s.cfg.Logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
+			c.s.cfg.Logger.Debug("write failed", "remote", c.nc.RemoteAddr().String(), "err", err)
 			return false
 		}
 		c.s.delivered.Add(notes)
@@ -742,7 +726,7 @@ func (c *conn) writeLoop() {
 	push := func(m *wire.Message) bool {
 		var err error
 		if buf, err = wire.AppendMessage(buf, m); err != nil {
-			c.s.cfg.Logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
+			c.s.cfg.Logger.Debug("write failed", "remote", c.nc.RemoteAddr().String(), "err", err)
 			return false
 		}
 		if m.Type == wire.TypeNotify {

@@ -30,6 +30,7 @@ import (
 	"predmatch/internal/pred"
 	"predmatch/internal/schema"
 	"predmatch/internal/storage"
+	"predmatch/internal/strategy"
 	"predmatch/internal/trace"
 	"predmatch/internal/tuple"
 	"predmatch/internal/value"
@@ -40,13 +41,18 @@ import (
 // Open builds a daemon like New and, when cfg.DataDir is set, recovers
 // the directory's durable state (snapshot + log replay) before
 // returning; the server is ready to listen with its pre-crash catalog,
-// relations, rules and direct predicates in place.
+// relations, rules and direct predicates in place. An unknown
+// cfg.Index fails with strategy.UnknownIndexErr.
 func Open(cfg Config) (*Server, error) {
 	cfg.fill()
 	if cfg.FollowerOf != "" && cfg.DataDir == "" {
 		return nil, errors.New("server: FollowerOf requires DataDir (a follower persists the replicated log)")
 	}
-	s := newServer(cfg)
+	idxOpts, ok := strategy.CoreOptions(cfg.Index)
+	if !ok {
+		return nil, strategy.UnknownIndexErr(cfg.Index)
+	}
+	s := newServer(cfg, idxOpts)
 	if cfg.DataDir == "" {
 		return s, nil
 	}

@@ -9,6 +9,7 @@ import (
 	"predmatch/internal/ibs"
 	"predmatch/internal/interval"
 	"predmatch/internal/inttree"
+	"predmatch/internal/islist"
 	"predmatch/internal/markset"
 	"predmatch/internal/matcher"
 	"predmatch/internal/pred"
@@ -28,6 +29,7 @@ var comparison = []strategy.Info{
 	{Name: "ibs-unbalanced", New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
 		return core.New(cat, funcs, core.WithTreeOptions(ibs.Balanced(false)), core.WithName("ibs-unbalanced"))
 	}},
+	attrIndex("islist", func() core.AttrIndex { return islist.New(value.Compare) }),
 	attrIndex("segtree", func() core.AttrIndex { return &rebuilt{build: buildSegtree} }),
 	attrIndex("inttree", func() core.AttrIndex { return &rebuilt{build: buildInttree} }),
 	attrIndex("pst", func() core.AttrIndex { return pst.New(value.Compare) }),

@@ -9,15 +9,16 @@
 //   - Whole-matcher strategies (seqscan, sharded, sharded-hint):
 //     self-contained matcher.Matcher implementations; seqscan is the
 //     oracle every other strategy is checked against.
-//   - Attribute-index strategies (ibs, hint, islist): the paper's
-//     Figure-1 scheme (core.Index) with the per-attribute interval
-//     structure swapped via core.WithIndexFactory. They also report
-//     CoreOptions, which lets predmatchd run the sharded serving layer
-//     with them as the per-shard index.
+//   - Attribute-index strategies (ibs, hint): the paper's Figure-1
+//     scheme (core.Index) with the per-attribute interval structure
+//     swapped via core.WithIndexFactory. They also report CoreOptions,
+//     which is how the daemon (server.Config.Index) runs the sharded
+//     serving layer with them as the per-shard index.
 //
-// The structures of the paper's Section 6 comparison (segment tree,
-// interval tree, priority search tree, R-tree, …) are not served; the
-// reproduction in internal/experiments builds them directly.
+// The structures of the paper's Section 6 comparison (interval skip
+// list, segment tree, interval tree, priority search tree, R-tree, …)
+// are not served; the reproduction in internal/experiments builds them
+// directly.
 package strategy
 
 import (
@@ -26,7 +27,6 @@ import (
 
 	"predmatch/internal/core"
 	"predmatch/internal/hint"
-	"predmatch/internal/islist"
 	"predmatch/internal/matcher"
 	"predmatch/internal/pred"
 	"predmatch/internal/schema"
@@ -49,27 +49,16 @@ type Info struct {
 	coreOpts func() []core.Option
 }
 
-// attrIndexStrategy registers a core.Index-based strategy whose
-// attribute structure is produced by factory.
-func attrIndexStrategy(name, summary string, factory func() core.AttrIndex) Info {
-	opts := func() []core.Option {
-		return []core.Option{
-			core.WithIndexFactory(factory),
-			core.WithName(name),
-		}
-	}
-	return Info{
-		Name:    name,
-		Summary: summary,
-		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
-			return core.New(cat, funcs, opts()...)
-		},
-		coreOpts: opts,
+// hintOptions makes a core.Index use HINT as its attribute structure.
+func hintOptions() []core.Option {
+	return []core.Option{
+		core.WithIndexFactory(func() core.AttrIndex { return hint.New(value.Compare) }),
+		core.WithName("hint"),
 	}
 }
 
 // registry holds every strategy in presentation order: the paper's
-// scheme and its attribute-index variants first, then the seqscan
+// scheme and its attribute-index variant first, then the seqscan
 // oracle, then the serving-layer wrappers.
 var registry = []Info{
 	{
@@ -80,12 +69,14 @@ var registry = []Info{
 		},
 		coreOpts: func() []core.Option { return nil },
 	},
-	attrIndexStrategy("hint",
-		"HINT-style flat hierarchical domain partitioning (cache-conscious, lazily rebuilt)",
-		func() core.AttrIndex { return hint.New(value.Compare) }),
-	attrIndexStrategy("islist",
-		"interval skip list attribute indexes",
-		func() core.AttrIndex { return islist.New(value.Compare) }),
+	{
+		Name:    "hint",
+		Summary: "HINT-style flat hierarchical domain partitioning (cache-conscious, lazily rebuilt)",
+		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
+			return core.New(cat, funcs, hintOptions()...)
+		},
+		coreOpts: hintOptions,
+	},
 	{
 		Name:    "seqscan",
 		Summary: "flat sequential scan over every predicate (the oracle)",
@@ -105,10 +96,7 @@ var registry = []Info{
 		Summary: "per-relation copy-on-write shards over HINT hierarchies",
 		New: func(cat *schema.Catalog, funcs *pred.Registry) matcher.Matcher {
 			return shard.New(cat, funcs,
-				shard.WithIndexOptions(
-					core.WithIndexFactory(func() core.AttrIndex { return hint.New(value.Compare) }),
-					core.WithName("hint")),
-				shard.WithName("sharded-hint"))
+				shard.WithIndexOptions(hintOptions()...), shard.WithName("sharded-hint"))
 		},
 	},
 }

@@ -24,7 +24,7 @@ func TestRegistryShape(t *testing.T) {
 		}
 	}
 	// The registry holds exactly the strategies a binary serves.
-	served := []string{"ibs", "hint", "islist", "seqscan", "sharded", "sharded-hint"}
+	served := []string{"ibs", "hint", "seqscan", "sharded", "sharded-hint"}
 	if !reflect.DeepEqual(names, served) {
 		t.Errorf("Names() = %v, want %v", names, served)
 	}
@@ -36,10 +36,10 @@ func TestRegistryShape(t *testing.T) {
 	if _, ok := strategy.Lookup("nosuch"); ok {
 		t.Error("Lookup accepted unknown name")
 	}
-	// The daemon serves exactly three attribute-index structures:
-	// whole-matcher strategies and the removed adaptive selector stay
-	// out of -index.
-	serving := []string{"ibs", "hint", "islist"}
+	// The daemon serves exactly two attribute-index structures:
+	// whole-matcher strategies, the reproduction-only islist and the
+	// removed adaptive selector stay out of -index.
+	serving := []string{"ibs", "hint"}
 	if got := strategy.IndexNames(); !reflect.DeepEqual(got, serving) {
 		t.Errorf("IndexNames() = %v, want %v", got, serving)
 	}
@@ -49,7 +49,7 @@ func TestRegistryShape(t *testing.T) {
 		}
 	}
 	for _, n := range []string{
-		"ibs-unbalanced", "segtree", "inttree", "pst", "augtree",
+		"ibs-unbalanced", "islist", "segtree", "inttree", "pst", "augtree",
 		"hashseq", "seqscan", "rtree", "sharded", "sharded-hint", "meta",
 	} {
 		if _, ok := strategy.CoreOptions(n); ok {
