@@ -11,7 +11,6 @@
 //	BenchmarkIntervalIndexComparison  — Section 6 future-work comparison
 //	BenchmarkMatcherStrategies        — Section 2 strategy shoot-out
 //	BenchmarkMarkSetRepresentation    — mark sets: sorted slice vs AVL
-//	BenchmarkParallelMatch            — Section 6 parallelism sketch
 //	BenchmarkJoinNetwork              — Section 6 two-layer join network
 //	BenchmarkSchemeIndexAblation      — scheme over IBS-trees vs skip lists
 //	BenchmarkServingIndexSweep        — sharded layer per -index structure, three stab/write mixes
@@ -434,45 +433,6 @@ func BenchmarkMarkSetRepresentation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				buf = tree.StabAppend(points[i%len(points)], buf[:0])
-			}
-		})
-	}
-}
-
-// BenchmarkParallelMatch measures the Section 6 parallelism sketch:
-// per-attribute tree probes fanned out to goroutines plus partitioned
-// completion tests, against the serial Match, on the cost-model
-// scenario enlarged to make the fan-out worthwhile.
-func BenchmarkParallelMatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1990))
-	spec := workload.PaperScenario()
-	spec.PredsPerRel = 2000 // scale up so per-tuple work dominates scheduling
-	pop, err := spec.Build(rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix := core.New(pop.Catalog, pop.Funcs, core.WithEstimator(selectivity.Static{}))
-	for _, p := range pop.Preds {
-		if err := ix.Add(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	rel := pop.Rels[0]
-	tuples := make([]tuple.Tuple, 1024)
-	for i := range tuples {
-		tuples[i] = pop.Tuple(rng, rel)
-	}
-	b.Run("serial", func(b *testing.B) {
-		var buf []pred.ID
-		for i := 0; i < b.N; i++ {
-			buf, _ = ix.Match(rel.Name(), tuples[i%len(tuples)], buf[:0])
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			var buf []pred.ID
-			for i := 0; i < b.N; i++ {
-				buf, _ = ix.MatchParallel(rel.Name(), tuples[i%len(tuples)], buf[:0], workers)
 			}
 		})
 	}

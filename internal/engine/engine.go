@@ -52,12 +52,6 @@ type Rule struct {
 	fires *obs.Counter
 }
 
-// Firing describes one rule activation, for logging and tests.
-type Firing struct {
-	Rule  string
-	Event storage.Event
-}
-
 // FiringEvent is the flattened form of one rule activation delivered to
 // OnFire hooks: which rule fired, on which operation against which
 // tuple, and how deep in a forward-chaining cascade the activation sits
@@ -74,7 +68,7 @@ type FiringEvent struct {
 	Depth int
 }
 
-// Logger receives rule "log" action output and firing traces.
+// Logger receives rule "log" action output.
 type Logger func(format string, args ...any)
 
 // Engine wires storage events to a predicate matcher and executes rule
@@ -88,10 +82,7 @@ type Engine struct {
 	byPred     map[pred.ID]*Rule // guarded-by: mu
 	nextPredID pred.ID
 	log        Logger
-	maxDepth   int
 	depth      int
-	firings    []Firing
-	traceAll   bool
 	scratch    []pred.ID
 	// toFire is a stack of the rules each in-flight event is firing: an
 	// event pushes its rules on top, and a cascaded event raised by one of
@@ -111,19 +102,16 @@ type Engine struct {
 	tm matcher.TracedMatcher
 }
 
+// maxCascadeDepth bounds forward-chaining recursion: an event raised
+// this many cascade levels below an external mutation fails it.
+const maxCascadeDepth = 16
+
 // Option configures an Engine.
 type Option func(*Engine)
 
 // WithLogger sets the destination of "log" actions (default: discard —
 // with no logger, or a nil one, a log action formats nothing).
 func WithLogger(l Logger) Option { return func(e *Engine) { e.log = l } }
-
-// WithMaxCascadeDepth bounds forward-chaining recursion (default 16).
-func WithMaxCascadeDepth(d int) Option { return func(e *Engine) { e.maxDepth = d } }
-
-// WithFiringTrace records every rule activation for inspection via
-// Firings (intended for tests and examples).
-func WithFiringTrace(on bool) Option { return func(e *Engine) { e.traceAll = on } }
 
 // WithMetrics registers the engine's metric families on reg: per-rule
 // activation counters, a storage-event counter, and a defined-rule
@@ -157,7 +145,6 @@ func New(db *storage.DB, funcs *pred.Registry, m matcher.Matcher, opts ...Option
 		rules:      make(map[string]*Rule),
 		byPred:     make(map[pred.ID]*Rule),
 		nextPredID: 1,
-		maxDepth:   16,
 	}
 	for _, o := range opts {
 		o(e)
@@ -293,22 +280,6 @@ func (e *Engine) Sources() []string {
 	return out
 }
 
-// Firings returns the recorded rule activations (WithFiringTrace).
-func (e *Engine) Firings() []Firing {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Firing, len(e.firings))
-	copy(out, e.firings)
-	return out
-}
-
-// ResetFirings clears the recorded activations.
-func (e *Engine) ResetFirings() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.firings = e.firings[:0]
-}
-
 // onEvent is the storage observer: match the affected tuple, collect the
 // owning rules, and fire their actions. Mutations are serialized by the
 // caller (the server runs them under its own mutex; the embedded engine
@@ -327,8 +298,8 @@ func (e *Engine) onEvent(ev storage.Event) error {
 	}
 	e.events.Inc()
 
-	if e.depth >= e.maxDepth {
-		return fmt.Errorf("engine: cascade depth limit %d exceeded at %s on %s", e.maxDepth, ev.Op, ev.Rel)
+	if e.depth >= maxCascadeDepth {
+		return fmt.Errorf("engine: cascade depth limit %d exceeded at %s on %s", maxCascadeDepth, ev.Op, ev.Rel)
 	}
 
 	// One span per storage event; the stab's child spans hang off it
@@ -383,9 +354,6 @@ func (e *Engine) onEvent(ev storage.Event) error {
 		// into a new backing array.
 		r := e.toFire[i]
 		r.fires.Inc()
-		if e.traceAll {
-			e.firings = append(e.firings, Firing{Rule: r.Name, Event: ev})
-		}
 		for _, fn := range e.onFire {
 			fn(FiringEvent{
 				Rule:    r.Name,

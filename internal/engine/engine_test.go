@@ -17,7 +17,9 @@ import (
 	"predmatch/internal/value"
 )
 
-func setup(t *testing.T, mk func(*storage.DB, *pred.Registry) matcher.Matcher, opts ...engine.Option) (*storage.DB, *engine.Engine, *storage.Table, *storage.Table) {
+// setup builds an engine over emp and alerts. The first result records
+// every firing through the public OnFire hook, in firing order.
+func setup(t *testing.T, mk func(*storage.DB, *pred.Registry) matcher.Matcher, opts ...engine.Option) (*[]engine.FiringEvent, *engine.Engine, *storage.Table, *storage.Table) {
 	t.Helper()
 	db := storage.NewDB()
 	emp := schema.MustRelation("emp",
@@ -39,8 +41,10 @@ func setup(t *testing.T, mk func(*storage.DB, *pred.Registry) matcher.Matcher, o
 		t.Fatal(err)
 	}
 	funcs := pred.NewRegistry()
-	eng := engine.New(db, funcs, mk(db, funcs), append([]engine.Option{engine.WithFiringTrace(true)}, opts...)...)
-	return db, eng, empTab, alertTab
+	eng := engine.New(db, funcs, mk(db, funcs), opts...)
+	fired := new([]engine.FiringEvent)
+	eng.OnFire(func(ev engine.FiringEvent) { *fired = append(*fired, ev) })
+	return fired, eng, empTab, alertTab
 }
 
 func ibsMatcher(db *storage.DB, funcs *pred.Registry) matcher.Matcher {
@@ -52,7 +56,7 @@ func empT(name string, age, salary int64, dept string) tuple.Tuple {
 }
 
 func TestRuleFiresOnInsert(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
+	fired, eng, empTab, _ := setup(t, ibsMatcher)
 	if _, err := eng.DefineRule(
 		"rule high on insert to emp when salary > 50000 do log 'rich'"); err != nil {
 		t.Fatal(err)
@@ -63,30 +67,30 @@ func TestRuleFiresOnInsert(t *testing.T) {
 	if _, err := empTab.Insert(empT("b", 30, 40000, "x")); err != nil {
 		t.Fatal(err)
 	}
-	f := eng.Firings()
+	f := *fired
 	if len(f) != 1 || f[0].Rule != "high" {
 		t.Fatalf("firings = %+v", f)
 	}
 }
 
 func TestEventFiltering(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
+	fired, eng, empTab, _ := setup(t, ibsMatcher)
 	if _, err := eng.DefineRule(
 		"rule upd on update to emp when age >= 0 do log 'updated'"); err != nil {
 		t.Fatal(err)
 	}
 	id, _ := empTab.Insert(empT("a", 30, 1, "x"))
-	if got := eng.Firings(); len(got) != 0 {
+	if got := *fired; len(got) != 0 {
 		t.Fatalf("insert fired update rule: %+v", got)
 	}
 	_ = empTab.Update(id, empT("a", 31, 1, "x"))
-	if got := eng.Firings(); len(got) != 1 {
+	if got := *fired; len(got) != 1 {
 		t.Fatalf("update firings = %+v", got)
 	}
 }
 
 func TestDeleteRulesMatchOldTuple(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
+	fired, eng, empTab, _ := setup(t, ibsMatcher)
 	if _, err := eng.DefineRule(
 		"rule bye on delete to emp when dept = 'shoe' do log 'gone'"); err != nil {
 		t.Fatal(err)
@@ -94,30 +98,30 @@ func TestDeleteRulesMatchOldTuple(t *testing.T) {
 	id1, _ := empTab.Insert(empT("a", 30, 1, "shoe"))
 	id2, _ := empTab.Insert(empT("b", 30, 1, "toy"))
 	_ = empTab.Delete(id2)
-	if got := eng.Firings(); len(got) != 0 {
+	if got := *fired; len(got) != 0 {
 		t.Fatalf("non-matching delete fired: %+v", got)
 	}
 	_ = empTab.Delete(id1)
-	if got := eng.Firings(); len(got) != 1 || got[0].Rule != "bye" {
+	if got := *fired; len(got) != 1 || got[0].Rule != "bye" {
 		t.Fatalf("firings = %+v", got)
 	}
 }
 
 func TestDisjunctionFiresOnce(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
+	fired, eng, empTab, _ := setup(t, ibsMatcher)
 	// Both disjuncts match the same tuple; the rule must fire once.
 	if _, err := eng.DefineRule(
 		"rule d on insert to emp when age > 10 or salary > 10 do log 'hit'"); err != nil {
 		t.Fatal(err)
 	}
 	_, _ = empTab.Insert(empT("a", 50, 50, "x"))
-	if got := eng.Firings(); len(got) != 1 {
+	if got := *fired; len(got) != 1 {
 		t.Fatalf("disjunctive rule fired %d times", len(got))
 	}
 }
 
 func TestInsertActionChains(t *testing.T) {
-	_, eng, empTab, alertTab := setup(t, ibsMatcher)
+	fired, eng, empTab, alertTab := setup(t, ibsMatcher)
 	if _, err := eng.DefineRule(
 		"rule a on insert to emp when salary > 100 do insert into alerts ('high', 1)"); err != nil {
 		t.Fatal(err)
@@ -131,7 +135,7 @@ func TestInsertActionChains(t *testing.T) {
 	if alertTab.Len() != 1 {
 		t.Fatalf("alerts len = %d", alertTab.Len())
 	}
-	f := eng.Firings()
+	f := *fired
 	if len(f) != 2 || f[0].Rule != "a" || f[1].Rule != "b" {
 		t.Fatalf("firings = %+v", f)
 	}
@@ -185,22 +189,21 @@ func TestDeleteAction(t *testing.T) {
 }
 
 func TestCascadeDepthLimit(t *testing.T) {
-	_, eng, empTab, alertTab := setup(t, ibsMatcher, engine.WithMaxCascadeDepth(4))
+	_, eng, _, alertTab := setup(t, ibsMatcher)
 	// Mutual recursion: alerts insert -> alerts insert.
 	if _, err := eng.DefineRule(
 		"rule loop on insert to alerts do insert into alerts ('again', 1)"); err != nil {
 		t.Fatal(err)
 	}
-	_ = empTab
 	if _, err := alertTab.Insert(tuple.New(value.String_("boom"), value.Int(1))); err == nil {
 		t.Fatal("infinite cascade not caught")
-	} else if !strings.Contains(err.Error(), "cascade depth") {
+	} else if !strings.Contains(err.Error(), "cascade depth limit 16 exceeded") {
 		t.Fatalf("error = %v", err)
 	}
 }
 
 func TestDropRule(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
+	fired, eng, empTab, _ := setup(t, ibsMatcher)
 	if _, err := eng.DefineRule(
 		"rule r on insert to emp when age > 0 do log 'x'"); err != nil {
 		t.Fatal(err)
@@ -221,7 +224,7 @@ func TestDropRule(t *testing.T) {
 		t.Fatal("double drop accepted")
 	}
 	_, _ = empTab.Insert(empT("a", 30, 1, "x"))
-	if got := eng.Firings(); len(got) != 0 {
+	if got := *fired; len(got) != 0 {
 		t.Fatalf("dropped rule fired: %+v", got)
 	}
 }
@@ -259,8 +262,8 @@ func TestLoggerReceivesLogActions(t *testing.T) {
 // TestEngineMatcherInterchangeable runs the same scenario with two
 // matching strategies and requires identical firing sequences.
 func TestEngineMatcherInterchangeable(t *testing.T) {
-	run := func(mk func(*storage.DB, *pred.Registry) matcher.Matcher) []engine.Firing {
-		_, eng, empTab, _ := setup(t, mk)
+	run := func(mk func(*storage.DB, *pred.Registry) matcher.Matcher) []engine.FiringEvent {
+		fired, eng, empTab, _ := setup(t, mk)
 		for i, src := range []string{
 			"rule r1 on insert to emp when salary between 100 and 200 do log 'band'",
 			"rule r2 on insert to emp when dept = 'shoe' and isodd(age) do log 'odd shoe'",
@@ -281,7 +284,7 @@ func TestEngineMatcherInterchangeable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return eng.Firings()
+		return *fired
 	}
 	a := run(ibsMatcher)
 	for name, mk := range map[string]func(*storage.DB, *pred.Registry) matcher.Matcher{
@@ -347,23 +350,8 @@ func TestRulePriorityParseErrors(t *testing.T) {
 	}
 }
 
-func TestResetFirings(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
-	if _, err := eng.DefineRule("rule r on insert to emp do log 'x'"); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = empTab.Insert(empT("a", 1, 1, "x"))
-	if len(eng.Firings()) != 1 {
-		t.Fatal("no firing recorded")
-	}
-	eng.ResetFirings()
-	if len(eng.Firings()) != 0 {
-		t.Fatal("ResetFirings did not clear")
-	}
-}
-
 func TestSetActionSkippedOnDelete(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
+	fired, eng, empTab, _ := setup(t, ibsMatcher)
 	// A delete-trigger with a set action: nothing to modify, no error.
 	if _, err := eng.DefineRule(
 		"rule r on delete to emp when age > 0 do set age = 1; log 'deleted'"); err != nil {
@@ -373,7 +361,7 @@ func TestSetActionSkippedOnDelete(t *testing.T) {
 	if err := empTab.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if len(eng.Firings()) != 1 {
+	if len(*fired) != 1 {
 		t.Fatal("delete rule did not fire")
 	}
 }
@@ -430,7 +418,7 @@ func TestInsertActionIntoUnknownRelationCaughtAtParse(t *testing.T) {
 // derived column), and a second rule watches the derived value — the
 // paper's Section 3 pattern implemented entirely in rules.
 func TestDerivedColumnRule(t *testing.T) {
-	_, eng, empTab, _ := setup(t, ibsMatcher)
+	fired, eng, empTab, _ := setup(t, ibsMatcher)
 	if _, err := eng.DefineRule(
 		"rule maintain priority 5 on insert, update to emp do set salary = age * 2"); err != nil {
 		t.Fatal(err)
@@ -451,7 +439,7 @@ func TestDerivedColumnRule(t *testing.T) {
 	// (salary already equals age*2) stops the cascade; watch fired once
 	// on the derived update.
 	count := 0
-	for _, f := range eng.Firings() {
+	for _, f := range *fired {
 		if f.Rule == "watch" {
 			count++
 		}
@@ -498,17 +486,6 @@ func TestOnFireHook(t *testing.T) {
 	if alertTab.Len() != 1 {
 		t.Fatalf("alerts rows = %d, want 1", alertTab.Len())
 	}
-	// Hook order matches the recorded firing trace.
-	trace := eng.Firings()
-	if len(trace) != len(got) {
-		t.Fatalf("trace %d events, hook %d", len(trace), len(got))
-	}
-	for i := range trace {
-		if trace[i].Rule != got[i].Rule {
-			t.Fatalf("order mismatch at %d: trace %s, hook %s", i, trace[i].Rule, got[i].Rule)
-		}
-	}
-
 	// A delete firing carries the old tuple image.
 	if _, err := eng.DefineRule(
 		"rule gone on delete to emp do log 'gone'"); err != nil {
@@ -534,7 +511,7 @@ func TestOnFireHook(t *testing.T) {
 func TestFiringOrderAndLogLines(t *testing.T) {
 	var lines []string
 	logger := func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
-	_, eng, empTab, _ := setup(t, ibsMatcher, engine.WithLogger(logger))
+	fired, eng, empTab, _ := setup(t, ibsMatcher, engine.WithLogger(logger))
 	for _, src := range []string{
 		"rule b on insert to emp when age > 0 or salary > 0 do log 'b saw it'",
 		"rule a on insert to emp when age > 0 or salary > 0 do log 'a saw it'",
@@ -551,11 +528,11 @@ func TestFiringOrderAndLogLines(t *testing.T) {
 	if _, err := empTab.Insert(empT("ada", 30, 100, "toy")); err != nil {
 		t.Fatal(err)
 	}
-	var fired []string
-	for _, f := range eng.Firings() {
-		fired = append(fired, f.Rule)
+	var order []string
+	for _, f := range *fired {
+		order = append(order, f.Rule)
 	}
-	if got, want := strings.Join(fired, " "), "c y z x d a b"; got != want {
+	if got, want := strings.Join(order, " "), "c y z x d a b"; got != want {
 		t.Errorf("firing order %q, want %q", got, want)
 	}
 	want := []string{
@@ -576,14 +553,14 @@ func TestFiringOrderAndLogLines(t *testing.T) {
 // actions without formatting them; the rules still fire.
 func TestNoLoggerDiscards(t *testing.T) {
 	for _, opts := range [][]engine.Option{nil, {engine.WithLogger(nil)}} {
-		_, eng, empTab, _ := setup(t, ibsMatcher, opts...)
+		fired, eng, empTab, _ := setup(t, ibsMatcher, opts...)
 		if _, err := eng.DefineRule("rule l on insert to emp when age > 0 do log 'dropped'"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := empTab.Insert(empT("a", 3, 1, "x")); err != nil {
 			t.Fatal(err)
 		}
-		if f := eng.Firings(); len(f) != 1 || f[0].Rule != "l" {
+		if f := *fired; len(f) != 1 || f[0].Rule != "l" {
 			t.Fatalf("firings = %+v", f)
 		}
 	}

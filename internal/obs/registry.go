@@ -250,9 +250,9 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 // rendered outside it.
 type sample struct {
 	labelValues []string
-	value       float64   // counter/gauge
-	counts      []uint64  // histogram buckets (non-cumulative, +Inf last)
-	sum         float64   // histogram
+	value       float64  // counter/gauge
+	counts      []uint64 // histogram buckets (non-cumulative, +Inf last)
+	sum         float64  // histogram
 	hist        bool
 }
 

@@ -158,7 +158,7 @@ func TestAdminEndpoints(t *testing.T) {
 // TestAdminShutdownNoLeak checks the admin listener's goroutines wind
 // down with the daemon's: after both Shutdowns return, no http.Server
 // machinery for the admin port may remain (same goleak pattern as
-// checkNoConnGoroutines).
+// checkGoroutinesGone).
 func TestAdminShutdownNoLeak(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, _, stopSrv := startServer(t, server.Config{Registry: reg})

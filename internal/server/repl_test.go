@@ -1,8 +1,6 @@
 package server_test
 
 import (
-	"context"
-	"errors"
 	"io"
 	"net"
 	"strings"
@@ -18,37 +16,6 @@ import (
 	"predmatch/internal/value"
 )
 
-// serveQuiet serves s on a loopback port like adoptServer, but without
-// the global goroutine leak check: in a multi-server test only the
-// last server down may scan for leaks, because the check sees every
-// live Serve loop in the process. Callers pair it with a leader
-// started through startDurable whose stop runs last.
-func serveQuiet(t *testing.T, s *server.Server) (string, func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(ln) }()
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		select {
-		case err := <-serveErr:
-			if !errors.Is(err, server.ErrServerClosed) {
-				t.Errorf("Serve returned %v, want ErrServerClosed", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Error("Serve did not return after Shutdown")
-		}
-	}
-	return ln.Addr().String(), stop
-}
-
 // startFollower opens a follower of leaderAddr in its own data
 // directory, serves it, and wires an internal/repl stream into it.
 // The cleanup stops the stream before the server and fails the test
@@ -61,7 +28,7 @@ func startFollower(t *testing.T, leaderAddr string, cfg server.Config) (*server.
 	if err != nil {
 		t.Fatalf("Open follower: %v", err)
 	}
-	addr, stop := serveQuiet(t, s)
+	_, addr, stop := adoptServer(t, s)
 	f := repl.New(leaderAddr, s, repl.Options{
 		RetryMin: 10 * time.Millisecond, RetryMax: 100 * time.Millisecond,
 	})
@@ -252,7 +219,7 @@ func TestMinSeqTimesOutOnStalledFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faddr, stop := serveQuiet(t, s)
+	_, faddr, stop := adoptServer(t, s)
 	defer stop()
 
 	fc := dial(t, faddr)

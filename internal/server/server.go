@@ -588,8 +588,11 @@ type conn struct {
 	// drain complete), unblocking a reader stuck on a full resp queue.
 	writerGone chan struct{}
 	// delivered counts notifications written to this connection, for
-	// the per-connection stats breakdown.
+	// the per-connection stats breakdown; held counts those the writer
+	// has taken off the queue and encoded but not yet written, which a
+	// flush blocked on a stalled reader can hold many of.
 	delivered atomic.Uint64
+	held      atomic.Uint64
 	// replica marks a connection serving a replication stream; replSeq
 	// is the last sequence shipped to it (stats surface).
 	replica atomic.Bool
@@ -699,7 +702,6 @@ func (c *conn) writeLoop() {
 	// queues are momentarily empty (or the buffer is large enough): the
 	// firings of one insert reach a subscriber in one write, not one each.
 	var buf []byte
-	notes := uint64(0) // notifications in buf
 	flush := func() bool {
 		if len(buf) == 0 {
 			return true
@@ -718,9 +720,12 @@ func (c *conn) writeLoop() {
 			c.s.cfg.Logger.Debug("write failed", "remote", c.nc.RemoteAddr().String(), "err", err)
 			return false
 		}
-		c.s.delivered.Add(notes)
-		c.delivered.Add(notes)
-		notes = 0
+		// Only this goroutine writes held, so a load and a store suffice.
+		if notes := c.held.Load(); notes > 0 {
+			c.held.Store(0)
+			c.s.delivered.Add(notes)
+			c.delivered.Add(notes)
+		}
 		return true
 	}
 	push := func(m *wire.Message) bool {
@@ -730,7 +735,7 @@ func (c *conn) writeLoop() {
 			return false
 		}
 		if m.Type == wire.TypeNotify {
-			notes++
+			c.held.Add(1)
 		}
 		return len(buf) < flushBytes || flush()
 	}

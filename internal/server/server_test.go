@@ -1,15 +1,18 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,19 +28,49 @@ import (
 	"predmatch/internal/value"
 )
 
-// startServer launches a daemon on a loopback port and returns its
-// address plus a stopper that shuts it down and verifies both that
-// Serve unwinds and that no server/client goroutine outlives it.
-func startServer(t *testing.T, cfg server.Config) (*server.Server, string, func()) {
+// startServer launches a daemon built by server.New; see adoptServer.
+func startServer(t testing.TB, cfg server.Config) (*server.Server, string, func()) {
 	t.Helper()
-	s := server.New(cfg)
+	return adoptServer(t, server.New(cfg))
+}
+
+// Goroutine labels that tie goroutines to the helper call that made
+// them: every goroutine inherits its creator's labels, so whatever a
+// server's Serve loop starts carries that server's label, and whatever
+// a test starts after its first server — the clients it dials — carries
+// the test's name.
+const (
+	serverLabel = "predmatch_server"
+	testLabel   = "predmatch_test"
+)
+
+// servers numbers the servers the helpers start, one label value each.
+var servers atomic.Int64
+
+// adoptServer serves s on a loopback port and returns its address plus
+// a stopper that shuts it down and verifies both that Serve unwinds and
+// that none of this server's connection goroutines outlives it. The
+// check sees this server's goroutines only, so a server that another
+// test left running cannot fail this one. A test that returns without
+// calling the stopper fails at cleanup, under its own name, and the
+// cleanup stops the server; the cleanup also requires every client
+// the test dialed to have wound down.
+func adoptServer(t testing.TB, s *server.Server) (*server.Server, string, func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := ln.Addr().String()
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(testLabel, t.Name())))
+	id := strconv.FormatInt(servers.Add(1), 10)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(ln) }()
+	go pprof.Do(context.Background(), pprof.Labels(serverLabel, id), func(context.Context) {
+		serveErr <- s.Serve(ln)
+	})
+	var stopped atomic.Bool
 	stop := func() {
+		stopped.Store(true)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
@@ -51,38 +84,107 @@ func startServer(t *testing.T, cfg server.Config) (*server.Server, string, func(
 		case <-time.After(5 * time.Second):
 			t.Error("Serve did not return after Shutdown")
 		}
-		checkNoConnGoroutines(t)
+		checkGoroutinesGone(t, serverLabel, id, "server.(*conn)", "server.(*Server).Serve")
 	}
-	return s, ln.Addr().String(), stop
+	t.Cleanup(func() {
+		if !stopped.Load() {
+			t.Errorf("%s returned without stopping its server on %s", t.Name(), addr)
+			stop()
+		}
+		checkGoroutinesGone(t, testLabel, t.Name(), "client.(*Client).readLoop")
+	})
+	return s, addr, stop
 }
 
-// checkNoConnGoroutines is the goleak-style final check: after
-// shutdown, no goroutine may remain inside the server's or client's
-// connection machinery.
-func checkNoConnGoroutines(t *testing.T) {
+// checkGoroutinesGone is the goleak-style final check, scoped by a
+// goroutine label: within a few seconds, no goroutine labelled key=val
+// may remain with a frame in any of the marked functions.
+func checkGoroutinesGone(t testing.TB, key, val string, markers ...string) {
 	t.Helper()
-	leakMarkers := []string{
-		"server.(*conn)",
-		"server.(*Server).Serve",
-		"client.(*Client).readLoop",
-	}
+	label := fmt.Sprintf("%q:%q", key, val)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		leaked := false
-		for _, m := range leakMarkers {
-			if strings.Contains(stacks, m) {
-				leaked = true
+		var buf bytes.Buffer
+		pprof.Lookup("goroutine").WriteTo(&buf, 1)
+		var leaked []string
+		// debug=1 groups goroutines by stack and labels, one blank-line
+		// separated record per group: a count line, the labels, frames.
+		for _, rec := range strings.Split(buf.String(), "\n\n") {
+			if !strings.Contains(rec, label) {
+				continue
+			}
+			for _, m := range markers {
+				if strings.Contains(rec, m) {
+					leaked = append(leaked, rec)
+					break
+				}
 			}
 		}
-		if !leaked {
+		if len(leaked) == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked past shutdown:\n%s", stacks)
+			t.Errorf("goroutines labelled %s=%s leaked past shutdown:\n%s", key, val, strings.Join(leaked, "\n\n"))
+			return
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// recordTB is a testing.TB that records the failures a helper reports
+// and holds its cleanups until runCleanups, so a test can watch the
+// helpers judge another test.
+type recordTB struct {
+	testing.TB
+	name     string
+	errs     []string
+	cleanups []func()
+}
+
+func (r *recordTB) Name() string      { return r.name }
+func (r *recordTB) Helper()           {}
+func (r *recordTB) Error(args ...any) { r.errs = append(r.errs, fmt.Sprint(args...)) }
+func (r *recordTB) Errorf(format string, args ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+}
+func (r *recordTB) Cleanup(f func()) { r.cleanups = append(r.cleanups, f) }
+
+func (r *recordTB) runCleanups() {
+	for i := len(r.cleanups) - 1; i >= 0; i-- {
+		r.cleanups[i]()
+	}
+}
+
+// TestLeakCheckBlamesTheLeaker: a server its test never stopped, with a
+// client still connected, does not fail a later test that starts and
+// stops a server of its own; it fails the test that leaked it, by name,
+// at that test's cleanup, which also stops it.
+func TestLeakCheckBlamesTheLeaker(t *testing.T) {
+	leaker := &recordTB{TB: t, name: "TestLeaker"}
+	_, leakedAddr, _ := startServer(leaker, server.Config{})
+	c := dial(t, leakedAddr)
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
+	later := &recordTB{TB: t, name: "TestLater"}
+	_, addr, stop := startServer(later, server.Config{})
+	c2 := dial(t, addr)
+	if err := c2.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	c2.Close()
+	stop()
+	later.runCleanups()
+	if len(later.errs) != 0 {
+		t.Errorf("the leaked server failed TestLater:\n%s", strings.Join(later.errs, "\n"))
+	}
+
+	leaker.runCleanups()
+	want := "TestLeaker returned without stopping its server on " + leakedAddr
+	if len(leaker.errs) != 1 || leaker.errs[0] != want {
+		t.Errorf("TestLeaker's cleanup reported %q, want only %q", leaker.errs, want)
 	}
 }
 
@@ -577,9 +679,12 @@ func TestServerIdleTimeout(t *testing.T) {
 
 // TestServerSlowSubscriberDoesNotBlock: a subscriber that never reads
 // its socket must not stall the mutation/match path — the bounded
-// queue and drop policy absorb it.
+// queue and drop policy absorb it — and every notification generated
+// for it stays accounted for. The write timeout outlasts the test, so
+// the stalled writer stays blocked on the socket until the test closes
+// it.
 func TestServerSlowSubscriberDoesNotBlock(t *testing.T) {
-	_, addr, stop := startServer(t, server.Config{QueueLen: 4, WriteTimeout: time.Second})
+	s, addr, stop := startServer(t, server.Config{QueueLen: 4, WriteTimeout: time.Minute})
 	defer stop()
 
 	mut := dial(t, addr)
@@ -608,31 +713,57 @@ func TestServerSlowSubscriberDoesNotBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each notification carries an 8 KiB name, so the 2,000 of them
+	// (16 MiB) overrun what the kernel buffers for a socket nobody reads
+	// (4 MiB by default on Linux): the server's writer ends up blocked
+	// mid-flush, holding what it encoded.
 	start := time.Now()
 	const ops = 2000
+	wide := value.String_(strings.Repeat("w", 8<<10))
 	for i := 0; i < ops; i++ {
-		if _, _, err := mut.Insert("emp", randomEmp(rand.New(rand.NewSource(int64(i))))); err != nil {
+		emp := randomEmp(rand.New(rand.NewSource(int64(i))))
+		emp[0] = wide
+		if _, _, err := mut.Insert("emp", emp); err != nil {
 			t.Fatalf("insert %d with stalled subscriber: %v", i, err)
 		}
 	}
 	elapsed := time.Since(start)
-	st, err := mut.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+
 	// Every notification generated is delivered, dropped, still in the
-	// stalled connection's queue (up to QueueLen), or the one frame its
-	// writer holds blocked on the socket — reading delivered+dropped
-	// alone races with those last QueueLen+1.
-	queued := 0
-	for _, c := range st.Connections {
-		queued += c.Queue
+	// stalled connection's queue, or held by its writer: encoded into
+	// the buffer a blocked flush is writing. The writer moves
+	// notifications between those states while they are read, so read
+	// until two reads a moment apart agree; then they add up exactly.
+	type counts struct{ seq, delivered, dropped, queued, held uint64 }
+	read := func() counts {
+		st, err := mut.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c counts
+		for _, cs := range st.Connections {
+			if cs.Subscribed {
+				c = counts{seq: cs.LastSeq, delivered: cs.Delivered, dropped: cs.Dropped, queued: uint64(cs.Queue)}
+			}
+		}
+		c.held = s.HeldNotes()
+		return c
 	}
-	t.Logf("%d inserts in %v with a stalled subscriber; delivered=%d dropped=%d queued=%d",
-		ops, elapsed, st.Delivered, st.Dropped, queued)
-	if accounted := st.Delivered + st.Dropped + uint64(queued) + 1; accounted < ops {
-		t.Fatalf("notification accounting lost events: delivered=%d dropped=%d queued=%d (+1 in the writer's hands), want ≥%d",
-			st.Delivered, st.Dropped, queued, ops)
+	c := read()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		time.Sleep(20 * time.Millisecond)
+		next := read()
+		if next == c {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("notification counts still moving after 5s: %+v", next)
+		}
+		c = next
+	}
+	t.Logf("%d inserts in %v with a stalled subscriber: %+v", ops, elapsed, c)
+	if c.seq != ops || c.delivered+c.dropped+c.queued+c.held != ops {
+		t.Fatalf("notification accounting: %+v, want seq = delivered+dropped+queued+held = %d", c, ops)
 	}
 }
 
@@ -656,7 +787,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain the stream until the server's shutdown closes it.
-	drained := make(chan int)
+	drained := make(chan int, 1)
 	go func() {
 		n := 0
 		for range notes {

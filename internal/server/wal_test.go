@@ -1,9 +1,6 @@
 package server_test
 
 import (
-	"context"
-	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,34 +25,6 @@ func startDurable(t *testing.T, cfg server.Config) (*server.Server, string, func
 	}
 	_, addr, stop := adoptServer(t, s)
 	return s, addr, stop
-}
-
-// adoptServer is startServer's serve/stop half for a pre-built server.
-func adoptServer(t *testing.T, s *server.Server) (*server.Server, string, func()) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- s.Serve(ln) }()
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := s.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-		select {
-		case err := <-serveErr:
-			if !errors.Is(err, server.ErrServerClosed) {
-				t.Errorf("Serve returned %v, want ErrServerClosed", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Error("Serve did not return after Shutdown")
-		}
-		checkNoConnGoroutines(t)
-	}
-	return s, ln.Addr().String(), stop
 }
 
 // TestDurableRestart drives every state-changing op class against a

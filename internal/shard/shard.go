@@ -29,13 +29,13 @@
 //     relation); it never sees a half-applied write.
 //
 // MatchBatch amortizes the snapshot acquisition over a whole batch of
-// tuples and fans the per-tuple stabs across a worker pool, so all
-// tuples of a batch observe the same predicate-set version.
+// tuples: it loads the view once and matches the tuples one after
+// another on the caller's goroutine, so all tuples of a batch observe
+// the same predicate-set version.
 package shard
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,17 +51,12 @@ import (
 	"predmatch/internal/tuple"
 )
 
-// minBatchFanout is the batch size below which MatchBatch stays serial;
-// smaller batches don't amortize goroutine scheduling.
-const minBatchFanout = 16
-
 // ShardedMatcher partitions the predicate index by relation and serves
 // lock-free snapshot reads. Construct with New.
 type ShardedMatcher struct {
 	catalog *schema.Catalog
 	funcs   *pred.Registry
 	opts    []core.Option
-	workers int
 	name    string
 	met     *metrics // nil unless built with WithMetrics
 
@@ -106,15 +101,6 @@ type relShard struct {
 // Option configures a ShardedMatcher.
 type Option func(*ShardedMatcher)
 
-// WithWorkers bounds the MatchBatch fan-out (default: GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(m *ShardedMatcher) {
-		if n > 0 {
-			m.workers = n
-		}
-	}
-}
-
 // WithIndexOptions passes options to every per-shard core.Index, e.g.
 // core.WithIndexFactory to swap the attribute index structure.
 func WithIndexOptions(opts ...core.Option) Option {
@@ -132,7 +118,6 @@ func New(catalog *schema.Catalog, funcs *pred.Registry, opts ...Option) *Sharded
 	m := &ShardedMatcher{
 		catalog: catalog,
 		funcs:   funcs,
-		workers: runtime.GOMAXPROCS(0),
 		name:    "sharded",
 		ids:     make(map[pred.ID]string),
 	}
@@ -323,7 +308,7 @@ func (m *ShardedMatcher) admit(snap *core.View, rel string, t tuple.Tuple) bool 
 }
 
 // MatchBatch matches every tuple of rel against one snapshot acquired
-// once for the whole batch, fanning the tuples across the worker pool.
+// once for the whole batch, in order, on the caller's goroutine.
 // results[i] holds the matches of tuples[i]; all tuples observe the
 // same predicate-set version even while writers publish concurrently.
 func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.ID, error) {
@@ -340,53 +325,12 @@ func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.
 	if snap == nil {
 		return results, nil
 	}
-	workers := m.workers
-	if workers > len(tuples) {
-		workers = len(tuples)
-	}
-	if workers <= 1 || len(tuples) < minBatchFanout {
-		var err error
-		for i, t := range tuples {
-			if !m.admit(snap, rel, t) {
-				continue
-			}
-			if results[i], err = snap.Match(rel, t, nil); err != nil {
-				return results, err
-			}
-		}
-		return results, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (len(tuples) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(tuples) {
-			hi = len(tuples)
-		}
-		if lo >= hi {
+	var err error
+	for i, t := range tuples {
+		if !m.admit(snap, rel, t) {
 			continue
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if !m.admit(snap, rel, tuples[i]) {
-					continue
-				}
-				out, err := snap.Match(rel, tuples[i], nil)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				results[i] = out
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if results[i], err = snap.Match(rel, t, nil); err != nil {
 			return results, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -54,50 +55,43 @@ func TestNameAndOptions(t *testing.T) {
 	if got := shard.New(f.Catalog, f.Funcs).Name(); got != "sharded" {
 		t.Errorf("Name = %q, want sharded", got)
 	}
-	m := shard.New(f.Catalog, f.Funcs, shard.WithName("x"), shard.WithWorkers(2))
+	m := shard.New(f.Catalog, f.Funcs, shard.WithName("x"))
 	if got := m.Name(); got != "x" {
 		t.Errorf("Name = %q, want x", got)
 	}
 }
 
 // TestMatchBatch checks that a batch returns exactly the per-tuple
-// Match results, positionally, across both the serial and the fanned-out
-// paths.
+// Match results, positionally and in the same order.
 func TestMatchBatch(t *testing.T) {
 	f := matchertest.NewFixture()
 	rng := rand.New(rand.NewSource(3))
-	for _, workers := range []int{1, 4} {
-		m := shard.New(f.Catalog, f.Funcs, shard.WithWorkers(workers))
-		for id := pred.ID(0); id < 60; id++ {
-			if err := m.Add(f.RandomPredicate(rng, id)); err != nil {
+	m := shard.New(f.Catalog, f.Funcs)
+	for id := pred.ID(0); id < 60; id++ {
+		if err := m.Add(f.RandomPredicate(rng, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rel := range f.Rels {
+		for _, n := range []int{0, 1, 5, 64} {
+			tuples := make([]tuple.Tuple, n)
+			for i := range tuples {
+				tuples[i] = f.RandomTuple(rng, rel)
+			}
+			batch, err := m.MatchBatch(rel.Name(), tuples)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		for _, rel := range f.Rels {
-			for _, n := range []int{0, 1, 5, 64} {
-				tuples := make([]tuple.Tuple, n)
-				for i := range tuples {
-					tuples[i] = f.RandomTuple(rng, rel)
-				}
-				batch, err := m.MatchBatch(rel.Name(), tuples)
+			if len(batch) != n {
+				t.Fatalf("MatchBatch returned %d results for %d tuples", len(batch), n)
+			}
+			for i, tup := range tuples {
+				want, err := m.Match(rel.Name(), tup, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(batch) != n {
-					t.Fatalf("MatchBatch returned %d results for %d tuples", len(batch), n)
-				}
-				for i, tup := range tuples {
-					want, err := m.Match(rel.Name(), tup, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := batch[i]
-					sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-					sort.Slice(want, func(a, b int) bool { return want[a] < want[b] })
-					if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
-						t.Fatalf("workers=%d %s tuple %d: batch %v, Match %v",
-							workers, rel.Name(), i, got, want)
-					}
+				if !slices.Equal(batch[i], want) {
+					t.Fatalf("%s tuple %d: batch %v, Match %v", rel.Name(), i, batch[i], want)
 				}
 			}
 		}
@@ -432,7 +426,7 @@ func TestMatchBatchSeesOneVersion(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := matchertest.NewFixture()
-			m := shard.New(f.Catalog, f.Funcs, shard.WithWorkers(4))
+			m := shard.New(f.Catalog, f.Funcs)
 			if err := m.Add(c.standing); err != nil {
 				t.Fatal(err)
 			}

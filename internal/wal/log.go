@@ -459,19 +459,8 @@ func (l *Log) Advance(seq uint64) error {
 // directory, or nil when none exists. The leader serves it to a
 // follower whose resume cursor predates the pruned tail.
 func (l *Log) NewestSnapshot() (*Snapshot, error) {
-	seqs, err := listSnapshots(l.opt.Dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, seq := range seqs {
-		snap, err := ReadSnapshot(filepath.Join(l.opt.Dir, snapshotName(seq)))
-		if err != nil {
-			l.opt.Logger.Warn("wal snapshot unreadable, falling back", "seq", seq, "err", err)
-			continue
-		}
-		return snap, nil
-	}
-	return nil, nil
+	snap, _, err := loadNewestSnapshot(l.opt)
+	return snap, err
 }
 
 // LastSeq returns the last assigned sequence number.

@@ -86,28 +86,7 @@ func (l *Log) WriteSnapshot(snap *Snapshot) (string, int64, error) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
 
 	final := filepath.Join(l.opt.Dir, snapshotName(snap.Seq))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", 0, err
-	}
-	if _, err := f.Write(hdr[:]); err == nil {
-		_, err = f.Write(payload)
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err == nil {
-		err = syncDir(l.opt.Dir)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := writeDurable(final, hdr[:], payload); err != nil {
 		return "", 0, fmt.Errorf("wal: write snapshot: %w", err)
 	}
 	l.noteSnapshot(snap.Seq, t0)
@@ -121,6 +100,38 @@ func (l *Log) WriteSnapshot(snap *Snapshot) (string, int64, error) {
 	return final, int64(len(payload) + headerBytes), nil
 }
 
+// writeDurable writes parts, concatenated, to path so that a crash
+// leaves either no file under path or the complete one: written to a
+// temp file, fsynced, renamed into place, and the directory fsynced.
+func writeDurable(path string, parts ...[]byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err == nil {
+		err = syncDir(filepath.Dir(path))
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
 // ReadSnapshot loads and validates one checkpoint file. Any framing or
 // checksum failure is an error; callers (recovery, predmatch restore)
 // decide whether to fall back to an older snapshot.
@@ -129,6 +140,12 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeSnapshot(path, raw)
+}
+
+// decodeSnapshot validates and decodes raw, the bytes of the checkpoint
+// file at path.
+func decodeSnapshot(path string, raw []byte) (*Snapshot, error) {
 	if len(raw) < headerBytes {
 		return nil, fmt.Errorf("wal: snapshot %s: short header", filepath.Base(path))
 	}
@@ -162,14 +179,20 @@ func UnmarshalSnapshot(payload []byte) (*Snapshot, error) {
 }
 
 // InstallSnapshot seeds a fresh data directory from a checkpoint file
-// (the `predmatch restore` operation): validate the snapshot, refuse a
-// directory that already holds durable state (restoring over a live
-// history would silently discard it), then copy the file in under its
-// canonical name with full fsync discipline. A daemon recovering the
-// directory afterwards starts from the snapshot with an empty log tail
-// and appends resuming at Seq+1.
+// (the `predmatch restore` operation): read and validate the snapshot,
+// refuse a directory that already holds durable state (restoring over a
+// live history would silently discard it), then write the bytes it
+// validated under the canonical name with full fsync discipline. The
+// source is read once, so a change to it after validation cannot reach
+// the directory. A daemon recovering the directory afterwards starts
+// from the snapshot with an empty log tail and appends resuming at
+// Seq+1.
 func InstallSnapshot(dir, srcPath string) (*Snapshot, error) {
-	snap, err := ReadSnapshot(srcPath)
+	raw, err := os.ReadFile(srcPath)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := decodeSnapshot(srcPath, raw)
 	if err != nil {
 		return nil, err
 	}
@@ -187,30 +210,7 @@ func InstallSnapshot(dir, srcPath string) (*Snapshot, error) {
 	if len(segs) > 0 || len(snaps) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds durable state (%d segments, %d snapshots); refusing to restore over it", dir, len(segs), len(snaps))
 	}
-	raw, err := os.ReadFile(srcPath)
-	if err != nil {
-		return nil, err
-	}
-	final := filepath.Join(dir, snapshotName(snap.Seq))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if _, err = f.Write(raw); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, final)
-	}
-	if err == nil {
-		err = syncDir(dir)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := writeDurable(filepath.Join(dir, snapshotName(snap.Seq)), raw); err != nil {
 		return nil, fmt.Errorf("wal: install snapshot: %w", err)
 	}
 	return snap, nil
