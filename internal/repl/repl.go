@@ -6,10 +6,12 @@
 // backoff on stream loss and resumes from the applier's last applied
 // sequence, so a partition costs latency, never correctness.
 //
-// The package deliberately knows nothing about internal/server: the
+// The package deliberately knows nothing about internal/server or the
+// WAL's record and snapshot types: frames carry the leader's logged
+// payload bytes, which the Applier decodes and logs unchanged. The
 // Applier interface is the entire contract, which keeps the dependency
-// direction server -> repl -> wal/wire acyclic and lets tests drive a
-// Follower against a scripted leader and an in-memory applier.
+// direction repl -> wire acyclic and lets tests drive a Follower
+// against a scripted leader and an in-memory applier.
 package repl
 
 import (
@@ -24,23 +26,23 @@ import (
 	"time"
 
 	"predmatch/internal/obs"
-	"predmatch/internal/wal"
 	"predmatch/internal/wire"
 )
 
 // Applier consumes the replication stream. internal/server.(*Server)
 // implements it; ReplApplyRecord must persist the record before
 // returning (the applied sequence is the resume cursor, so anything it
-// covers must survive a follower crash).
+// covers must survive a follower crash). Both apply methods take the
+// payload exactly as the leader's log stores it.
 type Applier interface {
 	// ReplAppliedSeq is the last sequence applied and locally durable;
 	// the stream resumes after it.
 	ReplAppliedSeq() uint64
 	// ReplApplySnapshot installs a bootstrap snapshot (only ever sent
 	// when the resume cursor predates the leader's pruning horizon).
-	ReplApplySnapshot(*wal.Snapshot) error
+	ReplApplySnapshot(payload []byte) error
 	// ReplApplyRecord applies and persists one record, in sequence order.
-	ReplApplyRecord(*wal.Record) error
+	ReplApplyRecord(payload []byte) error
 	// ReplSealed reports that the applier stopped accepting the stream
 	// for good (promotion); the follower loop exits instead of retrying.
 	ReplSealed() bool
@@ -268,33 +270,25 @@ func (f *Follower) streamOnce() error {
 	}
 }
 
-// applyFrame decodes one repl frame's payload with the decoders WAL
-// recovery uses and hands it to the applier. Apply errors are fatal:
-// retrying replays the same record into the same refusal.
+// applyFrame hands one repl frame's payload to the applier. Apply
+// errors, a payload that does not decode among them, are fatal:
+// retrying replays the same bytes into the same refusal.
 func (f *Follower) applyFrame(m *wire.Message) error {
 	if m.LeaderSeq > f.leaderSeq.Load() {
 		f.leaderSeq.Store(m.LeaderSeq)
 	}
-	if len(m.Snap) > 0 {
-		snap, err := wal.UnmarshalSnapshot(m.Snap)
-		if err != nil {
-			return fmt.Errorf("bad snapshot frame: %w", err)
-		}
-		if err := f.app.ReplApplySnapshot(snap); err != nil {
+	switch {
+	case len(m.Snap) > 0:
+		if err := f.app.ReplApplySnapshot(m.Snap); err != nil {
 			return &fatalError{err}
 		}
-		f.opt.Logger.Info("bootstrap snapshot installed", "seq", snap.Seq)
-		return nil
-	}
-	if len(m.Rec) > 0 {
-		rec, err := wal.UnmarshalRecord(m.Rec)
-		if err != nil {
-			return fmt.Errorf("bad record frame: %w", err)
-		}
-		if err := f.app.ReplApplyRecord(rec); err != nil {
+		f.opt.Logger.Info("bootstrap snapshot installed", "seq", f.app.ReplAppliedSeq())
+	case len(m.Rec) > 0:
+		if err := f.app.ReplApplyRecord(m.Rec); err != nil {
 			return &fatalError{err}
 		}
-		return nil
+	default:
+		return errors.New("repl frame carries neither snapshot nor record")
 	}
-	return errors.New("repl frame carries neither snapshot nor record")
+	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"predmatch/internal/wal"
 	"predmatch/internal/wire"
 )
 
@@ -30,25 +29,42 @@ func (a *fakeApplier) ReplAppliedSeq() uint64 {
 	return a.applied
 }
 
-func (a *fakeApplier) ReplApplySnapshot(s *wal.Snapshot) error {
+// payloadSeq reads the sequence out of a record or snapshot payload.
+func payloadSeq(payload []byte) (uint64, error) {
+	var v struct {
+		Seq uint64 `json:"seq"`
+	}
+	err := json.Unmarshal(payload, &v)
+	return v.Seq, err
+}
+
+func (a *fakeApplier) ReplApplySnapshot(payload []byte) error {
+	seq, err := payloadSeq(payload)
+	if err != nil {
+		return err
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.snaps = append(a.snaps, s.Seq)
-	a.applied = s.Seq
+	a.snaps = append(a.snaps, seq)
+	a.applied = seq
 	return nil
 }
 
-func (a *fakeApplier) ReplApplyRecord(r *wal.Record) error {
+func (a *fakeApplier) ReplApplyRecord(payload []byte) error {
+	seq, err := payloadSeq(payload)
+	if err != nil {
+		return err
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.failAt != 0 && r.Seq == a.failAt {
-		return fmt.Errorf("refusing seq %d", r.Seq)
+	if a.failAt != 0 && seq == a.failAt {
+		return fmt.Errorf("refusing seq %d", seq)
 	}
-	if r.Seq != a.applied+1 {
-		return fmt.Errorf("gap: applied %d, got %d", a.applied, r.Seq)
+	if seq != a.applied+1 {
+		return fmt.Errorf("gap: applied %d, got %d", a.applied, seq)
 	}
-	a.recs = append(a.recs, r.Seq)
-	a.applied = r.Seq
+	a.recs = append(a.recs, seq)
+	a.applied = seq
 	return nil
 }
 
@@ -92,19 +108,13 @@ func fakeLeader(t *testing.T, serve func(accept int, fromSeq uint64, nc net.Conn
 
 func recFrame(t *testing.T, seq, leaderSeq uint64) wire.Message {
 	t.Helper()
-	raw, err := json.Marshal(&wal.Record{Seq: seq, Kind: wal.KindDeclare, Relation: "emp"})
-	if err != nil {
-		t.Fatalf("marshal record: %v", err)
-	}
+	raw := fmt.Appendf(nil, `{"seq":%d,"kind":"declare","relation":"emp"}`, seq)
 	return wire.Message{Type: wire.TypeRepl, Rec: raw, LeaderSeq: leaderSeq}
 }
 
 func snapFrame(t *testing.T, seq, leaderSeq uint64) wire.Message {
 	t.Helper()
-	raw, err := json.Marshal(&wal.Snapshot{Seq: seq})
-	if err != nil {
-		t.Fatalf("marshal snapshot: %v", err)
-	}
+	raw := fmt.Appendf(nil, `{"version":1,"seq":%d,"relations":null}`, seq)
 	return wire.Message{Type: wire.TypeRepl, Snap: raw, LeaderSeq: leaderSeq}
 }
 

@@ -76,7 +76,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("predmatch_notify_delivered_total",
 		"Notifications written to clients.", s.delivered.Load)
 	reg.CounterFunc("predmatch_notify_dropped_total",
-		"Notifications dropped by the overflow policy.", s.dropped.Load)
+		"Notifications dropped by the overflow policy or lost with a torn-down connection.", s.dropped.Load)
 	m.streamedRecords = reg.Counter("predmatch_repl_streamed_records_total",
 		"WAL records streamed to followers.")
 	m.streamedBytes = reg.Counter("predmatch_repl_streamed_bytes_total",

@@ -1,10 +1,10 @@
 // Replication: the server side of internal/repl. A leader serves the
 // `replicate` op by streaming its WAL — newest snapshot if the
 // follower's resume cursor was pruned, then the live record tail — over
-// the ordinary wire protocol. A follower (Config.FollowerOf set)
-// applies that stream through applyRecord, the code path recovery uses,
-// serves lock-free reads, and rejects mutations with a leader-redirect
-// error until it is promoted.
+// the ordinary wire protocol, as the bytes its log stores. A follower
+// (Config.FollowerOf set) applies that stream through applyRecord, the
+// code path recovery uses, logs the same bytes, serves lock-free reads,
+// and rejects mutations with a leader-redirect error until promoted.
 //
 // Sequence-space contract: a follower's local WAL preserves the
 // leader's sequence numbers exactly (wal.AppendExact / wal.Advance), so
@@ -22,7 +22,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -201,14 +200,18 @@ func (s *Server) ReplAppliedSeq() uint64 { return s.applied.Load() }
 // "promoted, stop for good" from a retryable stream failure.
 func (s *Server) ReplSealed() bool { return !s.isFollower.Load() }
 
-// ReplApplySnapshot bootstraps a fresh follower from a leader
-// snapshot: install the state, persist the snapshot locally, and jump
-// the empty local log into the leader's sequence space. A follower
-// that already has history refuses — receiving a snapshot then means
-// the leader pruned past our cursor while we were away, and recovering
-// from that requires wiping the data directory (the failure matrix in
-// docs/REPLICATION.md).
-func (s *Server) ReplApplySnapshot(snap *wal.Snapshot) error {
+// ReplApplySnapshot bootstraps a fresh follower from payload, a leader
+// checkpoint's bytes: install the state, persist the payload unchanged
+// as the local checkpoint, and jump the empty local log into the
+// leader's sequence space. A follower that already has history refuses
+// — receiving a snapshot then means the leader pruned past our cursor
+// while we were away, and recovering from that requires wiping the
+// data directory (the failure matrix in docs/REPLICATION.md).
+func (s *Server) ReplApplySnapshot(payload []byte) error {
+	snap, err := wal.UnmarshalSnapshot(payload)
+	if err != nil {
+		return fmt.Errorf("server: replication snapshot: %w", err)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.isFollower.Load() {
@@ -220,7 +223,7 @@ func (s *Server) ReplApplySnapshot(snap *wal.Snapshot) error {
 	if err := s.loadSnapshot(snap); err != nil {
 		return fmt.Errorf("server: install replication snapshot %d: %w", snap.Seq, err)
 	}
-	if _, _, err := s.wal.WriteSnapshot(snap); err != nil {
+	if _, _, err := s.wal.WriteSnapshotPayload(snap.Seq, payload); err != nil {
 		return err
 	}
 	if err := s.wal.Advance(snap.Seq); err != nil {
@@ -230,15 +233,20 @@ func (s *Server) ReplApplySnapshot(snap *wal.Snapshot) error {
 	return nil
 }
 
-// ReplApplyRecord applies one replicated record: execute it through
-// the recovery code path (rules do not re-fire; the record carries
-// their effects), append it to the local log preserving the leader's
-// sequence, and advance the read frontier once locally durable.
+// ReplApplyRecord applies one replicated record, payload as the
+// leader logged it: execute it through the recovery code path (rules
+// do not re-fire; the record carries their effects), append the same
+// bytes to the local log under the leader's sequence, and advance the
+// read frontier once locally durable.
 //
 // A record carrying a trace context (the leader's request was traced)
 // is recorded here as a follower.apply root span joined to the same
 // trace id, so the leader's and follower's flight recorders correlate.
-func (s *Server) ReplApplyRecord(rec *wal.Record) error {
+func (s *Server) ReplApplyRecord(payload []byte) error {
+	rec, err := wal.UnmarshalRecord(payload)
+	if err != nil {
+		return fmt.Errorf("server: replicated record: %w", err)
+	}
 	var sp *trace.Span
 	if tr := s.cfg.Tracer; tr != nil && rec.Trace != nil {
 		if id, ok := trace.ParseID(rec.Trace.ID); ok {
@@ -247,7 +255,7 @@ func (s *Server) ReplApplyRecord(rec *wal.Record) error {
 			sp.SetStr("kind", rec.Kind)
 		}
 	}
-	err := s.replApplyRecord(rec, sp)
+	err = s.replApplyRecord(rec, payload, sp)
 	if sp != nil {
 		if err != nil {
 			sp.SetStr("error", err.Error())
@@ -257,7 +265,9 @@ func (s *Server) ReplApplyRecord(rec *wal.Record) error {
 	return err
 }
 
-func (s *Server) replApplyRecord(rec *wal.Record, sp *trace.Span) error {
+// replApplyRecord skips a record the local log already holds and
+// refuses a gap with nothing applied or appended.
+func (s *Server) replApplyRecord(rec *wal.Record, payload []byte, sp *trace.Span) error {
 	s.mu.Lock()
 	if !s.isFollower.Load() {
 		s.mu.Unlock()
@@ -280,7 +290,7 @@ func (s *Server) replApplyRecord(rec *wal.Record, sp *trace.Span) error {
 		return fmt.Errorf("server: apply replicated record %d: %w", rec.Seq, err)
 	}
 	asp := sp.Child("wal.append")
-	_, err := s.wal.AppendExact(rec)
+	_, err := s.wal.AppendExact(rec.Seq, payload)
 	asp.End()
 	s.mu.Unlock()
 	if err := s.commit(rec.Seq, err, sp); err != nil {
@@ -377,8 +387,8 @@ func (s *Server) streamLog(c *conn, cursor uint64) {
 	for {
 		tail, err := s.wal.OpenTail(cursor + 1)
 		if errors.Is(err, wal.ErrTruncated) {
-			snap, serr := s.wal.NewestSnapshot()
-			if serr != nil || snap == nil || snap.Seq <= cursor {
+			seq, payload, serr := s.wal.NewestSnapshot()
+			if serr != nil || payload == nil || seq <= cursor {
 				// Pruning outran the follower and no snapshot can bridge the
 				// gap — should be impossible (pruning requires a covering
 				// snapshot), so surface it rather than stream a hole.
@@ -386,18 +396,13 @@ func (s *Server) streamLog(c *conn, cursor uint64) {
 					"remote", remote, "cursor", cursor, "err", serr)
 				return
 			}
-			raw, merr := json.Marshal(snap)
-			if merr != nil {
-				s.cfg.Logger.Warn("replication: encode snapshot", "remote", remote, "err", merr)
+			if !send(wire.Message{Type: wire.TypeRepl, Snap: payload, LeaderSeq: s.wal.LastSeq()}) {
 				return
 			}
-			if !send(wire.Message{Type: wire.TypeRepl, Snap: raw, LeaderSeq: s.wal.LastSeq()}) {
-				return
-			}
-			cursor = snap.Seq
+			cursor = seq
 			c.replSeq.Store(cursor)
 			if s.met != nil {
-				s.met.streamedBytes.Add(uint64(len(raw)))
+				s.met.streamedBytes.Add(uint64(len(payload)))
 			}
 			continue
 		}
@@ -418,27 +423,24 @@ func (s *Server) streamLog(c *conn, cursor uint64) {
 	}
 }
 
-// streamRecords ships records until the stream stops (stop/writer
-// gone), the log closes, or the tail is pruned out from under the
-// cursor (returned as wal.ErrTruncated for the snapshot fallback).
+// streamRecords ships record payloads, as the log stores them, until
+// the stream stops (stop/writer gone), the log closes, or the tail is
+// pruned out from under the cursor (returned as wal.ErrTruncated for
+// the snapshot fallback).
 func (s *Server) streamRecords(c *conn, tail *wal.Tail, send func(wire.Message) bool, stop <-chan struct{}, cursor uint64) (uint64, error) {
 	for {
-		rec, err := tail.Next(stop)
+		seq, payload, err := tail.Next(stop)
 		if err != nil {
 			return cursor, err
 		}
-		raw, merr := json.Marshal(rec)
-		if merr != nil {
-			return cursor, merr
-		}
-		if !send(wire.Message{Type: wire.TypeRepl, Rec: raw, LeaderSeq: s.wal.LastSeq()}) {
+		if !send(wire.Message{Type: wire.TypeRepl, Rec: payload, LeaderSeq: s.wal.LastSeq()}) {
 			return cursor, wal.ErrClosed
 		}
-		cursor = rec.Seq
+		cursor = seq
 		c.replSeq.Store(cursor)
 		if s.met != nil {
 			s.met.streamedRecords.Inc()
-			s.met.streamedBytes.Add(uint64(len(raw)))
+			s.met.streamedBytes.Add(uint64(len(payload)))
 		}
 	}
 }

@@ -1,8 +1,13 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,15 +19,19 @@ import (
 	"predmatch/internal/server"
 	"predmatch/internal/tuple"
 	"predmatch/internal/value"
+	"predmatch/internal/wal"
+	"predmatch/internal/wire"
 )
 
 // startFollower opens a follower of leaderAddr in its own data
-// directory, serves it, and wires an internal/repl stream into it.
+// directory (cfg.DataDir, or a fresh one), serves it, and wires an internal/repl stream into it.
 // The cleanup stops the stream before the server and fails the test
 // if the stream loop exited with an error.
 func startFollower(t *testing.T, leaderAddr string, cfg server.Config) (*server.Server, string, *repl.Follower, func()) {
 	t.Helper()
-	cfg.DataDir = t.TempDir()
+	if cfg.DataDir == "" {
+		cfg.DataDir = t.TempDir()
+	}
 	cfg.FollowerOf = leaderAddr
 	s, err := server.Open(cfg)
 	if err != nil {
@@ -416,6 +425,241 @@ func TestFollowerReconnectResume(t *testing.T) {
 	waitSeq(t, "follower applied after partition", fsrv.ReplAppliedSeq, lc.LastSeq())
 	if f.Reconnects() == 0 {
 		t.Error("reconnect counter did not advance across the partition")
+	}
+}
+
+// logBySeq reads every record payload in dir's segments, keyed by the
+// sequence it carries.
+func logBySeq(t *testing.T, dir string) map[uint64][]byte {
+	t.Helper()
+	out := make(map[uint64][]byte)
+	for _, payload := range segmentPayloads(t, dir) {
+		rec, err := wal.UnmarshalRecord(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[rec.Seq] = payload
+	}
+	return out
+}
+
+// checkpointFile returns the name and bytes of the one checkpoint in
+// dir.
+func checkpointFile(t *testing.T, dir string) (string, []byte) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "snap-*.ckpt"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("checkpoints in %s: %v (%v), want one", dir, paths, err)
+	}
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Base(paths[0]), raw
+}
+
+// TestFollowerLogMatchesLeaderBytes: replication moves the leader's
+// logged bytes. One follower tails live while the leader's log rotates
+// segment after segment; a second bootstraps from the leader's
+// checkpoint after pruning. For every sequence each follower holds, its
+// record payload equals the leader's byte for byte, and the
+// bootstrapped follower's checkpoint file equals the leader's.
+func TestFollowerLogMatchesLeaderBytes(t *testing.T) {
+	leaderDir := t.TempDir()
+	_, leaderAddr, leaderStop := startDurable(t, server.Config{
+		DataDir:         leaderDir,
+		WALSegmentBytes: 512, // a rotation every few records
+	})
+	defer leaderStop()
+	lc := dial(t, leaderAddr)
+	defer lc.Close()
+	if err := lc.DeclareRelation(empRel); err != nil {
+		t.Fatal(err)
+	}
+
+	liveDir := t.TempDir()
+	live, _, _, liveStop := startFollower(t, leaderAddr, server.Config{
+		DataDir: liveDir, WALSegmentBytes: 700, // boundaries unlike the leader's
+	})
+	defer liveStop()
+
+	// Every record kind, and tuples whose strings need escaping.
+	if err := lc.DeclareRelation(auditRel); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.CreateIndex("emp", "salary"); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range e2eRules {
+		if _, err := lc.DefineRule(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	predID, err := lc.AddPredicate(pred.New(0, "emp",
+		pred.IvClause("salary", interval.Greater(value.Int(50000)))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var ids []tuple.ID
+	for i := 0; i < 30; i++ {
+		emp := randomEmp(rng)
+		if i%7 == 0 {
+			emp[0] = value.String_("<&> \u2028 é \"q\"")
+		}
+		id, _, err := lc.Insert("emp", emp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if _, err := lc.Update("emp", ids[0], randomEmp(rng)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lc.Delete("emp", ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.DropRule("senior"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.RemovePredicate(predID); err != nil {
+		t.Fatal(err)
+	}
+	waitSeq(t, "live follower applied", live.ReplAppliedSeq, lc.LastSeq())
+	leader := logBySeq(t, leaderDir)
+	if segs, _ := filepath.Glob(filepath.Join(leaderDir, "wal-*.seg")); len(segs) < 3 {
+		t.Fatalf("leader log has %d segments; the tail crossed no rotation", len(segs))
+	}
+
+	// Checkpoint and prune, write past it, and bootstrap a second
+	// follower from the checkpoint.
+	info, err := lc.Backup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := lc.Insert("emp", randomEmp(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bootDir := t.TempDir()
+	boot, _, _, bootStop := startFollower(t, leaderAddr, server.Config{DataDir: bootDir})
+	defer bootStop()
+	last := lc.LastSeq()
+	waitSeq(t, "live follower applied", live.ReplAppliedSeq, last)
+	waitSeq(t, "bootstrapped follower applied", boot.ReplAppliedSeq, last)
+	for seq, payload := range logBySeq(t, leaderDir) {
+		leader[seq] = payload
+	}
+
+	for _, f := range []struct {
+		name  string
+		dir   string
+		first uint64
+	}{{"live", liveDir, 1}, {"bootstrapped", bootDir, info.Seq + 1}} {
+		got := logBySeq(t, f.dir)
+		if want := int(last - f.first + 1); len(got) != want {
+			t.Errorf("%s follower holds %d records, want %d", f.name, len(got), want)
+		}
+		for seq := f.first; seq <= last; seq++ {
+			if !bytes.Equal(got[seq], leader[seq]) {
+				t.Errorf("%s follower, seq %d:\n got %s\nwant %s", f.name, seq, got[seq], leader[seq])
+			}
+		}
+	}
+	leaderName, leaderCkpt := checkpointFile(t, leaderDir)
+	bootName, bootCkpt := checkpointFile(t, bootDir)
+	if bootName != leaderName || !bytes.Equal(bootCkpt, leaderCkpt) {
+		t.Errorf("bootstrapped checkpoint %s (%d bytes) differs from the leader's %s (%d bytes)",
+			bootName, len(bootCkpt), leaderName, len(leaderCkpt))
+	}
+}
+
+// TestFollowerSequenceGuard pins the follower's sequence check, the one
+// left on the apply path once the leader's tail stops decoding: a
+// record the log already holds is skipped, and a gap is refused with
+// nothing applied and nothing appended.
+func TestFollowerSequenceGuard(t *testing.T) {
+	dir := t.TempDir()
+	s, err := server.Open(server.Config{DataDir: dir, FollowerOf: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr, stop := adoptServer(t, s)
+	defer stop()
+	payload := func(rec *wal.Record) []byte {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	declare := payload(&wal.Record{Seq: 1, Kind: wal.KindDeclare, Relation: "emp",
+		Attrs: []wire.Attr{{Name: "name", Type: "string"}, {Name: "salary", Type: "int"}}})
+	insert := func(seq uint64, id int64) []byte {
+		return payload(&wal.Record{Seq: seq, Kind: wal.KindMutate, Events: []wal.Event{
+			{Rel: "emp", Op: "insert", ID: id, Tuple: wire.FromTuple(tuple.New(value.String_("ada"), value.Int(id)))},
+		}})
+	}
+	for _, p := range [][]byte{declare, insert(2, 1)} {
+		if err := s.ReplApplyRecord(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := dial(t, addr)
+	defer c.Close()
+	state := func() (uint64, int, [][]byte) {
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, r := range st.Relations {
+			rows += r.Rows
+		}
+		return s.ReplAppliedSeq(), rows, segmentPayloads(t, dir)
+	}
+	seq0, rows0, log0 := state()
+	if seq0 != 2 || rows0 != 1 || len(log0) != 2 {
+		t.Fatalf("after two records: applied %d, %d rows, %d logged", seq0, rows0, len(log0))
+	}
+	same := func(what string) {
+		t.Helper()
+		seq, rows, log := state()
+		if seq != seq0 || rows != rows0 || len(log) != len(log0) {
+			t.Fatalf("%s changed the follower: applied %d, %d rows, %d logged; want %d, %d, %d",
+				what, seq, rows, len(log), seq0, rows0, len(log0))
+		}
+		for i := range log {
+			if !bytes.Equal(log[i], log0[i]) {
+				t.Fatalf("%s rewrote logged record %d", what, i+1)
+			}
+		}
+	}
+
+	// A duplicate (a resume overlap), even one whose bytes differ from
+	// what was logged, is skipped.
+	if err := s.ReplApplyRecord(insert(2, 2)); err != nil {
+		t.Fatalf("duplicate record: %v", err)
+	}
+	same("a duplicate")
+	if err := s.ReplApplyRecord(declare); err != nil {
+		t.Fatalf("duplicate declare: %v", err)
+	}
+	same("a duplicate declare")
+
+	// A gap is refused, with nothing applied or appended.
+	if err := s.ReplApplyRecord(insert(4, 3)); err == nil || !strings.Contains(err.Error(), "replication gap: want seq 3, got 4") {
+		t.Fatalf("gap record: %v, want a replication gap error", err)
+	}
+	same("a gap")
+
+	// The stream goes on at the next sequence.
+	if err := s.ReplApplyRecord(insert(3, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if seq, rows, log := state(); seq != 3 || rows != 2 || len(log) != 3 {
+		t.Fatalf("after the next record: applied %d, %d rows, %d logged", seq, rows, len(log))
 	}
 }
 

@@ -397,13 +397,18 @@ func (s *Server) startConn(nc net.Conn) {
 	go c.writeLoop()
 }
 
-// removeConn drops a finished connection from the registries.
+// removeConn drops a finished connection from the registries. Its
+// writer has exited, so the notifications still queued and those it
+// held encoded but unwritten will never be delivered: once the
+// subscription is gone no more can queue, and they count as dropped
+// (globally; the subscription's own counters go with it).
 func (s *Server) removeConn(c *conn) {
 	s.connMu.Lock()
 	delete(s.conns, c)
 	s.connMu.Unlock()
 	s.subMu.Lock()
 	delete(s.subs, c)
+	s.dropped.Add(uint64(len(c.notes)) + c.held.Load())
 	s.subMu.Unlock()
 	s.cfg.Logger.Debug("connection closed",
 		"remote", c.nc.RemoteAddr().String(), "delivered", c.delivered.Load())

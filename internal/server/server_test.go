@@ -767,6 +767,96 @@ func TestServerSlowSubscriberDoesNotBlock(t *testing.T) {
 	}
 }
 
+// TestServerSubscriberTeardownAccounting: when a missed write deadline
+// tears a stalled subscriber's connection down, the notifications still
+// in its queue and those its blocked writer holds are counted as
+// dropped, so the global counters still add up to what was generated.
+func TestServerSubscriberTeardownAccounting(t *testing.T) {
+	_, addr, stop := startServer(t, server.Config{QueueLen: 4, WriteTimeout: 200 * time.Millisecond})
+	defer stop()
+
+	mut := dial(t, addr)
+	defer mut.Close()
+	if err := mut.DeclareRelation(empRel); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mut.DefineRule("rule all on insert to emp do log 'x'"); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := fmt.Fprintf(raw, `{"id":1,"op":"subscribe"}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 256)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+
+	// sub reads the subscriber's queue and the notifications generated
+	// for it; ok is false once the subscription is gone.
+	sub := func() (queue, queueCap int, generated uint64, ok bool) {
+		st, err := mut.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range st.Connections {
+			if cs.Subscribed {
+				return cs.Queue, cs.QueueCap, cs.LastSeq, true
+			}
+		}
+		return 0, 0, 0, false
+	}
+	// Insert 8 KiB notifications until the writer is blocked on the
+	// unread socket: the queue is full and stays full while nothing is
+	// inserted. Then stop, so the count generated is final before the
+	// 200 ms deadline fires.
+	wide := value.String_(strings.Repeat("w", 8<<10))
+	var generated uint64
+	for i := 0; generated == 0; i++ {
+		if i == 20000 {
+			t.Fatal("the subscriber's writer never stalled")
+		}
+		emp := randomEmp(rand.New(rand.NewSource(int64(i))))
+		emp[0] = wide
+		if _, _, err := mut.Insert("emp", emp); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+		q, qcap, _, ok := sub()
+		if !ok {
+			t.Fatalf("subscriber torn down after %d inserts, before its stall was seen", i+1)
+		}
+		if q < qcap {
+			continue
+		}
+		time.Sleep(20 * time.Millisecond)
+		q, qcap, seq, ok := sub()
+		if !ok {
+			t.Fatalf("subscriber torn down after %d inserts, before its stall was seen", i+1)
+		}
+		if q == qcap {
+			generated = seq
+		}
+	}
+	waitFor(t, func() bool {
+		_, _, _, ok := sub()
+		return !ok
+	})
+	st, err := mut.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("generated %d, delivered %d, dropped %d", generated, st.Delivered, st.Dropped)
+	if st.Delivered+st.Dropped != generated {
+		t.Fatalf("after teardown delivered %d + dropped %d = %d, want the %d generated",
+			st.Delivered, st.Dropped, st.Delivered+st.Dropped, generated)
+	}
+}
+
 // TestServerGracefulShutdown: shutdown during a live mutation stream
 // unwinds Serve, fails subsequent client calls cleanly, and leaks no
 // goroutine (stop() performs the final check).

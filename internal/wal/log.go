@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,16 +30,14 @@ func snapshotName(seq uint64) string {
 }
 
 // parseSeq extracts the sequence number from a segment or snapshot file
-// name with the given prefix/suffix.
+// name with the given prefix/suffix and the 20 digits segmentName and
+// snapshotName write.
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+	if len(name) != len(prefix)+20+len(suffix) || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 		return 0, false
 	}
 	n, err := strconv.ParseUint(name[len(prefix):len(name)-len(suffix)], 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	return n, err == nil
 }
 
 // Log is the append side of a write-ahead log directory. Construct with
@@ -152,40 +149,44 @@ func (l *Log) openSegment(firstSeq uint64) error {
 // active segment (reaching the OS before return; durability is
 // Commit's job). The returned sequence is what Commit waits on.
 func (l *Log) Append(rec *Record) (uint64, error) {
-	return l.append(rec, false)
-}
-
-// AppendExact appends a record that already carries its sequence
-// number — the replication apply path, where a follower must preserve
-// the leader's numbering so resume cursors and read-your-writes tokens
-// mean the same thing on every replica. The record's Seq must be
-// exactly the next sequence; anything else is a stream consistency bug
-// and is refused without touching the log.
-func (l *Log) AppendExact(rec *Record) (uint64, error) {
-	return l.append(rec, true)
-}
-
-func (l *Log) append(rec *Record, exact bool) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	rec.Seq = l.seq + 1
+	buf, err := appendFrame(l.buf[:0], rec)
+	if err != nil {
+		return 0, err
+	}
+	l.buf = buf
+	return l.write(rec.Seq, buf)
+}
+
+// AppendExact logs a leader's record payload unchanged under its own
+// sequence seq — the replication apply path — so resume cursors and
+// read-your-writes tokens mean the same thing on every replica. seq
+// must be exactly the next sequence; anything else is a stream
+// consistency bug and is refused without touching the log.
+func (l *Log) AppendExact(seq uint64, payload []byte) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if seq != l.seq+1 {
+		return 0, fmt.Errorf("wal: append exact: record seq %d, log expects %d", seq, l.seq+1)
+	}
+	hdr := frameHeader(payload)
+	l.buf = append(append(l.buf[:0], hdr[:]...), payload...)
+	return l.write(seq, l.buf)
+}
+
+// write puts buf, the frame of record seq, into the active segment,
+// rotating first when the frame would overflow it.
+//
+//predmatchvet:holds mu
+func (l *Log) write(seq uint64, buf []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
 	if err := l.sticky(); err != nil {
 		return 0, err
 	}
-	if exact {
-		if rec.Seq != l.seq+1 {
-			return 0, fmt.Errorf("wal: append exact: record seq %d, log expects %d", rec.Seq, l.seq+1)
-		}
-	} else {
-		rec.Seq = l.seq + 1
-	}
-	buf, err := appendFrame(l.buf[:0], rec)
-	if err != nil {
-		return 0, err
-	}
-	l.buf = buf
 	if l.segBytes > 0 && l.segBytes+int64(len(buf)) > l.opt.SegmentBytes {
 		if err := l.rotate(); err != nil {
 			l.fail(err)
@@ -200,7 +201,7 @@ func (l *Log) append(rec *Record, exact bool) (uint64, error) {
 		l.fail(err)
 		return 0, err
 	}
-	l.seq = rec.Seq
+	l.seq = seq
 	l.appended = l.seq
 	l.segBytes += int64(len(buf))
 	l.bumpSeq()
@@ -455,12 +456,20 @@ func (l *Log) Advance(seq uint64) error {
 	return nil
 }
 
-// NewestSnapshot loads the newest readable snapshot in the log
-// directory, or nil when none exists. The leader serves it to a
-// follower whose resume cursor predates the pruned tail.
-func (l *Log) NewestSnapshot() (*Snapshot, error) {
-	snap, _, err := loadNewestSnapshot(l.opt)
-	return snap, err
+// NewestSnapshot returns the sequence and the validated payload of the
+// newest readable snapshot in the log directory, or (0, nil) when none
+// exists. The leader ships the payload to a follower whose resume
+// cursor predates the pruned tail.
+func (l *Log) NewestSnapshot() (uint64, []byte, error) {
+	_, snaps, err := scanDir(l.opt.Dir)
+	if err != nil {
+		return 0, nil, err
+	}
+	snap, payload, _ := loadNewestSnapshot(l.opt, snaps)
+	if snap == nil {
+		return 0, nil, nil
+	}
+	return snap.Seq, payload, nil
 }
 
 // LastSeq returns the last assigned sequence number.
@@ -561,23 +570,17 @@ func (l *Log) Close() error {
 func (l *Log) Prune(snapSeq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	entries, err := os.ReadDir(l.opt.Dir)
+	firsts, snaps, err := scanDir(l.opt.Dir)
 	if err != nil {
 		return err
 	}
-	var firsts []uint64
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok && seq < snapSeq {
-			if err := os.Remove(filepath.Join(l.opt.Dir, e.Name())); err != nil {
+	for _, seq := range snaps {
+		if seq < snapSeq {
+			if err := os.Remove(filepath.Join(l.opt.Dir, snapshotName(seq))); err != nil {
 				return err
 			}
-			continue
-		}
-		if first, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok {
-			firsts = append(firsts, first)
 		}
 	}
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
 	for i := 0; i+1 < len(firsts); i++ {
 		// Segment i covers [firsts[i], firsts[i+1]-1]; deletable when the
 		// snapshot covers that whole range. firsts[len-1] is the active

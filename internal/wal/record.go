@@ -1,7 +1,8 @@
-// Record framing: every log entry is length-prefixed, CRC32C-checked
-// JSON. The payload reuses the wire package's codecs (wire.Attr,
-// wire.Predicate, wire tuple literals), so the log speaks the same
-// dialect as the network protocol and the two cannot drift apart.
+// Record framing: every log entry, and every checkpoint file, is one
+// length-prefixed, CRC32C-checked frame of JSON. The payload reuses the
+// wire package's codecs (wire.Attr, wire.Predicate, wire tuple
+// literals), so the log speaks the same dialect as the network protocol
+// and the two cannot drift apart.
 
 package wal
 
@@ -97,8 +98,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // filled in over the payload's length and checksum.
 func appendFrame(dst []byte, rec *Record) ([]byte, error) {
 	mark := len(dst)
-	dst = append(dst, make([]byte, headerBytes)...)
-	dst, err := appendPayload(dst, rec)
+	dst, err := appendPayload(append(dst, make([]byte, headerBytes)...), rec)
 	if err != nil {
 		return dst[:mark], fmt.Errorf("wal: encode record: %w", err)
 	}
@@ -106,9 +106,28 @@ func appendFrame(dst []byte, rec *Record) ([]byte, error) {
 	if len(payload) > maxRecordBytes {
 		return dst[:mark], fmt.Errorf("wal: record payload %d bytes exceeds limit %d", len(payload), maxRecordBytes)
 	}
-	binary.LittleEndian.PutUint32(dst[mark:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[mark+4:], crc32.Checksum(payload, castagnoli))
+	hdr := frameHeader(payload)
+	copy(dst[mark:], hdr[:])
 	return dst, nil
+}
+
+// frameHeader is the header that frames payload: its length and its
+// CRC32C. Every frame — a log record, a checkpoint file — is written
+// with it and validated against it (framePayload).
+func frameHeader(payload []byte) (hdr [headerBytes]byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return hdr
+}
+
+// framePayload returns the payload of frame, which must be exactly one
+// frame whose header matches it.
+func framePayload(frame []byte) ([]byte, bool) {
+	if len(frame) < headerBytes {
+		return nil, false
+	}
+	payload := frame[headerBytes:]
+	return payload, frameHeader(payload) == [headerBytes]byte(frame)
 }
 
 // appendPayload appends rec's JSON. A KindMutate record — the one kind
@@ -162,36 +181,31 @@ func appendPayload(dst []byte, rec *Record) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// decodeFrame reads one framed record. It distinguishes three outcomes:
-// (rec, n, nil) for a valid record occupying n bytes; (nil, 0, io.EOF)
-// for a clean end of input; and (nil, 0, errTorn) for anything else — a
-// partial header, a length past the limit, a short payload, a CRC
-// mismatch, or undecodable JSON. Callers treat errTorn as end-of-log.
-func decodeFrame(r *bufio.Reader) (*Record, int64, error) {
+// readFrame reads one frame and returns its checked payload. It
+// distinguishes three outcomes: (payload, nil) for a valid frame;
+// (nil, io.EOF) for a clean end of input; and (nil, errTorn) for
+// anything else — a partial header, a length past limit, a short
+// payload or a CRC mismatch. scanRecords treats errTorn as end-of-log.
+func readFrame(r io.Reader, limit int) ([]byte, error) {
 	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, 0, io.EOF // clean end: not a single byte of a next record
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return nil, 0, errTorn
+	if n, err := io.ReadFull(r, hdr[:]); n == 0 {
+		return nil, io.EOF // clean end: not a single byte of a next frame
+	} else if err != nil {
+		return nil, errTorn
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxRecordBytes {
-		return nil, 0, errTorn
+	if uint64(length) > uint64(limit) {
+		return nil, errTorn
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, errTorn
+	frame := make([]byte, headerBytes+int(length))
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[headerBytes:]); err != nil {
+		return nil, errTorn
 	}
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0, errTorn
+	if payload, ok := framePayload(frame); ok {
+		return payload, nil
 	}
-	rec, err := UnmarshalRecord(payload)
-	if err != nil {
-		return nil, 0, errTorn
-	}
-	return rec, headerBytes + int64(length), nil
+	return nil, errTorn
 }
 
 // UnmarshalRecord decodes a record payload — a log frame's, or the rec
@@ -218,25 +232,28 @@ func unmarshal(payload []byte, v any) error {
 var errTorn = fmt.Errorf("wal: torn record")
 
 // scanRecords decodes framed records from r until a clean EOF or the
-// first invalid frame. It returns the byte length of the valid prefix
-// and whether the scan ended on a torn/corrupt frame (false = clean
-// EOF). err is non-nil only when fn rejects a record; corruption is
-// never an error here — the caller decides whether a torn tail is
-// tolerable (last segment) or fatal (interior segment).
+// first invalid frame or payload. It returns the byte length of the
+// valid prefix and whether the scan ended on a torn/corrupt frame
+// (false = clean EOF). err is non-nil only when fn rejects a record;
+// corruption is never an error here — the caller decides whether a
+// torn tail is tolerable (last segment) or fatal (interior segment).
 func scanRecords(r io.Reader, fn func(*Record) error) (valid int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	for {
-		rec, n, derr := decodeFrame(br)
-		switch derr {
-		case nil:
-		case io.EOF:
+		payload, rerr := readFrame(br, maxRecordBytes)
+		if rerr == io.EOF {
 			return valid, false, nil
-		default:
+		}
+		if rerr != nil {
+			return valid, true, nil
+		}
+		rec, derr := UnmarshalRecord(payload)
+		if derr != nil {
 			return valid, true, nil
 		}
 		if err := fn(rec); err != nil {
 			return valid, false, err
 		}
-		valid += n
+		valid += headerBytes + int64(len(payload))
 	}
 }

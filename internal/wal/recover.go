@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -59,10 +59,11 @@ func Recover(opt Options, h Handler) (*Log, RecoveryInfo, error) {
 		return nil, info, err
 	}
 
-	snap, skipped, err := loadNewestSnapshot(opt)
+	segs, snaps, err := scanDir(opt.Dir)
 	if err != nil {
 		return nil, info, err
 	}
+	snap, _, skipped := loadNewestSnapshot(opt, snaps)
 	info.SnapshotsSkipped = skipped
 	if snap != nil {
 		info.SnapshotSeq = snap.Seq
@@ -73,12 +74,9 @@ func Recover(opt Options, h Handler) (*Log, RecoveryInfo, error) {
 		}
 	}
 
-	segs, err := listSegments(opt.Dir)
-	if err != nil {
-		return nil, info, err
-	}
 	lastSeq := info.SnapshotSeq
-	var next uint64 // expected next sequence; 0 until the first record
+	live := len(segs) // segment files left once empty ones are removed
+	var next uint64   // expected next sequence; 0 until the first record
 	for i, firstSeq := range segs {
 		path := filepath.Join(opt.Dir, segmentName(firstSeq))
 		f, err := os.Open(path)
@@ -134,22 +132,20 @@ func Recover(opt Options, h Handler) (*Log, RecoveryInfo, error) {
 			opt.Logger.Info("wal torn tail truncated",
 				"segment", filepath.Base(path), "bytes", info.TruncatedBytes)
 		}
-		// An empty tail segment (crash before its first append, or a
-		// fully-torn one just truncated) is removed so the fresh active
-		// segment can reuse its first-sequence name.
-		if st, err := os.Stat(path); err == nil && st.Size() == 0 {
+		// The file now holds exactly its valid prefix. An empty tail
+		// segment (crash before its first append, or a fully-torn one
+		// just truncated) is removed so the fresh active segment can
+		// reuse its first-sequence name.
+		if valid == 0 {
 			if err := os.Remove(path); err != nil {
 				return nil, info, err
 			}
+			live--
 		}
 	}
 	info.LastSeq = lastSeq
 
-	remaining, err := listSegments(opt.Dir)
-	if err != nil {
-		return nil, info, err
-	}
-	l, err := openLog(opt, lastSeq, len(remaining))
+	l, err := openLog(opt, lastSeq, live)
 	if err != nil {
 		return nil, info, err
 	}
@@ -170,37 +166,38 @@ func Recover(opt Options, h Handler) (*Log, RecoveryInfo, error) {
 	return l, info, nil
 }
 
-// loadNewestSnapshot returns the newest readable snapshot in the
-// directory, skipping (with a log line) any that fail validation.
-func loadNewestSnapshot(opt Options) (*Snapshot, int, error) {
-	seqs, err := listSnapshots(opt.Dir)
-	if err != nil {
-		return nil, 0, err
-	}
+// loadNewestSnapshot returns the newest readable snapshot among seqs
+// (newest first), with the payload it was decoded from and the number
+// of newer ones skipped, each with a log line, for failing validation.
+func loadNewestSnapshot(opt Options, seqs []uint64) (*Snapshot, []byte, int) {
 	for i, seq := range seqs {
-		snap, err := ReadSnapshot(filepath.Join(opt.Dir, snapshotName(seq)))
+		snap, payload, err := readCheckpoint(filepath.Join(opt.Dir, snapshotName(seq)))
 		if err != nil {
 			opt.Logger.Warn("wal snapshot unreadable, falling back", "seq", seq, "err", err)
 			continue
 		}
-		return snap, i, nil
+		return snap, payload, i
 	}
-	return nil, len(seqs), nil
+	return nil, nil, len(seqs)
 }
 
-// listSegments returns the first sequences of the segment files in dir,
-// ascending.
-func listSegments(dir string) ([]uint64, error) {
+// scanDir lists the log directory — its only listing: the first
+// sequences of its segment files, ascending, and the sequences of its
+// checkpoints, newest first. os.ReadDir sorts by name, and both kinds
+// of name carry a fixed-width sequence, so name order is sequence
+// order.
+func scanDir(dir string) (segs, snaps []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var firsts []uint64
 	for _, e := range entries {
-		if first, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok {
-			firsts = append(firsts, first)
+		if seq, ok := parseSeq(e.Name(), segPrefix, segSuffix); ok {
+			segs = append(segs, seq)
+		} else if seq, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
+			snaps = append(snaps, seq)
 		}
 	}
-	sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
-	return firsts, nil
+	slices.Reverse(snaps)
+	return segs, snaps, nil
 }

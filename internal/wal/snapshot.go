@@ -1,18 +1,15 @@
 // Checkpoint snapshots: the whole engine state as of one log sequence,
-// serialized to snap-<seq>.ckpt with the same length+CRC32C framing as
-// log records. A snapshot bounds recovery time and lets the covered
+// serialized to snap-<seq>.ckpt as one frame of the codec log records
+// use. A snapshot bounds recovery time and lets the covered
 // segments be deleted.
 
 package wal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"predmatch/internal/wire"
@@ -66,11 +63,8 @@ type Snapshot struct {
 }
 
 // WriteSnapshot persists snap as snap-<snap.Seq>.ckpt in the log
-// directory: written to a temp file, fsynced, renamed into place, and
-// the directory fsynced — so a crash leaves either the old snapshot set
-// or the complete new one, never a half-written checkpoint under the
-// real name. It then records the snapshot for the age gauge. The caller
-// prunes separately (Prune) once the snapshot is durable.
+// directory (writeCheckpoint) and records it for the age gauge. The
+// caller prunes separately (Prune) once the snapshot is durable.
 func (l *Log) WriteSnapshot(snap *Snapshot) (string, int64, error) {
 	t0 := time.Now()
 	snap.Version = snapshotVersion
@@ -81,38 +75,47 @@ func (l *Log) WriteSnapshot(snap *Snapshot) (string, int64, error) {
 	if err != nil {
 		return "", 0, fmt.Errorf("wal: encode snapshot: %w", err)
 	}
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return l.writeSnapshot(snap.Seq, payload, t0)
+}
 
-	final := filepath.Join(l.opt.Dir, snapshotName(snap.Seq))
-	if err := writeDurable(final, hdr[:], payload); err != nil {
+// WriteSnapshotPayload persists payload, a snapshot's encoding exactly
+// as another log's checkpoint holds it, as this log's checkpoint for
+// seq: the follower bootstrap path, which keeps the leader's bytes.
+func (l *Log) WriteSnapshotPayload(seq uint64, payload []byte) (string, int64, error) {
+	return l.writeSnapshot(seq, payload, time.Now())
+}
+
+func (l *Log) writeSnapshot(seq uint64, payload []byte, t0 time.Time) (string, int64, error) {
+	path, err := writeCheckpoint(l.opt.Dir, seq, payload)
+	if err != nil {
 		return "", 0, fmt.Errorf("wal: write snapshot: %w", err)
 	}
-	l.noteSnapshot(snap.Seq, t0)
+	l.noteSnapshot(seq, t0)
 	if l.met != nil {
 		l.met.snapshots.Inc()
 		l.met.snapshotSecs.ObserveSince(t0)
 	}
+	n := int64(len(payload) + headerBytes)
 	l.opt.Logger.Info("wal snapshot written",
-		"seq", snap.Seq, "bytes", len(payload)+headerBytes,
-		"elapsed", time.Since(t0))
-	return final, int64(len(payload) + headerBytes), nil
+		"seq", seq, "bytes", n, "elapsed", time.Since(t0))
+	return path, n, nil
 }
 
-// writeDurable writes parts, concatenated, to path so that a crash
-// leaves either no file under path or the complete one: written to a
-// temp file, fsynced, renamed into place, and the directory fsynced.
-func writeDurable(path string, parts ...[]byte) error {
+// writeCheckpoint frames payload into dir's checkpoint file for seq so
+// that a crash leaves either no file under its name or the complete
+// one: written to a temp file, fsynced, renamed into place, and the
+// directory fsynced. A checkpoint write, `predmatch restore` and
+// follower bootstrap all install checkpoints through it.
+func writeCheckpoint(dir string, seq uint64, payload []byte) (string, error) {
+	path := filepath.Join(dir, snapshotName(seq))
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return err
+		return "", err
 	}
-	for _, p := range parts {
-		if _, err = f.Write(p); err != nil {
-			break
-		}
+	hdr := frameHeader(payload)
+	if _, err = f.Write(hdr[:]); err == nil {
+		_, err = f.Write(payload)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -124,56 +127,51 @@ func writeDurable(path string, parts ...[]byte) error {
 		err = os.Rename(tmp, path)
 	}
 	if err == nil {
-		err = syncDir(filepath.Dir(path))
+		err = syncDir(dir)
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return "", err
 	}
-	return err
+	return path, nil
 }
 
 // ReadSnapshot loads and validates one checkpoint file. Any framing or
 // checksum failure is an error; callers (recovery, predmatch restore)
 // decide whether to fall back to an older snapshot.
 func ReadSnapshot(path string) (*Snapshot, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(path, raw)
+	snap, _, err := readCheckpoint(path)
+	return snap, err
 }
 
-// decodeSnapshot validates and decodes raw, the bytes of the checkpoint
-// file at path.
-func decodeSnapshot(path string, raw []byte) (*Snapshot, error) {
-	if len(raw) < headerBytes {
-		return nil, fmt.Errorf("wal: snapshot %s: short header", filepath.Base(path))
+// readCheckpoint reads the checkpoint file at path once and returns it
+// decoded together with the payload it validated.
+func readCheckpoint(path string) (*Snapshot, []byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	length := binary.LittleEndian.Uint32(raw[0:4])
-	sum := binary.LittleEndian.Uint32(raw[4:8])
-	if int64(length) != int64(len(raw)-headerBytes) {
-		return nil, fmt.Errorf("wal: snapshot %s: length %d does not match file", filepath.Base(path), length)
-	}
-	payload := raw[headerBytes:]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, fmt.Errorf("wal: snapshot %s: checksum mismatch", filepath.Base(path))
+	payload, ok := framePayload(raw)
+	if !ok {
+		return nil, nil, fmt.Errorf("wal: snapshot %s: torn or corrupt frame", filepath.Base(path))
 	}
 	snap, err := UnmarshalSnapshot(payload)
 	if err != nil {
-		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
+		return nil, nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("wal: snapshot %s: unsupported version %d", filepath.Base(path), snap.Version)
-	}
-	return snap, nil
+	return snap, payload, nil
 }
 
 // UnmarshalSnapshot decodes a snapshot payload — a checkpoint file's,
-// or the snap field of a replication frame.
+// or the snap field of a replication frame — and refuses a version it
+// does not know.
 func UnmarshalSnapshot(payload []byte) (*Snapshot, error) {
 	snap := new(Snapshot)
 	if err := unmarshal(payload, snap); err != nil {
 		return nil, err
+	}
+	if snap.Version != snapshotVersion {
+		return nil, fmt.Errorf("unsupported snapshot version %d", snap.Version)
 	}
 	return snap, nil
 }
@@ -181,54 +179,28 @@ func UnmarshalSnapshot(payload []byte) (*Snapshot, error) {
 // InstallSnapshot seeds a fresh data directory from a checkpoint file
 // (the `predmatch restore` operation): read and validate the snapshot,
 // refuse a directory that already holds durable state (restoring over a
-// live history would silently discard it), then write the bytes it
-// validated under the canonical name with full fsync discipline. The
-// source is read once, so a change to it after validation cannot reach
-// the directory. A daemon recovering the directory afterwards starts
-// from the snapshot with an empty log tail and appends resuming at
-// Seq+1.
+// live history would silently discard it), then write the payload it
+// validated through writeCheckpoint. The source is read once, so a
+// change to it after validation cannot reach the directory. A daemon
+// recovering the directory afterwards starts from the snapshot with an
+// empty log tail and appends resuming at Seq+1.
 func InstallSnapshot(dir, srcPath string) (*Snapshot, error) {
-	raw, err := os.ReadFile(srcPath)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := decodeSnapshot(srcPath, raw)
+	snap, payload, err := readCheckpoint(srcPath)
 	if err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	snaps, err := listSnapshots(dir)
+	segs, snaps, err := scanDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(segs) > 0 || len(snaps) > 0 {
 		return nil, fmt.Errorf("wal: %s already holds durable state (%d segments, %d snapshots); refusing to restore over it", dir, len(segs), len(snaps))
 	}
-	if err := writeDurable(filepath.Join(dir, snapshotName(snap.Seq)), raw); err != nil {
+	if _, err := writeCheckpoint(dir, snap.Seq, payload); err != nil {
 		return nil, fmt.Errorf("wal: install snapshot: %w", err)
 	}
 	return snap, nil
-}
-
-// listSnapshots returns the snapshot sequences present in dir, newest
-// first.
-func listSnapshots(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var seqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), snapPrefix, snapSuffix); ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	return seqs, nil
 }

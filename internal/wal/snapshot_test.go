@@ -141,7 +141,7 @@ func TestPruneDeletesCoveredSegmentsAndOldSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segsBefore, _ := listSegments(opt.Dir)
+	segsBefore, _, _ := scanDir(opt.Dir)
 	if len(segsBefore) < 4 {
 		t.Fatalf("want >=4 segments, got %d", len(segsBefore))
 	}
@@ -155,11 +155,10 @@ func TestPruneDeletesCoveredSegmentsAndOldSnapshots(t *testing.T) {
 	if err := l.Prune(last); err != nil {
 		t.Fatalf("Prune: %v", err)
 	}
-	segsAfter, _ := listSegments(opt.Dir)
+	segsAfter, snaps, _ := scanDir(opt.Dir)
 	if len(segsAfter) != 1 {
 		t.Fatalf("segments after prune: %v (want only the active one)", segsAfter)
 	}
-	snaps, _ := listSnapshots(opt.Dir)
 	if len(snaps) != 1 || snaps[0] != last {
 		t.Fatalf("snapshots after prune: %v, want [%d]", snaps, last)
 	}
@@ -193,7 +192,7 @@ func TestPruneKeepsUncoveredSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	segs, _ := listSegments(opt.Dir)
+	segs, _, _ := scanDir(opt.Dir)
 	// Snapshot in the middle of the log: segments fully covered by it go,
 	// segments holding any record past it stay.
 	const snapSeq = 10
@@ -203,7 +202,7 @@ func TestPruneKeepsUncoveredSegments(t *testing.T) {
 	if err := l.Prune(snapSeq); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := listSegments(opt.Dir)
+	after, _, _ := scanDir(opt.Dir)
 	if len(after) >= len(segs) {
 		t.Fatalf("partial prune deleted nothing: %v", after)
 	}

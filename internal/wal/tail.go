@@ -1,8 +1,11 @@
 // Live log tailing: the leader side of replication reads the segment
-// files it is itself appending to and streams records to followers. A
-// Tail never reads past the published sequence frontier (Log.WaitSeq),
-// and a frame is fully written — one Write syscall in append — before
-// the frontier advances, so a Tail only ever decodes complete frames.
+// files it is itself appending to and streams record payloads, as
+// stored, to followers. A Tail never reads past the published sequence
+// frontier (Log.WaitSeq), and a frame is fully written — one Write
+// syscall in append — before the frontier advances, so a Tail only
+// ever reads complete frames. It decodes no payload: a segment's
+// records run consecutively from the sequence in its name, so a
+// frame's position is its sequence.
 
 package wal
 
@@ -13,6 +16,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // ErrTruncated reports that a Tail's requested sequence is no longer on
@@ -32,7 +36,7 @@ var ErrTruncated = errors.New("wal: tail: requested sequence no longer on disk")
 // one.
 type Tail struct {
 	l    *Log
-	next uint64 // next sequence Next will return
+	next uint64 // next sequence Next will return: the next frame in f
 	f    *os.File
 	br   *bufio.Reader
 }
@@ -63,27 +67,24 @@ func (l *Log) OpenTail(fromSeq uint64) (*Tail, error) {
 	return t, nil
 }
 
-// open seeks the segment whose range contains seq and opens it from the
-// start; Next discards records before the cursor. Rotation keeps the
-// invariant that a segment's name is its first sequence, so the right
-// file is the one with the greatest first sequence <= seq.
+// open positions the tail at seq: it opens the segment whose range
+// contains seq and reads past the frames before it, which are published
+// and so complete. Rotation keeps the invariant that a segment's name
+// is its first sequence, so the right file is the one with the greatest
+// first sequence <= seq.
 func (t *Tail) open(seq uint64) error {
-	segs, err := listSegments(t.l.opt.Dir)
+	segs, _, err := scanDir(t.l.opt.Dir)
 	if err != nil {
 		return err
 	}
-	var first uint64
-	found := false
-	for _, s := range segs {
-		if s <= seq {
-			first = s
-			found = true
-		}
-	}
+	i, found := slices.BinarySearch(segs, seq)
 	if !found {
+		i-- // the greatest first sequence below seq
+	}
+	if i < 0 {
 		return ErrTruncated
 	}
-	f, err := os.Open(filepath.Join(t.l.opt.Dir, segmentName(first)))
+	f, err := os.Open(filepath.Join(t.l.opt.Dir, segmentName(segs[i])))
 	if err != nil {
 		if os.IsNotExist(err) {
 			// Pruned between the listing and the open.
@@ -96,43 +97,42 @@ func (t *Tail) open(seq uint64) error {
 	}
 	t.f = f
 	t.br = bufio.NewReaderSize(f, 1<<16)
+	for at := segs[i]; at < seq; at++ {
+		if _, err := readFrame(t.br, maxRecordBytes); err != nil {
+			return fmt.Errorf("wal: tail: corrupt frame at seq %d", at)
+		}
+	}
 	return nil
 }
 
-// Next returns the record at the tail's cursor, blocking until it is
-// published. It returns ErrClosed when the log closes or stop fires,
-// and ErrTruncated when pruning outran the cursor (resume from a
-// snapshot instead).
-func (t *Tail) Next(stop <-chan struct{}) (*Record, error) {
+// Next returns the sequence and the stored payload of the record at
+// the tail's cursor, blocking until it is published. It returns
+// ErrClosed when the log closes or stop fires, and ErrTruncated when
+// pruning outran the cursor (resume from a snapshot instead).
+func (t *Tail) Next(stop <-chan struct{}) (uint64, []byte, error) {
 	for {
-		// Never decode ahead of the published frontier: the frame for
+		// Never read ahead of the published frontier: the frame for
 		// t.next is guaranteed complete on disk only once the frontier
 		// covers it.
 		if _, ok := t.l.WaitSeq(t.next-1, stop); !ok {
-			return nil, ErrClosed
+			return 0, nil, ErrClosed
 		}
-		rec, _, err := decodeFrame(t.br)
+		payload, err := readFrame(t.br, maxRecordBytes)
 		switch err {
 		case nil:
-			if rec.Seq < t.next {
-				continue // positioning skip: records before the cursor
-			}
-			if rec.Seq != t.next {
-				return nil, fmt.Errorf("wal: tail: want seq %d, found %d", t.next, rec.Seq)
-			}
 			t.next++
-			return rec, nil
+			return t.next - 1, payload, nil
 		case io.EOF:
 			// Segment exhausted while t.next is published: the log rotated
 			// and the record lives in a later segment.
 			if err := t.open(t.next); err != nil {
-				return nil, err
+				return 0, nil, err
 			}
 		default:
 			// A torn frame below the published frontier cannot come from a
 			// crash (we never read past what append completed); it is disk
 			// corruption and the stream cannot continue.
-			return nil, fmt.Errorf("wal: tail: corrupt frame at seq %d", t.next)
+			return 0, nil, fmt.Errorf("wal: tail: corrupt frame at seq %d", t.next)
 		}
 	}
 }

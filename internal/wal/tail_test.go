@@ -6,6 +6,24 @@ import (
 	"time"
 )
 
+// nextRecord calls Next and decodes the payload it returns, failing
+// the test when the payload's own sequence is not the one Next
+// reported.
+func nextRecord(t *testing.T, tl *Tail, stop <-chan struct{}) (*Record, error) {
+	seq, payload, err := tl.Next(stop)
+	if err != nil {
+		return nil, err
+	}
+	rec, err := UnmarshalRecord(payload)
+	if err != nil {
+		return nil, err
+	}
+	if rec.Seq != seq {
+		t.Errorf("Next reported seq %d for a payload of seq %d", seq, rec.Seq)
+	}
+	return rec, nil
+}
+
 // drainTail collects n records from the tail, failing the test on any
 // error or a stall past the deadline.
 func drainTail(t *testing.T, tl *Tail, n int) []*Record {
@@ -18,7 +36,7 @@ func drainTail(t *testing.T, tl *Tail, n int) []*Record {
 	for len(out) < n {
 		ch := make(chan result, 1)
 		go func() {
-			rec, err := tl.Next(nil)
+			rec, err := nextRecord(t, tl, nil)
 			ch <- result{rec, err}
 		}()
 		select {
@@ -60,7 +78,7 @@ func TestTailStreamsExistingAndLive(t *testing.T) {
 	got := make(chan *Record, 1)
 	errc := make(chan error, 1)
 	go func() {
-		rec, err := tl.Next(nil)
+		rec, err := nextRecord(t, tl, nil)
 		if err != nil {
 			errc <- err
 			return
@@ -130,7 +148,7 @@ func TestTailStopAndClose(t *testing.T) {
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		_, err := tl.Next(stop)
+		_, _, err := tl.Next(stop)
 		errc <- err
 	}()
 	close(stop)
@@ -145,7 +163,7 @@ func TestTailStopAndClose(t *testing.T) {
 
 	// A blocked Next must also observe the log closing.
 	go func() {
-		_, err := tl.Next(nil)
+		_, _, err := tl.Next(nil)
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -205,17 +223,17 @@ func TestAppendExact(t *testing.T) {
 	l := openEmpty(t, opt)
 	rec := mutateRecord("emp", 1, "e", 1)
 	rec.Seq = 3
-	if _, err := l.AppendExact(rec); err == nil {
+	if _, err := l.AppendExact(rec.Seq, recordPayload(t, rec)); err == nil {
 		t.Fatal("AppendExact with a gap succeeded")
 	}
 	rec.Seq = 1
-	seq, err := l.AppendExact(rec)
+	seq, err := l.AppendExact(rec.Seq, recordPayload(t, rec))
 	if err != nil || seq != 1 {
 		t.Fatalf("AppendExact(1) = %d, %v", seq, err)
 	}
 	rec2 := mutateRecord("emp", 2, "e", 2)
 	rec2.Seq = 2
-	if _, err := l.AppendExact(rec2); err != nil {
+	if _, err := l.AppendExact(rec2.Seq, recordPayload(t, rec2)); err != nil {
 		t.Fatalf("AppendExact(2): %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -226,6 +244,16 @@ func TestAppendExact(t *testing.T) {
 	if info.LastSeq != 2 || len(recs) != 2 {
 		t.Fatalf("recovery after AppendExact: info=%+v records=%d", info, len(recs))
 	}
+}
+
+// recordPayload is rec's payload as a log frame carries it.
+func recordPayload(t *testing.T, rec *Record) []byte {
+	t.Helper()
+	frame, err := appendFrame(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame[headerBytes:]
 }
 
 func TestAdvanceEmptyLog(t *testing.T) {

@@ -32,13 +32,20 @@
 //
 // # Snapshots
 //
-// A snapshot (snap-<seq>.ckpt) is one framed record holding the whole
+// A snapshot (snap-<seq>.ckpt) is one frame whose payload is the whole
 // engine state — schemas, secondary-index attrs, relation contents,
-// rule sources, direct predicates — as of log sequence <seq>. After a
-// snapshot is durable, segments whose records it covers are deleted.
-// Recovery loads the newest readable snapshot and replays the log tail
-// after it; an unreadable (torn) snapshot falls back to the previous
-// one.
+// rule sources, direct predicates — as of log sequence <seq>. A
+// checkpoint written here, one restored from a backup and one a
+// follower received are installed the same way. After a snapshot is
+// durable, segments whose records it covers are deleted. Recovery loads
+// the newest readable snapshot and replays the log tail after it; an
+// unreadable (torn) snapshot falls back to the previous one.
+//
+// # Replication
+//
+// Payloads move as stored: a Tail and NewestSnapshot hand them out, and
+// a follower logs them unchanged (AppendExact, WriteSnapshotPayload), so
+// its records and checkpoint equal the leader's byte for byte.
 package wal
 
 import (

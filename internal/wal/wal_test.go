@@ -227,9 +227,9 @@ func TestSegmentRotationAndRecovery(t *testing.T) {
 // last segment file.
 func lastSegment(t *testing.T, dir string) string {
 	t.Helper()
-	segs, err := listSegments(dir)
+	segs, _, err := scanDir(dir)
 	if err != nil || len(segs) == 0 {
-		t.Fatalf("listSegments: %v (%d)", err, len(segs))
+		t.Fatalf("scanDir: %v (%d)", err, len(segs))
 	}
 	return filepath.Join(dir, segmentName(segs[len(segs)-1]))
 }
@@ -328,7 +328,7 @@ func TestInteriorCorruptionIsFatal(t *testing.T) {
 		}
 	}
 	l.Close()
-	segs, err := listSegments(opt.Dir)
+	segs, _, err := scanDir(opt.Dir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("want >=3 segments, got %d (%v)", len(segs), err)
 	}

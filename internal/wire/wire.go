@@ -316,9 +316,10 @@ type Message struct {
 
 	// Replication stream fields (Type == TypeRepl). Exactly one of Snap
 	// / Rec is set: Snap carries a full wal.Snapshot (stream start when
-	// the requested tail was pruned), Rec one wal.Record. Both are raw
-	// JSON because package wal sits above wire in the import graph; the
-	// follower decodes them with the wal codecs. LeaderSeq is the
+	// the requested tail was pruned), Rec one wal.Record. Both are the
+	// payload the leader's log stores, unchanged, as raw JSON; the
+	// follower decodes them with the wal codecs and logs the same
+	// bytes. LeaderSeq is the
 	// leader's last assigned WAL sequence at send time, so the follower
 	// can compute its lag.
 	Snap      json.RawMessage `json:"snap,omitempty"`
