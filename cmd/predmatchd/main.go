@@ -121,7 +121,6 @@ func main() {
 		IdleTimeout:  *idleTimeout,
 		Registry:     reg,
 		Logger:       logger,
-		SlowRequest:  *slowReq,
 		Index:        *indexName,
 		// The tracer is always on: client-initiated traces and slow-trace
 		// retention work without any flag; -trace-sample adds server-side

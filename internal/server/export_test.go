@@ -4,8 +4,8 @@ package server
 // while no server of this process is running.
 func SetScribbleReleased(on bool) { scribbleReleased = on }
 
-// HeldNotes sums over s's connections the notifications a writer has
-// encoded but not yet written — what a flush blocked on a stalled
+// HeldNotes sums over s's connections the notifications a notifier has
+// encoded but not yet written — what a write blocked on a stalled
 // reader holds, and no stats field counts.
 func (s *Server) HeldNotes() uint64 {
 	s.connMu.Lock()

@@ -39,7 +39,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		return nil
 	}
 	lat := reg.HistogramVec("predmatch_request_latency_seconds",
-		"Request handling latency by operation (decode to response enqueue).",
+		"Request handling latency by operation (dispatch to response encode).",
 		obs.DefBuckets, "op")
 	m := &serverMetrics{
 		reqLat: make(map[string]*obs.Histogram, len(ops)),

@@ -360,29 +360,34 @@ func (s *Server) handleReplicate(c *conn, req *wire.Request) wire.Message {
 	return m
 }
 
-// streamLog is the per-follower streamer goroutine: it ships records
-// from cursor+1 onward through the connection's response queue (which
-// blocks when full — lossless backpressure, unlike the droppy
-// notification queue). When the cursor predates the pruning horizon it
-// falls back to the newest snapshot and resumes the tail after it.
+// streamLog is the per-follower streamer goroutine: it writes records
+// from cursor+1 onward to the connection, as the log stores them, and
+// the blocking write, bounded by the write timeout, is the stream's
+// backpressure. When the cursor predates the pruning horizon it falls
+// back to the newest snapshot and resumes the tail after it. It stops
+// with the reader (quit), on a failed write, or when the log closes.
 func (s *Server) streamLog(c *conn, cursor uint64) {
 	defer s.wg.Done()
 	remote := c.nc.RemoteAddr().String()
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-c.writerGone:
-		case <-s.done:
+	var buf []byte
+	// ship writes one repl frame, m carrying payload, the log's bytes for
+	// seq, and advances the cursor past it.
+	ship := func(m wire.Message, seq uint64, payload []byte) bool {
+		m.Type, m.LeaderSeq = wire.TypeRepl, s.wal.LastSeq()
+		var err error
+		if buf, err = wire.AppendMessage(buf, &m); err == nil {
+			err = c.write(&buf)
 		}
-		close(stop)
-	}()
-	send := func(m wire.Message) bool {
-		select {
-		case c.resp <- m:
-			return true
-		case <-stop:
+		if err != nil {
+			c.nc.Close() // wakes the reader, which ends the connection
 			return false
 		}
+		cursor = seq
+		c.replSeq.Store(seq)
+		if s.met != nil {
+			s.met.streamedBytes.Add(uint64(len(payload)))
+		}
+		return true
 	}
 	for {
 		tail, err := s.wal.OpenTail(cursor + 1)
@@ -396,52 +401,31 @@ func (s *Server) streamLog(c *conn, cursor uint64) {
 					"remote", remote, "cursor", cursor, "err", serr)
 				return
 			}
-			if !send(wire.Message{Type: wire.TypeRepl, Snap: payload, LeaderSeq: s.wal.LastSeq()}) {
+			if !ship(wire.Message{Snap: payload}, seq, payload) {
 				return
-			}
-			cursor = seq
-			c.replSeq.Store(cursor)
-			if s.met != nil {
-				s.met.streamedBytes.Add(uint64(len(payload)))
 			}
 			continue
 		}
-		if err != nil {
-			// ErrClosed on shutdown is the normal exit.
-			s.cfg.Logger.Debug("replication stream ended", "remote", remote, "err", err)
-			return
+		for err == nil {
+			var seq uint64
+			var payload []byte
+			if seq, payload, err = tail.Next(c.quit); err != nil {
+				tail.Close()
+			} else if !ship(wire.Message{Rec: payload}, seq, payload) {
+				tail.Close()
+				return
+			} else if s.met != nil {
+				s.met.streamedRecords.Inc()
+			}
 		}
-		cursor, err = s.streamRecords(c, tail, send, stop, cursor)
-		tail.Close()
 		if !errors.Is(err, wal.ErrTruncated) {
+			// ErrClosed on quit or shutdown is the normal exit.
 			s.cfg.Logger.Debug("replication stream ended",
 				"remote", remote, "cursor", cursor, "err", err)
 			return
 		}
 		// The tail lost its next segment to pruning mid-stream; loop back
 		// to the snapshot fallback.
-	}
-}
-
-// streamRecords ships record payloads, as the log stores them, until
-// the stream stops (stop/writer gone), the log closes, or the tail is
-// pruned out from under the cursor (returned as wal.ErrTruncated for
-// the snapshot fallback).
-func (s *Server) streamRecords(c *conn, tail *wal.Tail, send func(wire.Message) bool, stop <-chan struct{}, cursor uint64) (uint64, error) {
-	for {
-		seq, payload, err := tail.Next(stop)
-		if err != nil {
-			return cursor, err
-		}
-		if !send(wire.Message{Type: wire.TypeRepl, Rec: payload, LeaderSeq: s.wal.LastSeq()}) {
-			return cursor, wal.ErrClosed
-		}
-		cursor = seq
-		c.replSeq.Store(cursor)
-		if s.met != nil {
-			s.met.streamedRecords.Inc()
-			s.met.streamedBytes.Add(uint64(len(payload)))
-		}
 	}
 }
 

@@ -13,13 +13,17 @@
 //   - match/matchbatch requests bypass the mutex entirely and stab the
 //     sharded matcher's lock-free snapshots, so read traffic scales
 //     across connections regardless of write load.
+//   - Each connection runs one goroutine, its reader, which executes
+//     requests and writes their responses itself, once per drained read
+//     buffer. A subscribe adds a notifier goroutine and a replicate a
+//     streamer; the three share one write lock on the socket.
 //   - Subscriptions stream rule firings (via the engine's OnFire hook)
 //     and predicate matches to clients. Every connection has a bounded
 //     notification queue with a drop-newest overflow policy: a slow
 //     consumer loses notifications (counted, and visible to the client
 //     as sequence-number gaps) but can never block the match path.
 //
-// Robustness contract: per-frame write deadlines, an idle read timeout
+// Robustness contract: per-write deadlines, an idle read timeout
 // for unsubscribed connections, a connection limit that rejects rather
 // than queues, and context-driven graceful shutdown that drains
 // in-flight requests and queued notifications.
@@ -33,6 +37,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,9 +90,6 @@ type Config struct {
 	// accept/reject/close and read/write errors (debug), slow requests,
 	// shutdown phases (default: discard).
 	Logger *slog.Logger
-	// SlowRequest logs any request slower than this threshold at Warn
-	// level via Logger (default 0 = disabled).
-	SlowRequest time.Duration
 	// DataDir enables durability: state-changing requests are written to
 	// a write-ahead log in this directory before they are acked, and Open
 	// recovers the directory's snapshot + log on start (default "" =
@@ -331,6 +333,11 @@ func (s *Server) Serve(ln net.Listener) error {
 	s.ln = ln
 	s.lnMu.Unlock()
 	defer ln.Close()
+	// A Shutdown that took lnMu before ln was set closed no listener, but
+	// it closed done before that.
+	if s.Stopping() {
+		return ErrServerClosed
+	}
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -352,12 +359,10 @@ func (s *Server) Serve(ln net.Listener) error {
 // startConn admits or rejects one accepted connection.
 func (s *Server) startConn(nc net.Conn) {
 	c := &conn{
-		s:          s,
-		nc:         nc,
-		resp:       make(chan wire.Message, 16),
-		notes:      make(chan wire.Message, s.cfg.QueueLen),
-		readerDone: make(chan struct{}),
-		writerGone: make(chan struct{}),
+		s:     s,
+		nc:    nc,
+		notes: make(chan wire.Message, s.cfg.QueueLen),
+		quit:  make(chan struct{}),
 	}
 	s.connMu.Lock()
 	select {
@@ -388,30 +393,12 @@ func (s *Server) startConn(nc net.Conn) {
 	// Increment while still holding connMu: Shutdown closes done and then
 	// takes connMu before starting wg.Wait, so a connection admitted here
 	// is always counted before that Wait can observe a zero counter.
-	s.wg.Add(2)
+	s.wg.Add(1)
 	s.connMu.Unlock()
 	s.cfg.Logger.Debug("connection accepted",
 		"remote", nc.RemoteAddr().String(), "conns", n)
 
 	go c.readLoop()
-	go c.writeLoop()
-}
-
-// removeConn drops a finished connection from the registries. Its
-// writer has exited, so the notifications still queued and those it
-// held encoded but unwritten will never be delivered: once the
-// subscription is gone no more can queue, and they count as dropped
-// (globally; the subscription's own counters go with it).
-func (s *Server) removeConn(c *conn) {
-	s.connMu.Lock()
-	delete(s.conns, c)
-	s.connMu.Unlock()
-	s.subMu.Lock()
-	delete(s.subs, c)
-	s.dropped.Add(uint64(len(c.notes)) + c.held.Load())
-	s.subMu.Unlock()
-	s.cfg.Logger.Debug("connection closed",
-		"remote", c.nc.RemoteAddr().String(), "delivered", c.delivered.Load())
 }
 
 // Stopping reports whether Shutdown or Close has begun; the admin
@@ -577,25 +564,25 @@ func (s *Server) offer(c *conn, sub *subscription, m wire.Message) {
 	}
 }
 
-// conn is one client connection: a reader goroutine that decodes and
-// executes requests, and a writer goroutine that owns the socket's
-// write side, multiplexing responses (never dropped) with notifications
-// (bounded queue).
+// conn is one client connection. Its reader goroutine decodes each
+// request, executes it and writes the response itself. A second
+// goroutine exists only where something asynchronous is sent: the
+// notifier, started by the first subscribe, and the streamer of a
+// replicate request. Whole writes on the socket are serialized by wmu.
 type conn struct {
 	s     *Server
 	nc    net.Conn
-	resp  chan wire.Message
+	wmu   sync.Mutex // held across each write on nc
+	out   []byte     // responses the reader encoded but has not written
 	notes chan wire.Message
-	// readerDone is closed when the reader stops issuing responses; the
-	// writer then drains and closes the socket.
-	readerDone chan struct{}
-	// writerGone is closed when the writer exits (write error or
-	// drain complete), unblocking a reader stuck on a full resp queue.
-	writerGone chan struct{}
+	// quit closes when the reader stops: the notifier drains, a
+	// replication streamer stops. notified closes when the notifier
+	// exits; the reader makes it on the first subscribe.
+	quit, notified chan struct{}
 	// delivered counts notifications written to this connection, for
-	// the per-connection stats breakdown; held counts those the writer
+	// the per-connection stats breakdown; held counts those the notifier
 	// has taken off the queue and encoded but not yet written, which a
-	// flush blocked on a stalled reader can hold many of.
+	// write blocked on a stalled reader can hold many of.
 	delivered atomic.Uint64
 	held      atomic.Uint64
 	// replica marks a connection serving a replication stream; replSeq
@@ -615,20 +602,35 @@ func (c *conn) subscribed() bool {
 
 // scribbleReleased is the aliasing guard's switch, flipped only by
 // tests: with it on, a connection's reused memory — the request line,
-// the tuple decode scratch, the encode buffer — is overwritten the
-// moment the request or flush that used it completes, so anything that
+// the tuple decode scratch, the encode buffers — is overwritten the
+// moment the request or write that used it completes, so anything that
 // still points into it reads as garbage.
 var scribbleReleased bool
 
+// flushBytes is the encoded size at which a writer writes even though
+// more frames are waiting.
+const flushBytes = 32 << 10
+
 func (c *conn) readLoop() {
 	defer c.s.wg.Done()
-	defer close(c.readerDone)
+	defer c.close()
 	lr := wire.NewLineReader(c.nc, wire.MaxLineBytes)
 	// One Request per connection: DecodeRequest reuses its tuple scratch
 	// and allocates everything else afresh.
 	var req wire.Request
 	armed := false // a read deadline of ours is on the socket
 	for {
+		// Write the answers once no complete request is left in the read
+		// buffer: a pipelined burst is answered in few writes, a lone
+		// request at once.
+		if len(c.out) > 0 && !lr.HasLine() {
+			if c.write(&c.out) != nil {
+				return
+			}
+			// Yield: over net.Pipe the client and this reader hand the CPU
+			// to each other directly, starving an in-process subscriber.
+			runtime.Gosched()
+		}
 		// Touch the deadline only when it has to change: every request
 		// under an idle timeout, and once to clear it when a subscription
 		// lifts the timeout. A connection that never had one (IdleTimeout
@@ -656,7 +658,7 @@ func (c *conn) readLoop() {
 			// over-long line: the connection is done either way.
 			switch {
 			case errors.Is(err, wire.ErrFrameTooLong):
-				c.send(errMsg(0, fmt.Errorf("request frame exceeds %d bytes", wire.MaxLineBytes)))
+				c.answer(errMsg(0, fmt.Errorf("request frame exceeds %d bytes", wire.MaxLineBytes)))
 			case err != io.EOF:
 				c.s.cfg.Logger.Debug("read failed", "remote", c.nc.RemoteAddr().String(), "err", err)
 			}
@@ -668,10 +670,16 @@ func (c *conn) readLoop() {
 		}
 		if err := wire.DecodeRequest(line, &req); err != nil {
 			// Framing is broken; answer once and hang up.
-			c.send(errMsg(0, fmt.Errorf("bad request frame: %w", err)))
+			c.answer(errMsg(0, fmt.Errorf("bad request frame: %w", err)))
 			return
 		}
-		ok := c.send(c.s.handle(c, &req))
+		m := c.s.handle(c, &req)
+		if req.Op == wire.OpSubscribe && m.OK && c.notified == nil {
+			c.notified = make(chan struct{})
+			c.s.wg.Add(1)
+			go c.notify()
+		}
+		ok := c.answer(m)
 		if scribbleReleased {
 			wire.Scribble(raw)
 			wire.ScribbleTuples(&req)
@@ -682,107 +690,98 @@ func (c *conn) readLoop() {
 	}
 }
 
-// send queues a response for the writer. It blocks when the response
-// queue is full (backpressure on the request path) but aborts if the
-// writer is gone.
-func (c *conn) send(m wire.Message) bool {
-	select {
-	case c.resp <- m:
-		return true
-	case <-c.writerGone:
+// answer encodes m after the reader's unwritten answers, writing them
+// at once if they reach flushBytes.
+func (c *conn) answer(m wire.Message) bool {
+	var err error
+	if c.out, err = wire.AppendMessage(c.out, &m); err != nil {
+		c.s.cfg.Logger.Debug("write failed", "remote", c.nc.RemoteAddr().String(), "err", err)
 		return false
 	}
+	return len(c.out) < flushBytes || c.write(&c.out) == nil
 }
 
-// flushBytes is the encode buffer size that forces a write even though
-// more frames are queued.
-const flushBytes = 32 << 10
+// write writes buf whole under the write lock and the write deadline,
+// then empties it for reuse. A failed write, a missed deadline among
+// them, may leave a partial frame on the socket, which line framing
+// cannot recover from: the caller ends the connection.
+func (c *conn) write(buf *[]byte) error {
+	c.wmu.Lock()
+	c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
+	_, err := c.nc.Write(*buf)
+	c.wmu.Unlock()
+	if scribbleReleased {
+		wire.Scribble((*buf)[:cap(*buf)])
+	}
+	if *buf = (*buf)[:0]; cap(*buf) > wire.RetainBytes {
+		*buf = nil
+	}
+	if err != nil {
+		c.s.cfg.Logger.Debug("write failed", "remote", c.nc.RemoteAddr().String(), "err", err)
+	}
+	return err
+}
 
-func (c *conn) writeLoop() {
+// notify is the notifier. It writes queued notifications in batches of
+// up to flushBytes, so the firings of one insert reach a subscriber in
+// one write, not one each, until quit closes and the queue is empty. A
+// failed write closes the socket, which ends the reader too.
+func (c *conn) notify() {
 	defer c.s.wg.Done()
-	defer c.s.removeConn(c)
-	defer c.nc.Close()
-	defer close(c.writerGone)
-	// Frames are encoded into one buffer and written together when both
-	// queues are momentarily empty (or the buffer is large enough): the
-	// firings of one insert reach a subscriber in one write, not one each.
+	defer close(c.notified)
 	var buf []byte
-	flush := func() bool {
-		if len(buf) == 0 {
-			return true
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(c.s.cfg.WriteTimeout))
-		_, err := c.nc.Write(buf)
-		if scribbleReleased {
-			wire.Scribble(buf[:cap(buf)])
-		}
-		if buf = buf[:0]; cap(buf) > wire.RetainBytes {
-			buf = nil
-		}
-		if err != nil {
-			// Write error or missed deadline: a partially written frame
-			// cannot be recovered under line framing, so tear down.
-			c.s.cfg.Logger.Debug("write failed", "remote", c.nc.RemoteAddr().String(), "err", err)
-			return false
-		}
-		// Only this goroutine writes held, so a load and a store suffice.
-		if notes := c.held.Load(); notes > 0 {
-			c.held.Store(0)
+	for {
+		select {
+		case m := <-c.notes:
+			var err error
+			if buf, err = wire.AppendMessage(buf, &m); err != nil {
+				c.nc.Close()
+				return
+			}
+			c.held.Add(1)
+			if len(c.notes) > 0 && len(buf) < flushBytes {
+				continue
+			}
+			if c.write(&buf) != nil {
+				c.nc.Close()
+				return
+			}
+			notes := c.held.Swap(0)
 			c.s.delivered.Add(notes)
 			c.delivered.Add(notes)
-		}
-		return true
-	}
-	push := func(m *wire.Message) bool {
-		var err error
-		if buf, err = wire.AppendMessage(buf, m); err != nil {
-			c.s.cfg.Logger.Debug("write failed", "remote", c.nc.RemoteAddr().String(), "err", err)
-			return false
-		}
-		if m.Type == wire.TypeNotify {
-			c.held.Add(1)
-		}
-		return len(buf) < flushBytes || flush()
-	}
-	for {
-		m, ok := c.poll()
-		if !ok {
-			// Both queues are empty: write what is encoded, then wait.
-			if !flush() {
+		case <-c.quit:
+			if len(c.notes) == 0 {
 				return
 			}
-			select {
-			case m = <-c.resp:
-			case m = <-c.notes:
-			case <-c.readerDone:
-				// Drain: the reader issues no further responses, so flush
-				// what is queued (responses first) and hang up.
-				for m, ok = c.poll(); ok && push(&m); m, ok = c.poll() {
-				}
-				flush()
-				return
-			}
-		}
-		if !push(&m) {
-			return
 		}
 	}
 }
 
-// poll takes the next queued frame without blocking; responses take
-// priority over notifications.
-func (c *conn) poll() (wire.Message, bool) {
-	select {
-	case m := <-c.resp:
-		return m, true
-	default:
+// close ends the connection once its reader has stopped: the reader's
+// last answers and the queued notifications go out, then the
+// subscription goes and whatever it left undelivered (still queued, or
+// held by a failed write) counts as dropped, under the one subMu hold,
+// so a stats reader never sees the subscription gone but its
+// notifications unaccounted.
+func (c *conn) close() {
+	s := c.s
+	if len(c.out) > 0 {
+		c.write(&c.out)
 	}
-	select {
-	case m := <-c.notes:
-		return m, true
-	default:
-		return wire.Message{}, false
+	close(c.quit)
+	if c.notified != nil {
+		<-c.notified
 	}
+	s.subMu.Lock()
+	delete(s.subs, c)
+	s.dropped.Add(uint64(len(c.notes)) + c.held.Load())
+	s.subMu.Unlock()
+	c.nc.Close()
+	s.connMu.Lock()
+	delete(s.conns, c)
+	s.connMu.Unlock()
+	s.cfg.Logger.Debug("connection closed",
+		"remote", c.nc.RemoteAddr().String(), "delivered", c.delivered.Load())
 }
 
 // errMsg builds an error response.
@@ -796,11 +795,12 @@ func okMsg(id uint64) wire.Message {
 
 // handle executes one request, builds its response, and records the
 // request's latency, its trace (when sampled or carried in) and the
-// slow-request log line. The uninstrumented fast path (no Registry, no
-// SlowRequest, no Tracer) skips even the clock reads.
+// slow-request log line for a request past the tracer's Slow threshold.
+// The uninstrumented fast path (no Registry, no Tracer) skips even the
+// clock reads.
 func (s *Server) handle(c *conn, req *wire.Request) wire.Message {
 	tr := s.cfg.Tracer
-	if s.met == nil && s.cfg.SlowRequest <= 0 && tr == nil {
+	if s.met == nil && tr == nil {
 		return s.dispatch(c, req, nil)
 	}
 	// Root span: a request carrying a trace context joins the client's
@@ -842,7 +842,7 @@ func (s *Server) handle(c *conn, req *wire.Request) wire.Message {
 			s.met.reqErrors.Inc()
 		}
 	}
-	if sr := s.cfg.SlowRequest; sr > 0 && elapsed >= sr {
+	if slow := tr.Slow(); slow > 0 && elapsed >= slow {
 		if traceID == "" {
 			// Not sampled: retain a synthesized root-only trace so the slow
 			// request is still inspectable at /traces (sampled slow traces

@@ -44,8 +44,12 @@ const (
 	testLabel   = "predmatch_test"
 )
 
-// servers numbers the servers the helpers start, one label value each.
-var servers atomic.Int64
+// servers numbers the servers the helpers start, one label value each;
+// serverIDs maps each such server to its label value.
+var (
+	servers   atomic.Int64
+	serverIDs sync.Map
+)
 
 // adoptServer serves s on a loopback port and returns its address plus
 // a stopper that shuts it down and verifies both that Serve unwinds and
@@ -64,6 +68,7 @@ func adoptServer(t testing.TB, s *server.Server) (*server.Server, string, func()
 	addr := ln.Addr().String()
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels(testLabel, t.Name())))
 	id := strconv.FormatInt(servers.Add(1), 10)
+	serverIDs.Store(s, id)
 	serveErr := make(chan error, 1)
 	go pprof.Do(context.Background(), pprof.Labels(serverLabel, id), func(context.Context) {
 		serveErr <- s.Serve(ln)
@@ -84,7 +89,7 @@ func adoptServer(t testing.TB, s *server.Server) (*server.Server, string, func()
 		case <-time.After(5 * time.Second):
 			t.Error("Serve did not return after Shutdown")
 		}
-		checkGoroutinesGone(t, serverLabel, id, "server.(*conn)", "server.(*Server).Serve")
+		checkGoroutinesGone(t, serverLabel, id, "server.(*conn)", "server.(*Server).streamLog", "server.(*Server).Serve")
 	}
 	t.Cleanup(func() {
 		if !stopped.Load() {
@@ -854,6 +859,29 @@ func TestServerSubscriberTeardownAccounting(t *testing.T) {
 	if st.Delivered+st.Dropped != generated {
 		t.Fatalf("after teardown delivered %d + dropped %d = %d, want the %d generated",
 			st.Delivered, st.Dropped, st.Delivered+st.Dropped, generated)
+	}
+}
+
+// TestServerServeAfterShutdown: a Serve that gets to its listener only
+// after Shutdown ran returns at once instead of accepting forever.
+func TestServerServeAfterShutdown(t *testing.T) {
+	s := server.New(server.Config{})
+	s.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+	select {
+	case err := <-served:
+		if !errors.Is(err, server.ErrServerClosed) {
+			t.Fatalf("Serve after Shutdown returned %v, want ErrServerClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		ln.Close()
+		<-served
+		t.Fatal("Serve after Shutdown was still accepting after 5s")
 	}
 }
 

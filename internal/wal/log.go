@@ -64,8 +64,7 @@ type Log struct {
 	// buf is the frame scratch buffer; every Append encodes into it and
 	// writes it out in one syscall.
 	buf      []byte // guarded-by: mu
-	seq      uint64 // guarded-by: mu — last assigned sequence number
-	appended uint64 // guarded-by: mu — last sequence written to the OS
+	seq      uint64 // guarded-by: mu — last sequence assigned and written to the OS
 	segStart uint64 // guarded-by: mu — first sequence of the active segment
 	segBytes int64  // guarded-by: mu — bytes written to the active segment
 	segments int    // guarded-by: mu — segment files on disk
@@ -108,7 +107,6 @@ func openLog(opt Options, lastSeq uint64, segments int) (*Log, error) {
 	l := &Log{
 		opt:      opt,
 		seq:      lastSeq,
-		appended: lastSeq,
 		segments: segments,
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
@@ -202,7 +200,6 @@ func (l *Log) write(seq uint64, buf []byte) (uint64, error) {
 		return 0, err
 	}
 	l.seq = seq
-	l.appended = l.seq
 	l.segBytes += int64(len(buf))
 	l.bumpSeq()
 	if l.met != nil {
@@ -233,7 +230,7 @@ func (l *Log) rotate() error {
 		return fmt.Errorf("wal: rotate close: %w", err)
 	}
 	// Everything appended so far now lives in fsynced, closed segments.
-	l.advanceDurable(l.appended)
+	l.advanceDurable(l.seq)
 	return l.openSegment(l.seq + 1)
 }
 
@@ -339,7 +336,7 @@ func (l *Log) syncOnce() {
 		l.mu.Unlock()
 		return
 	}
-	target := l.appended
+	target := l.seq
 	f := l.f
 	l.syncMu.Lock()
 	cur, failed := l.durable, l.failed
@@ -450,7 +447,6 @@ func (l *Log) Advance(seq uint64) error {
 		return err
 	}
 	l.seq = seq
-	l.appended = seq
 	l.bumpSeq()
 	l.advanceDurable(seq)
 	return nil
@@ -554,7 +550,7 @@ func (l *Log) Close() error {
 		firstErr = err
 	}
 	if firstErr == nil {
-		l.advanceDurable(l.appended)
+		l.advanceDurable(l.seq)
 	}
 	if err := l.f.Close(); err != nil && firstErr == nil {
 		firstErr = err

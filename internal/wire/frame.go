@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"io"
 
@@ -70,6 +71,12 @@ func (lr *LineReader) Next() ([]byte, error) {
 			lr.err = err
 		}
 	}
+}
+
+// HasLine reports whether a complete line is already buffered, so that
+// Next returns it without reading.
+func (lr *LineReader) HasLine() bool {
+	return bytes.IndexByte(lr.buf[lr.r:lr.w], '\n') >= 0
 }
 
 // makeRoom guarantees free space at the end of the buffer: it moves the

@@ -71,3 +71,18 @@ func TestLineReaderErrorAfterPartialLine(t *testing.T) {
 		t.Fatalf("after the partial line: %v, want boom", err)
 	}
 }
+
+func TestLineReaderHasLine(t *testing.T) {
+	lr := NewLineReader(strings.NewReader("a\nb\npartial"), 64)
+	if lr.HasLine() {
+		t.Fatal("HasLine before any read")
+	}
+	for _, want := range []bool{true, false} {
+		if _, err := lr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if got := lr.HasLine(); got != want {
+			t.Fatalf("HasLine = %v, want %v", got, want)
+		}
+	}
+}
