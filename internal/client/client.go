@@ -35,6 +35,10 @@ var ErrClosed = errors.New("client: connection closed")
 // the time this notification was generated). Tuple holds the matched
 // tuple's literals as a plain JSON decode would: string, bool, and
 // json.Number — the number's own text in the frame — for every number.
+// The slice is the caller's own, but its elements may be the very
+// interface values an earlier notification's Tuple holds: notifications
+// for one tuple (a rule fan-out) share them, which is safe because a
+// string, bool or json.Number cannot be changed in place.
 type Notification struct {
 	Seq      uint64
 	Rule     string
@@ -195,6 +199,9 @@ func (c *Client) readLoop() {
 	// decode overwrites it whole, with freshly allocated contents, and
 	// what leaves this loop is a copy.
 	var m wire.Message
+	// A rule fan-out repeats one tuple across its frames: the decoder
+	// hands each repeat the first frame's literals in a slice of its own.
+	var ld wire.LiteralDecoder
 	var err error
 	for {
 		var raw []byte
@@ -205,7 +212,7 @@ func (c *Client) readLoop() {
 		if len(line) == 0 {
 			continue
 		}
-		lits, derr := wire.DecodeMessageLiterals(line, &m)
+		lits, derr := ld.Decode(line, &m)
 		if scribbleReleased {
 			wire.Scribble(raw)
 		}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"predmatch/internal/pred"
 	"predmatch/internal/schema"
@@ -288,6 +289,126 @@ func TestNotificationTupleShape(t *testing.T) {
 		} else if v, err := num.Int64(); err != nil || v != 1<<60+int64(i) {
 			t.Fatalf("int attribute %v, %v", v, err)
 		}
+	}
+}
+
+// TestNotificationFanOutShared: the notifications of a rule fan-out
+// carry one tuple, which the client decodes once. Each notification
+// still owns its slice: a write to one tuple shows in no other. A tuple
+// holding an array is decoded afresh for every frame.
+func TestNotificationFanOutShared(t *testing.T) {
+	c, err := Dial(startServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.DeclareRelation(pair); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		"rule big on insert to pair when k > 10 do log 'x'",
+		"rule odd on insert to pair when v = 7 do log 'y'",
+	} {
+		if _, err := c.DefineRule(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	notes, err := c.Subscribe(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same tuple twice: four frames, the last three repeats of the
+	// first, so a remembered slice handed out twice would show.
+	for i := 0; i < 2; i++ {
+		if _, n, err := c.Insert("pair", tuple.New(value.Int(1<<40), value.Int(7))); err != nil || n != 2 {
+			t.Fatalf("insert: %d firings, %v", n, err)
+		}
+	}
+	want := []any{json.Number(strconv.FormatInt(1<<40, 10)), json.Number("7")}
+	got := make([]Notification, 4)
+	for i := range got {
+		select {
+		case got[i] = <-notes:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no notification")
+		}
+		if !reflect.DeepEqual(got[i].Tuple, want) || got[i].Relation != "pair" {
+			t.Fatalf("notification %d: %+v, want tuple %#v", i, got[i], want)
+		}
+	}
+	if unsafe.StringData(string(got[0].Tuple[1].(json.Number))) != unsafe.StringData(string(got[3].Tuple[1].(json.Number))) {
+		t.Error("the fan-out's repeated tuple was decoded afresh")
+	}
+	for i, n := range got {
+		n.Tuple[0] = strconv.Itoa(i)
+	}
+	for i, n := range got {
+		if n.Tuple[0] != strconv.Itoa(i) || n.Tuple[1] != json.Number("7") {
+			t.Errorf("notification %d's tuple is %#v after each was written: slices are shared", i, n.Tuple)
+		}
+	}
+
+	// A non-scalar element: a raw peer sends one tuple with an array in
+	// it twice.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		r := bufio.NewReader(nc)
+		for {
+			line, err := r.ReadBytes('\n')
+			if err != nil {
+				return
+			}
+			var req wire.Request
+			if err := wire.DecodeRequest(line, &req); err != nil {
+				return
+			}
+			out := `{"type":"response","id":` + strconv.FormatUint(req.ID, 10) + `,"ok":true}` + "\n"
+			if req.Op == wire.OpSubscribe {
+				note := `{"type":"notify","rule":"r","relation":"pair","tuple":[12345,[6789],"s"]}` + "\n"
+				out += note + note
+			}
+			if _, err := nc.Write([]byte(out)); err != nil {
+				return
+			}
+		}
+	}()
+	rc, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	rnotes, err := rc.Subscribe(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = []any{json.Number("12345"), []any{json.Number("6789")}, "s"}
+	var nested [2]Notification
+	for i := range nested {
+		select {
+		case nested[i] = <-rnotes:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no notification from the raw peer")
+		}
+		if !reflect.DeepEqual(nested[i].Tuple, want) {
+			t.Fatalf("raw notification %d: %#v, want %#v", i, nested[i].Tuple, want)
+		}
+	}
+	a, b := nested[0].Tuple, nested[1].Tuple
+	if unsafe.StringData(string(a[0].(json.Number))) == unsafe.StringData(string(b[0].(json.Number))) {
+		t.Error("a tuple holding an array was not decoded afresh")
+	}
+	a[1].([]any)[0] = "x"
+	if !reflect.DeepEqual(b, want) {
+		t.Errorf("a write into one notification's array shows in the next: %#v", b)
 	}
 }
 

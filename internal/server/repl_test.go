@@ -428,6 +428,36 @@ func TestFollowerReconnectResume(t *testing.T) {
 	}
 }
 
+// TestFollowerIdleLeaderKeepsStream: a follower sends nothing after its
+// replicate request, so a leader's idle timeout must not apply to that
+// connection. An idle stretch of several timeouts leaves the one
+// stream up, and a write after it still reaches the follower.
+func TestFollowerIdleLeaderKeepsStream(t *testing.T) {
+	_, leaderAddr, leaderStop := startDurable(t, server.Config{DataDir: t.TempDir(), IdleTimeout: 200 * time.Millisecond})
+	defer leaderStop()
+	lc := dial(t, leaderAddr)
+	defer lc.Close()
+	if err := lc.DeclareRelation(empRel); err != nil {
+		t.Fatal(err)
+	}
+	fsrv, _, f, fcleanup := startFollower(t, leaderAddr, server.Config{})
+	defer fcleanup()
+	waitSeq(t, "follower applied", fsrv.ReplAppliedSeq, lc.LastSeq())
+
+	time.Sleep(1500 * time.Millisecond)
+	// The leader's own client is idle too and is cut: dial afresh.
+	lc2 := dial(t, leaderAddr)
+	defer lc2.Close()
+	if _, _, err := lc2.Insert("emp", tuple.New(
+		value.String_("late"), value.Int(30), value.Int(500), value.String_("toy"))); err != nil {
+		t.Fatal(err)
+	}
+	waitSeq(t, "follower applied after the idle stretch", fsrv.ReplAppliedSeq, lc2.LastSeq())
+	if n := f.Reconnects(); n != 0 {
+		t.Errorf("follower reconnected %d times across an idle leader, want 0", n)
+	}
+}
+
 // logBySeq reads every record payload in dir's segments, keyed by the
 // sequence it carries.
 func logBySeq(t *testing.T, dir string) map[uint64][]byte {

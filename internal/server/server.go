@@ -79,8 +79,9 @@ type Config struct {
 	// WriteTimeout bounds writing one frame to a client; a missed
 	// deadline tears the connection down (default 10s).
 	WriteTimeout time.Duration
-	// IdleTimeout closes connections with no active subscription that
-	// send no request for this long (default 0 = never).
+	// IdleTimeout closes connections with no active subscription or
+	// replication stream that send no request for this long (default
+	// 0 = never).
 	IdleTimeout time.Duration
 	// Registry receives the daemon's metrics and turns on hot-path
 	// instrumentation down through the matcher and the IBS-trees
@@ -633,9 +634,10 @@ func (c *conn) readLoop() {
 		}
 		// Touch the deadline only when it has to change: every request
 		// under an idle timeout, and once to clear it when a subscription
-		// lifts the timeout. A connection that never had one (IdleTimeout
-		// 0, the default) makes no deadline calls at all.
-		if idle := c.s.cfg.IdleTimeout; idle > 0 && !c.subscribed() {
+		// or a replication stream lifts the timeout (a follower sends
+		// nothing after its replicate request). A connection that never
+		// had one (IdleTimeout 0, the default) makes no deadline calls.
+		if idle := c.s.cfg.IdleTimeout; idle > 0 && !c.subscribed() && !c.replica.Load() {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
 			armed = true
 		} else if armed {

@@ -12,6 +12,7 @@ import (
 
 	"predmatch/internal/value"
 	"predmatch/internal/wire"
+	"predmatch/internal/wire/wiretest"
 )
 
 // The payloads below were written by the commit before tuples were
@@ -102,5 +103,22 @@ func TestPinnedSnapshotBytes(t *testing.T) {
 	if !value.Equal(rows[0].Tuple[1], value.Int(9007199254740993)) || !value.Equal(rows[0].Tuple[2], value.Float(0.1)) ||
 		!value.Equal(rows[1].Tuple[2], value.Int(-3)) || back.Relations[1].Rows != nil {
 		t.Errorf("old snapshot decodes to %+v", back.Relations)
+	}
+}
+
+// TestPinnedPayloadsShipUnchanged: a leader streams these payloads in
+// repl frames, copied as they are. The frames must be the bytes the
+// encoding/json path that used to re-marshal them wrote, so a follower
+// of either version reads the same stream.
+func TestPinnedPayloadsShipUnchanged(t *testing.T) {
+	for _, m := range []*wire.Message{
+		{Type: wire.TypeRepl, Rec: json.RawMessage(pinnedRecord), LeaderSeq: 42},
+		{Type: wire.TypeRepl, Snap: json.RawMessage(pinnedSnapshot), LeaderSeq: 42},
+	} {
+		got, err := wire.AppendMessage(nil, m)
+		want, werr := wiretest.MarshalMessage(m)
+		if err != nil || werr != nil || !bytes.Equal(got, want) {
+			t.Errorf("repl frame (%v, %v):\ngot  %s\nwant %s", err, werr, got, want)
+		}
 	}
 }

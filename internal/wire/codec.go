@@ -5,8 +5,9 @@
 // encoding/json emits for them, and accepts what a json.Decoder with
 // UseNumber accepts (the deliberate differences are listed in
 // docs/PROTOCOL.md, Framing). encoding/json stays in the path only for
-// the cold nested values (pred, attrs, stats, backup, trace, snap, rec),
-// which the codec delimits and hands over as sub-slices.
+// the cold nested values (pred, attrs, stats, backup, trace), which the
+// codec delimits and hands over as sub-slices; snap and rec carry the
+// log's own bytes and are copied as they are.
 // FuzzWireCodec holds the two together.
 
 package wire
@@ -131,11 +132,13 @@ func AppendMessage(dst []byte, m *Message) ([]byte, error) {
 	}
 	e.int(`,"depth":`, int64(m.Depth))
 	e.uint(`,"dropped":`, m.Dropped)
+	// Snap and Rec are the log's own bytes, already the compact JSON
+	// encoding/json writes, so they go out as they are.
 	if len(m.Snap) > 0 {
-		e.cold(`,"snap":`, m.Snap)
+		e.b = append(append(e.b, `,"snap":`...), m.Snap...)
 	}
 	if len(m.Rec) > 0 {
-		e.cold(`,"rec":`, m.Rec)
+		e.b = append(append(e.b, `,"rec":`...), m.Rec...)
 	}
 	e.uint(`,"leader_seq":`, m.LeaderSeq)
 	if m.Trace != nil {
@@ -394,27 +397,48 @@ func DecodeRequest(line []byte, r *Request) error {
 // into *m, overwriting it, under the rules of DecodeRequest. Everything
 // it stores is freshly allocated; nothing points into line.
 func DecodeMessage(line []byte, m *Message) error {
-	return decodeMessage(line, m, nil)
+	_, err := decodeMessage(line, m, nil)
+	return err
 }
 
-// DecodeMessageLiterals is DecodeMessage for a subscriber, which hands
-// a notification's tuple on as literals and never types it: m.Tuple
-// stays nil and the frame's tuple is returned as a json.Decoder with
-// UseNumber would have decoded it — string, bool, json.Number holding
-// the number's own text in the frame, nil for null (and whatever
-// encoding/json makes of a nested array or object). The literals are
-// cut from one copy of the tuple's span of the frame, so a tuple of n
-// scalars costs that copy, the slice and one interface box per string
-// or number.
-func DecodeMessageLiterals(line []byte, m *Message) (tuple []any, err error) {
-	err = decodeMessage(line, m, &tuple)
-	return tuple, err
+// LiteralDecoder is a subscriber's decode state; its zero value is
+// ready. A rule fan-out sends one frame per firing, each carrying the
+// same tuple text, so the decoder remembers the last tuple's text and
+// its literals and hands a repeat out again without scanning, copying
+// or boxing it. The literals are immutable values (string, bool,
+// json.Number, nil), and each frame still gets its own slice. A tuple
+// holding an array or an object, or longer than RetainBytes, is not
+// remembered. The last relation name is reused the same way.
+type LiteralDecoder struct {
+	text     string // the remembered tuple's text, "" for none
+	lits     []any  // its literals, never handed out themselves
+	relation string
 }
 
-func decodeMessage(line []byte, m *Message, lits *[]any) error {
+// Decode is DecodeMessage for a subscriber, which hands a
+// notification's tuple on as literals and never types it: m.Tuple stays
+// nil and the frame's tuple is returned as a json.Decoder with UseNumber
+// would have decoded it — string, bool, json.Number holding the
+// number's own text in the frame, nil for null (and whatever
+// encoding/json makes of a nested array or object). A new tuple's
+// literals are cut from one copy of its span of the frame, so a tuple
+// of n scalars costs that copy, the slice and one interface box per
+// string or number; a repeat of the last one costs the slice.
+func (ld *LiteralDecoder) Decode(line []byte, m *Message) (tuple []any, err error) {
+	return decodeMessage(line, m, ld)
+}
+
+func (ld *LiteralDecoder) internRelation(b []byte) string {
+	if string(b) != ld.relation {
+		ld.relation = string(b)
+	}
+	return ld.relation
+}
+
+func decodeMessage(line []byte, m *Message, ld *LiteralDecoder) (tuple []any, err error) {
 	*m = Message{}
 	d := decoder{b: line}
-	return d.object(func(key []byte) error {
+	err = d.object(func(key []byte) error {
 		switch string(key) {
 		case "type":
 			return d.interned(&m.Type, internType)
@@ -449,14 +473,17 @@ func decodeMessage(line []byte, m *Message, lits *[]any) error {
 		case "rule":
 			return d.string(&m.Rule)
 		case "relation":
+			if ld != nil {
+				return d.interned(&m.Relation, ld.internRelation)
+			}
 			return d.string(&m.Relation)
 		case "event_op":
 			return d.interned(&m.EventOp, internOp) // insert, update, delete
 		case "event_id":
 			return d.int(&m.EventID)
 		case "tuple":
-			if lits != nil {
-				return d.literals(lits)
+			if ld != nil {
+				return d.literals(ld, &tuple)
 			}
 			return d.tuple(&m.Tuple)
 		case "depth":
@@ -475,6 +502,7 @@ func decodeMessage(line []byte, m *Message, lits *[]any) error {
 			return d.skip(1)
 		}
 	})
+	return tuple, err
 }
 
 // internOp returns the declared constant for a known op, so decoding
@@ -1098,12 +1126,21 @@ func (d *decoder) tuple(v *Tuple) error {
 }
 
 // literals decodes a JSON array into the []any encoding/json with
-// UseNumber would make of it; null makes it nil. One pass records where
-// each element sits, then the elements are cut from a single string
-// copy of the array's text.
-func (d *decoder) literals(v *[]any) error {
+// UseNumber would make of it; null makes it nil. An array whose text
+// repeats ld's remembered one is given ld's literals in a new slice.
+// Otherwise one pass records where each element sits, then the
+// elements are cut from a single string copy of the array's text.
+func (d *decoder) literals(ld *LiteralDecoder, v *[]any) error {
+	// A JSON array's text ends itself, so a prefix match is the whole
+	// value.
+	if n := len(ld.text); n > 0 && len(d.b)-d.i >= n && string(d.b[d.i:d.i+n]) == ld.text {
+		d.i += n
+		*v = make([]any, len(ld.lits))
+		copy(*v, ld.lits)
+		return nil
+	}
 	type elem struct {
-		kind       byte // 's' plain string, 'q' string to unquote, 'n' number, 't', 'f', 'v' anything else
+		kind       byte // 's' plain string, 'q' string to unquote, 'n' number, 't', 'f', 'z' null, 'v' array or object
 		start, end int  // offsets into the array's text
 	}
 	var stack [32]elem
@@ -1127,6 +1164,8 @@ func (d *decoder) literals(v *[]any) error {
 			e.kind = 't'
 		case d.literal("false"):
 			e.kind = 'f'
+		case d.literal("null"):
+			e.kind = 'z'
 		default:
 			err = d.skip(2)
 		}
@@ -1139,6 +1178,7 @@ func (d *decoder) literals(v *[]any) error {
 	}
 	text := string(d.b[origin:d.i])
 	out := make([]any, len(elems))
+	scalars := true
 	for i, e := range elems {
 		switch e.kind {
 		case 's':
@@ -1151,7 +1191,8 @@ func (d *decoder) literals(v *[]any) error {
 			out[i] = true
 		case 'f':
 			out[i] = false
-		default:
+		case 'v':
+			scalars = false
 			dec := json.NewDecoder(strings.NewReader(text[e.start:e.end]))
 			dec.UseNumber()
 			if err := dec.Decode(&out[i]); err != nil {
@@ -1160,6 +1201,10 @@ func (d *decoder) literals(v *[]any) error {
 		}
 	}
 	*v = out
+	ld.text, ld.lits = "", ld.lits[:0]
+	if scalars && len(text) <= RetainBytes {
+		ld.text, ld.lits = text, append(ld.lits, out...)
+	}
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"predmatch/internal/matchertest"
 	"predmatch/internal/value"
@@ -44,16 +45,32 @@ func checkDecode(t *testing.T, line []byte) {
 		t.Fatalf("message %q:\ncodec         %+v\nencoding/json %+v", line, msg, *wantMsg)
 	}
 	// The subscriber's decode: the same message minus its typed tuple,
-	// and the tuple as the literals UseNumber leaves.
-	lits, got := wire.DecodeMessageLiterals(line, &msg)
+	// and the tuple as the literals UseNumber leaves. It runs three
+	// times: on fresh state, right after the same line (a fan-out's
+	// repeat, which reuses the remembered literals), and right after a
+	// different tuple (which must forget them).
 	wantMsg, wantLits, werr := wiretest.UnmarshalMessageLiterals(line)
-	if (got == nil) != (werr == nil) {
-		t.Fatalf("message literals %q: codec says %v, encoding/json says %v", line, got, werr)
+	var fresh, other wire.LiteralDecoder
+	if _, err := other.Decode([]byte(otherTupleFrame), &msg); err != nil {
+		t.Fatal(err)
 	}
-	if got == nil && (!wiretest.SameMessage(&msg, wantMsg) || !reflect.DeepEqual(lits, wantLits)) {
-		t.Fatalf("message literals %q:\ncodec         %+v %#v\nencoding/json %+v %#v", line, msg, lits, *wantMsg, wantLits)
+	for _, pass := range []struct {
+		name string
+		ld   *wire.LiteralDecoder
+	}{{"fresh", &fresh}, {"repeated", &fresh}, {"after another tuple", &other}} {
+		lits, got := pass.ld.Decode(line, &msg)
+		if (got == nil) != (werr == nil) {
+			t.Fatalf("message literals (%s) %q: codec says %v, encoding/json says %v", pass.name, line, got, werr)
+		}
+		if got == nil && (!wiretest.SameMessage(&msg, wantMsg) || !reflect.DeepEqual(lits, wantLits)) {
+			t.Fatalf("message literals (%s) %q:\ncodec         %+v %#v\nencoding/json %+v %#v", pass.name, line, msg, lits, *wantMsg, wantLits)
+		}
 	}
 }
+
+// otherTupleFrame is the notification checkDecode's miss path decodes
+// first: its relation and tuple appear in no seed.
+const otherTupleFrame = `{"type":"notify","relation":"other rel","tuple":["other",-7.25e3,true,null]}`
 
 // foldedKey reports whether line is an object with a top-level key that
 // is a protocol key in every respect but letter case.
@@ -216,13 +233,14 @@ func (g *gen) trace() *wire.TraceContext {
 	return &wire.TraceContext{ID: g.str(), Span: g.u64()}
 }
 
-// rawJSON is a replication payload: well-formed with characters and
-// spacing a re-encode rewrites, or not JSON at all.
+// rawJSON is a replication payload as a log stores it: compact, with
+// encoding/json's escapes, which AppendMessage copies as it is (what it
+// makes of other bytes is TestReplPayloadsVerbatim's).
 func (g *gen) rawJSON() json.RawMessage {
 	return [...]json.RawMessage{
-		nil, {}, json.RawMessage(`null`), json.RawMessage(`{"seq":1,"kind":"rule","source":"a<b & c>d"}`),
-		json.RawMessage("{ \"seq\" : 2 ,\n\"events\":[ ] }"), json.RawMessage(`{"s":"\u2028 and ` + "\u2028" + `"}`),
-		json.RawMessage(`{"seq":`), json.RawMessage(`[1,2`),
+		nil, {}, json.RawMessage(`null`), json.RawMessage(`{"seq":1,"kind":"rule","source":"a\u003cb \u0026 c\u003ed"}`),
+		json.RawMessage(`{"seq":2,"events":[]}`), json.RawMessage(`{"s":"\u2028 and \u2029"}`),
+		json.RawMessage(`{"s":"é \"q\" \\"}`), json.RawMessage(`[1,2.5,true,null]`),
 	}[g.byte()%8]
 }
 
@@ -434,11 +452,12 @@ func TestTupleJSON(t *testing.T) {
 func TestMessageLiterals(t *testing.T) {
 	line := []byte(`{"type":"notify","seq":1,"rule":"r","tuple":["s","a\u003cb",1152921504606846976,0.50,1E+2,-0,true,false,null,[1]],"depth":1}`)
 	var m wire.Message
-	lits, err := wire.DecodeMessageLiterals(line, &m)
+	var ld wire.LiteralDecoder
+	lits, err := ld.Decode(line, &m)
 	want := []any{"s", "a<b", json.Number("1152921504606846976"), json.Number("0.50"), json.Number("1E+2"), json.Number("-0"),
 		true, false, nil, []any{json.Number("1")}}
 	if err != nil || !reflect.DeepEqual(lits, want) || m.Tuple != nil || m.Rule != "r" || m.Depth != 1 {
-		t.Errorf("DecodeMessageLiterals = %#v, %v (message %+v); want %#v", lits, err, m, want)
+		t.Errorf("Decode = %#v, %v (message %+v); want %#v", lits, err, m, want)
 	}
 	// The literals are cut from a copy: the frame's buffer is free the
 	// moment the decode returns.
@@ -455,12 +474,68 @@ func TestMessageLiterals(t *testing.T) {
 		{`{"tuple":[]}`, []any{}},
 		{`{"tuple":[1],"tuple":null}`, nil},
 	} {
-		if lits, err := wire.DecodeMessageLiterals([]byte(tc.frame), &m); err != nil || !reflect.DeepEqual(lits, tc.want) {
+		if lits, err := ld.Decode([]byte(tc.frame), &m); err != nil || !reflect.DeepEqual(lits, tc.want) {
 			t.Errorf("%s: %#v, %v; want %#v", tc.frame, lits, err, tc.want)
 		}
 	}
-	if _, err := wire.DecodeMessageLiterals([]byte(`{"tuple":"x"}`), &m); err == nil {
+	if _, err := ld.Decode([]byte(`{"tuple":"x"}`), &m); err == nil {
 		t.Error("a string accepted as a tuple")
+	}
+}
+
+// TestLiteralDecoderReuse: a repeated tuple's literals are the
+// remembered ones, in a slice of the frame's own; a tuple with an array
+// or an object in it, or longer than RetainBytes, is decoded afresh
+// every time; a repeated relation name is the remembered string.
+func TestLiteralDecoderReuse(t *testing.T) {
+	shared := func(a, b any) bool {
+		return unsafe.StringData(string(a.(json.Number))) == unsafe.StringData(string(b.(json.Number)))
+	}
+	long := strings.Repeat("x", wire.RetainBytes)
+	for _, tc := range []struct {
+		name, tuple string
+		reused      bool
+	}{
+		{"scalars", `[1,"a\u003c",true,null,2.5]`, true},
+		{"nested", `[1,"a",[2]]`, false},
+		{"object", `[1,{"b":2}]`, false},
+		{"long", `[1,"` + long + `"]`, false},
+	} {
+		var ld wire.LiteralDecoder
+		var m wire.Message
+		frame := []byte(`{"type":"notify","rule":"r1","relation":"emp","tuple":` + tc.tuple + `}`)
+		first, err := ld.Decode(frame, &m)
+		rel := m.Relation
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = []byte(`{"type":"notify","rule":"r2","relation":"emp","tuple":` + tc.tuple + `}`)
+		second, err := ld.Decode(frame, &m)
+		if err != nil || !reflect.DeepEqual(first, second) || m.Rule != "r2" {
+			t.Fatalf("%s: repeat decodes to %#v, %v (%+v); first was %#v", tc.name, second, err, m, first)
+		}
+		if got := shared(first[0], second[0]); got != tc.reused {
+			t.Errorf("%s: literals shared = %v, want %v", tc.name, got, tc.reused)
+		}
+		if unsafe.StringData(rel) != unsafe.StringData(m.Relation) {
+			t.Errorf("%s: relation decoded afresh", tc.name)
+		}
+		first[0], second[0] = "x", "y"
+		if third, _ := ld.Decode(frame, &m); third[0] != json.Number("1") || first[0] != "x" || second[0] != "y" {
+			t.Errorf("%s: a write to one frame's tuple shows in another: %#v, %#v, %#v", tc.name, first, second, third)
+		}
+	}
+}
+
+// TestReplPayloadsVerbatim: AppendMessage copies snap and rec as they
+// are, where encoding/json would compact and escape them; the sender
+// owns their form (the log's payloads are already encoding/json's).
+func TestReplPayloadsVerbatim(t *testing.T) {
+	payload := "{ \"s\" : \"<&> \u2028\" }"
+	got, err := wire.AppendMessage(nil, &wire.Message{Type: wire.TypeRepl, Snap: json.RawMessage(payload), Rec: json.RawMessage(payload)})
+	want := `{"type":"repl","snap":` + payload + `,"rec":` + payload + "}\n"
+	if err != nil || string(got) != want {
+		t.Errorf("AppendMessage = %q, %v; want %q", got, err, want)
 	}
 }
 
@@ -505,14 +580,30 @@ func TestCodecAllocs(t *testing.T) {
 		t.Errorf("round trip: %+v / %+v", back, mback)
 	}
 
-	// A subscriber's 15-attribute tuple: one copy of its text, the slice,
-	// and one interface box per number — nothing per attribute besides.
-	tupFrame, _ := wire.AppendMessage(nil, &wire.Message{Tuple: tup})
+	// A subscriber's 15-attribute tuples, each unlike the last: one copy
+	// of its text, the slice, and one interface box per number —
+	// nothing per attribute besides.
+	var ld wire.LiteralDecoder
+	var tupFrames [2][]byte
+	for i := range tupFrames {
+		tup[0] = value.Int(int64(i))
+		tupFrames[i], _ = wire.AppendMessage(nil, &wire.Message{Tuple: tup})
+	}
+	next := 0
 	if n := testing.AllocsPerRun(200, func() {
-		if lits, err := wire.DecodeMessageLiterals(tupFrame, &mback); err != nil || len(lits) != len(tup) {
+		next++
+		if lits, err := ld.Decode(tupFrames[next%2], &mback); err != nil || len(lits) != len(tup) {
 			t.Fatal(lits, err)
 		}
 	}); n > float64(len(tup)+2) {
-		t.Errorf("DecodeMessageLiterals: %v allocs for %d attributes, want <= arity+2", n, len(tup))
+		t.Errorf("Decode of a new tuple: %v allocs for %d attributes, want <= arity+2", n, len(tup))
+	}
+	// The same tuple again, as a rule fan-out sends it: the slice only.
+	if n := testing.AllocsPerRun(200, func() {
+		if lits, err := ld.Decode(tupFrames[0], &mback); err != nil || len(lits) != len(tup) {
+			t.Fatal(lits, err)
+		}
+	}); n > 1 {
+		t.Errorf("Decode of a repeated tuple: %v allocs for %d attributes, want <= 1", n, len(tup))
 	}
 }

@@ -319,9 +319,10 @@ type Message struct {
 	// the requested tail was pruned), Rec one wal.Record. Both are the
 	// payload the leader's log stores, unchanged, as raw JSON; the
 	// follower decodes them with the wal codecs and logs the same
-	// bytes. LeaderSeq is the
-	// leader's last assigned WAL sequence at send time, so the follower
-	// can compute its lag.
+	// bytes. AppendMessage writes them as they are, neither validated
+	// nor compacted, so a sender sets only such payloads. LeaderSeq is
+	// the leader's last assigned WAL sequence at send time, so the
+	// follower can compute its lag.
 	Snap      json.RawMessage `json:"snap,omitempty"`
 	Rec       json.RawMessage `json:"rec,omitempty"`
 	LeaderSeq uint64          `json:"leader_seq,omitempty"`

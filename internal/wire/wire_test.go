@@ -151,7 +151,8 @@ func TestStatsFrameWithRetiredMetaSection(t *testing.T) {
 			`"conns":1,"subs":0,"delivered":3,"dropped":0}}` + "\n"
 		decoders := map[string]func(*wire.Message) error{
 			"codec": func(m *wire.Message) error {
-				_, err := wire.DecodeMessageLiterals([]byte(frame), m)
+				var ld wire.LiteralDecoder
+				_, err := ld.Decode([]byte(frame), m)
 				return err
 			},
 			"encoding/json": func(m *wire.Message) error {
