@@ -124,9 +124,6 @@ func printSnapshot(w io.Writer, snap *wal.Snapshot) {
 		if len(rel.Attrs) > 0 {
 			fmt.Fprintf(w, ")")
 		}
-		if len(rel.Indexes) > 0 {
-			fmt.Fprintf(w, "  indexed: %v", rel.Indexes)
-		}
 		fmt.Fprintf(w, "\n")
 	}
 	if len(snap.Rules) > 0 {

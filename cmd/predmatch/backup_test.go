@@ -53,8 +53,7 @@ func TestPrintSnapshotGolden(t *testing.T) {
 					{Name: "name", Type: "string"}, {Name: "age", Type: "int"},
 					{Name: "salary", Type: "int"}, {Name: "dept", Type: "string"},
 				},
-				NextID:  4,
-				Indexes: []string{"salary"},
+				NextID: 4,
 				Rows: []wal.SnapRow{
 					{ID: 1, Tuple: wire.Tuple{value.String_("ada"), value.Int(52), value.Int(18000), value.String_("deli")}},
 					{ID: 2, Tuple: wire.Tuple{value.String_("bob"), value.Int(33), value.Int(25000), value.String_("shoe")}},

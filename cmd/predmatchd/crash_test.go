@@ -9,8 +9,8 @@
 // State comparison is deep: both the recovered daemon and an oracle
 // daemon (same binary-level code, in-process, fed only acked ops) dump
 // a checkpoint via the backup op, and the two snapshots are compared
-// structurally — relations, attribute schemas, indexes, tuple IDs, row
-// contents, next-ID counters, rules and direct predicates.
+// structurally — relations, attribute schemas, tuple IDs, row contents,
+// next-ID counters, rules and direct predicates.
 package main
 
 import (
@@ -242,12 +242,6 @@ func TestCrashRecovery(t *testing.T) {
 		if err := oracle.DeclareRelation(rel); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := c.CreateIndex("emp", "salary"); err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.CreateIndex("emp", "salary"); err != nil {
-		t.Fatal(err)
 	}
 	for _, src := range crashRules {
 		if _, err := c.DefineRule(src); err != nil {

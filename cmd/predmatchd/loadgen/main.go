@@ -135,9 +135,6 @@ func main() {
 			logger.Fatalf("declare %s: %v", rel.Name(), err)
 		}
 	}
-	if err := admin.CreateIndex(emp, "salary"); err != nil {
-		logger.Fatalf("index: %v", err)
-	}
 	for _, src := range rules {
 		if _, err := admin.DefineRule(src); err != nil {
 			logger.Fatalf("rule: %v", err)

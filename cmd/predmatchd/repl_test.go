@@ -167,9 +167,6 @@ func TestReplicationFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.CreateIndex("emp", "salary"); err != nil {
-		t.Fatal(err)
-	}
 	for _, src := range crashRules {
 		if _, err := c.DefineRule(src); err != nil {
 			t.Fatal(err)
@@ -314,9 +311,6 @@ func TestReplicationFailover(t *testing.T) {
 		if err := oracle.DeclareRelation(rel); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := oracle.CreateIndex("emp", "salary"); err != nil {
-		t.Fatal(err)
 	}
 	for _, src := range crashRules {
 		if _, err := oracle.DefineRule(src); err != nil {

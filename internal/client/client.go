@@ -407,12 +407,6 @@ func (c *Client) DeclareRelation(rel *schema.Relation) error {
 	return err
 }
 
-// CreateIndex builds a secondary storage index on rel.attr.
-func (c *Client) CreateIndex(rel, attr string) error {
-	_, err := c.call(&wire.Request{Op: wire.OpIndex, Relation: rel, Attr: attr})
-	return err
-}
-
 // DefineRule registers a rule from source text (the cmd/predmatch rule
 // grammar) and returns the parsed rule name.
 func (c *Client) DefineRule(source string) (string, error) {

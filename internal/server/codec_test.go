@@ -348,7 +348,6 @@ func TestServerGoldenTranscript(t *testing.T) {
 	check(c.DeclareRelation(auditRel))
 	check(c.DeclareRelation(schema.MustRelation("odd<&>",
 		schema.Attribute{Name: "f", Type: value.KindFloat}, schema.Attribute{Name: "b", Type: value.KindBool})))
-	check(c.CreateIndex("emp", "salary"))
 	for _, src := range e2eRules {
 		_, err := c.DefineRule(src)
 		check(err)
@@ -484,7 +483,7 @@ func TestServerGoldenTranscript(t *testing.T) {
 			t.Errorf("message %q decodes to %+v, encoding/json to %+v (%v)", line, m, ref, err)
 		}
 	}
-	for _, op := range []string{wire.OpDeclare, wire.OpIndex, wire.OpRule, wire.OpDropRule, wire.OpAddPred,
+	for _, op := range []string{wire.OpDeclare, wire.OpRule, wire.OpDropRule, wire.OpAddPred,
 		wire.OpRemovePred, wire.OpInsert, wire.OpUpdate, wire.OpDelete, wire.OpMatch, wire.OpMatchBatch,
 		wire.OpSubscribe, wire.OpUnsubscribe, wire.OpStats, wire.OpPing, wire.OpBackup, wire.OpReplicate, wire.OpPromote} {
 		if ops[op] == 0 {

@@ -9,7 +9,7 @@ import (
 // histogram handles are resolved once at startup so the request path
 // never takes the vec's lookup lock.
 var ops = []string{
-	wire.OpPing, wire.OpDeclare, wire.OpIndex, wire.OpRule,
+	wire.OpPing, wire.OpDeclare, wire.OpRule,
 	wire.OpDropRule, wire.OpAddPred, wire.OpRemovePred,
 	wire.OpInsert, wire.OpUpdate, wire.OpDelete,
 	wire.OpMatch, wire.OpMatchBatch,

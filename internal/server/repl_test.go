@@ -517,9 +517,6 @@ func TestFollowerLogMatchesLeaderBytes(t *testing.T) {
 	if err := lc.DeclareRelation(auditRel); err != nil {
 		t.Fatal(err)
 	}
-	if err := lc.CreateIndex("emp", "salary"); err != nil {
-		t.Fatal(err)
-	}
 	for _, src := range e2eRules {
 		if _, err := lc.DefineRule(src); err != nil {
 			t.Fatal(err)

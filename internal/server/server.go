@@ -881,7 +881,7 @@ func traceCtx(sp *trace.Span) *wire.TraceContext {
 // explain themselves attach child spans to it.
 func (s *Server) dispatch(c *conn, req *wire.Request, sp *trace.Span) wire.Message {
 	switch req.Op {
-	case wire.OpDeclare, wire.OpIndex, wire.OpRule, wire.OpDropRule,
+	case wire.OpDeclare, wire.OpRule, wire.OpDropRule,
 		wire.OpAddPred, wire.OpRemovePred,
 		wire.OpInsert, wire.OpUpdate, wire.OpDelete:
 		if s.isFollower.Load() {
@@ -894,8 +894,6 @@ func (s *Server) dispatch(c *conn, req *wire.Request, sp *trace.Span) wire.Messa
 		return okMsg(req.ID)
 	case wire.OpDeclare:
 		return s.handleDeclare(req, sp)
-	case wire.OpIndex:
-		return s.handleIndex(req, sp)
 	case wire.OpRule:
 		return s.handleRule(req, sp)
 	case wire.OpDropRule:
@@ -966,10 +964,6 @@ func (s *Server) command(id uint64, rec *wal.Record, sp *trace.Span) wire.Messag
 
 func (s *Server) handleDeclare(req *wire.Request, sp *trace.Span) wire.Message {
 	return s.command(req.ID, &wal.Record{Kind: wal.KindDeclare, Relation: req.Relation, Attrs: req.Attrs}, sp)
-}
-
-func (s *Server) handleIndex(req *wire.Request, sp *trace.Span) wire.Message {
-	return s.command(req.ID, &wal.Record{Kind: wal.KindIndex, Relation: req.Relation, Attr: req.Attr}, sp)
 }
 
 // handleRule acks with the defined rule's name.

@@ -607,12 +607,6 @@ func TestServerRuleLifecycle(t *testing.T) {
 	if err := c.DropRule("band"); err == nil {
 		t.Fatal("double droprule accepted")
 	}
-	if err := c.CreateIndex("emp", "salary"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateIndex("emp", "nosuch"); err == nil {
-		t.Fatal("index on unknown attribute accepted")
-	}
 	if _, _, err := c.Insert("nosuch", tuple.New(value.Int(1))); err == nil {
 		t.Fatal("insert into unknown relation accepted")
 	}

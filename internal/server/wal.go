@@ -5,7 +5,7 @@
 // demand (the backup op).
 //
 // The logging strategy is split by operation class. DDL (declare,
-// index, rule, droprule, addpred, rmpred) is command-logged, and
+// rule, droprule, addpred, rmpred) is command-logged, and
 // applyRecord is its single apply path: the leader's handlers build the
 // wal.Record and apply it through applyRecord before logging it, and
 // recovery and followers replay the same record through the same
@@ -249,7 +249,8 @@ func (s *Server) addDirectPred(id pred.ID, wp *wire.Predicate) error {
 // only apply path for DDL: the leader's command handlers run it before
 // logging the record (see command), recovery replays through it, and
 // followers apply the replication stream through it. A KindMutate
-// record installs its events directly, without running rules. For a
+// record installs its events directly, without running rules. A
+// KindIndex record, which only an older daemon wrote, is a no-op. For a
 // KindRule record it returns the defined rule's name, which the rule
 // ack carries and replay ignores. Errors carry no prefix: a leader
 // hands them to the client as they are, and the replay call sites add
@@ -261,11 +262,7 @@ func (s *Server) applyRecord(rec *wal.Record) (rule string, err error) {
 	case wal.KindDeclare:
 		return "", s.declareRelation(rec.Relation, rec.Attrs)
 	case wal.KindIndex:
-		tab, ok := s.db.Table(rec.Relation)
-		if !ok {
-			return "", fmt.Errorf("unknown relation %q", rec.Relation)
-		}
-		return "", tab.CreateIndex(rec.Attr)
+		return "", nil
 	case wal.KindRule:
 		r, err := s.eng.DefineRule(rec.Source)
 		if err != nil {
@@ -301,10 +298,10 @@ func (s *Server) applyRecord(rec *wal.Record) (rule string, err error) {
 	}
 }
 
-// loadSnapshot installs a checkpoint: schemas, indexes, relation
-// contents (with their original tuple IDs), rules, and direct
-// predicates. Runs under s.mu (replication bootstrap) or during
-// single-threaded recovery before the server accepts connections.
+// loadSnapshot installs a checkpoint: schemas, relation contents (with
+// their original tuple IDs), rules, and direct predicates. Runs under
+// s.mu (replication bootstrap) or during single-threaded recovery
+// before the server accepts connections.
 //
 //predmatchvet:holds mu
 func (s *Server) loadSnapshot(snap *wal.Snapshot) error {
@@ -313,11 +310,6 @@ func (s *Server) loadSnapshot(snap *wal.Snapshot) error {
 			return err
 		}
 		tab, _ := s.db.Table(sr.Name)
-		for _, attr := range sr.Indexes {
-			if err := tab.CreateIndex(attr); err != nil {
-				return err
-			}
-		}
 		for _, row := range sr.Rows {
 			ev, err := s.decodeEvent(&wal.Event{Rel: sr.Name, Op: storage.OpInsert.String(), ID: row.ID, Tuple: row.Tuple})
 			if err != nil {
@@ -363,11 +355,7 @@ func (s *Server) checkpoint() (*wire.BackupInfo, error) {
 	for _, name := range s.db.Relations() {
 		tab, _ := s.db.Table(name)
 		rel := tab.Relation()
-		sr := wal.SnapRelation{
-			Name:    name,
-			Indexes: tab.IndexedAttrs(),
-			NextID:  int64(tab.NextID()),
-		}
+		sr := wal.SnapRelation{Name: name, NextID: int64(tab.NextID())}
 		for _, a := range rel.Attrs() {
 			sr.Attrs = append(sr.Attrs, wire.Attr{Name: a.Name, Type: a.Type.String()})
 		}

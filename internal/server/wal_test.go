@@ -30,9 +30,9 @@ func startDurable(t *testing.T, cfg server.Config) (*server.Server, string, func
 // TestDurableRestart drives every state-changing op class against a
 // data directory, shuts down cleanly, reopens the same directory, and
 // asserts the recovered daemon is observably identical: relations with
-// exact row counts and tuple-ID counters, rules, indexes and direct
-// predicates all survive, and rule cascades recorded before the
-// restart do not re-fire during recovery.
+// exact row counts and tuple-ID counters, rules and direct predicates
+// all survive, and rule cascades recorded before the restart do not
+// re-fire during recovery.
 func TestDurableRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{DataDir: dir}
@@ -52,9 +52,6 @@ func TestDurableRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := c.DeclareRelation(auditRel); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CreateIndex("emp", "salary"); err != nil {
 			t.Fatal(err)
 		}
 		for _, src := range e2eRules {

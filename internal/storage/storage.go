@@ -3,6 +3,11 @@
 // and per-attribute statistics for the optimizer's selectivity estimates
 // (the paper obtains clause selectivities "from the query optimizer").
 //
+// The secondary indexes serve the paper's Section 2.3 physical-locking
+// baseline and the script language's queries (phylock, query, script,
+// experiments); the paper's own scheme never reads them, and the daemon
+// creates none.
+//
 // The statistics are the quantities of the System R tradition (Selinger
 // et al. 1979, which the paper's physical-locking baseline builds on) —
 // row count, minimum, maximum, distinct count and the fraction of values
@@ -16,7 +21,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"predmatch/internal/btree"
@@ -181,16 +185,6 @@ func (t *Table) CreateIndex(attr string) error {
 func (t *Table) HasIndex(attr string) bool {
 	_, ok := t.indexes[attr]
 	return ok
-}
-
-// IndexedAttrs returns the indexed attribute names, sorted.
-func (t *Table) IndexedAttrs() []string {
-	out := make([]string, 0, len(t.indexes))
-	for a := range t.indexes {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func (idx *Index) add(v value.Value, id tuple.ID) {

@@ -155,9 +155,6 @@ func TestSecondaryIndex(t *testing.T) {
 	if !tab.HasIndex("age") || tab.HasIndex("salary") {
 		t.Error("HasIndex wrong")
 	}
-	if got := tab.IndexedAttrs(); !reflect.DeepEqual(got, []string{"age"}) {
-		t.Errorf("IndexedAttrs = %v", got)
-	}
 
 	scan := func(iv interval.Interval[value.Value]) []int64 {
 		var out []int64

@@ -26,7 +26,8 @@ import (
 const (
 	// KindDeclare records a relation declaration (schema).
 	KindDeclare = "declare"
-	// KindIndex records a secondary-index creation.
+	// KindIndex recorded a secondary-index creation. The daemon no
+	// longer writes it; replay of an older log applies it as a no-op.
 	KindIndex = "index"
 	// KindRule records a rule definition by source text.
 	KindRule = "rule"
@@ -64,9 +65,8 @@ type Record struct {
 	Seq  uint64 `json:"seq"`
 	Kind string `json:"kind"`
 
-	Relation string          `json:"relation,omitempty"` // declare, index
+	Relation string          `json:"relation,omitempty"` // declare
 	Attrs    []wire.Attr     `json:"attrs,omitempty"`    // declare
-	Attr     string          `json:"attr,omitempty"`     // index
 	Source   string          `json:"source,omitempty"`   // rule
 	Name     string          `json:"name,omitempty"`     // droprule
 	PredID   int64           `json:"pred_id,omitempty"`  // addpred, rmpred
@@ -137,7 +137,7 @@ func framePayload(frame []byte) ([]byte, bool) {
 // a mutate record with a field of another kind set, goes through
 // json.Marshal itself.
 func appendPayload(dst []byte, rec *Record) ([]byte, error) {
-	if rec.Kind != KindMutate || rec.Relation != "" || len(rec.Attrs) > 0 || rec.Attr != "" ||
+	if rec.Kind != KindMutate || rec.Relation != "" || len(rec.Attrs) > 0 ||
 		rec.Source != "" || rec.Name != "" || rec.PredID != 0 || rec.Pred != nil {
 		payload, err := json.Marshal(rec)
 		return append(dst, payload...), err

@@ -25,14 +25,14 @@ type SnapRow struct {
 	Tuple wire.Tuple `json:"tuple"`
 }
 
-// SnapRelation is one relation's schema, secondary indexes, and
-// contents.
+// SnapRelation is one relation's schema and contents. A checkpoint
+// from an older daemon may also carry an "indexes" key, which decoding
+// ignores.
 type SnapRelation struct {
-	Name    string      `json:"name"`
-	Attrs   []wire.Attr `json:"attrs"`
-	Indexes []string    `json:"indexes,omitempty"`
-	NextID  int64       `json:"next_id"`
-	Rows    []SnapRow   `json:"rows"`
+	Name   string      `json:"name"`
+	Attrs  []wire.Attr `json:"attrs"`
+	NextID int64       `json:"next_id"`
+	Rows   []SnapRow   `json:"rows"`
 }
 
 // SnapPred is one direct predicate with its server-assigned ID.
@@ -85,7 +85,13 @@ func (l *Log) WriteSnapshotPayload(seq uint64, payload []byte) (string, int64, e
 	return l.writeSnapshot(seq, payload, time.Now())
 }
 
+// writeSnapshot refuses once the log has failed: the in-memory state a
+// checkpoint captures may then hold an effect whose append or fsync
+// failed, and whose client got an error.
 func (l *Log) writeSnapshot(seq uint64, payload []byte, t0 time.Time) (string, int64, error) {
+	if err := l.sticky(); err != nil {
+		return "", 0, err
+	}
 	path, err := writeCheckpoint(l.opt.Dir, seq, payload)
 	if err != nil {
 		return "", 0, fmt.Errorf("wal: write snapshot: %w", err)

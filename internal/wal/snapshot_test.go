@@ -18,8 +18,7 @@ func testSnapshot(seq uint64) *Snapshot {
 				{Name: "name", Type: "string"},
 				{Name: "salary", Type: "int"},
 			},
-			Indexes: []string{"salary"},
-			NextID:  4,
+			NextID: 4,
 			Rows: []SnapRow{
 				{ID: 1, Tuple: wireTuple("ada", 18000)},
 				{ID: 3, Tuple: wireTuple("cyd", 9007199254740993)}, // > 2^53: float64 would corrupt it

@@ -33,8 +33,8 @@
 // # Snapshots
 //
 // A snapshot (snap-<seq>.ckpt) is one frame whose payload is the whole
-// engine state — schemas, secondary-index attrs, relation contents,
-// rule sources, direct predicates — as of log sequence <seq>. A
+// engine state — schemas, relation contents, rule sources, direct
+// predicates — as of log sequence <seq>. A
 // checkpoint written here, one restored from a backup and one a
 // follower received are installed the same way. After a snapshot is
 // durable, segments whose records it covers are deleted. Recovery loads

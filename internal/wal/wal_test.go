@@ -405,6 +405,33 @@ func TestStickyErrorPoisonsLog(t *testing.T) {
 	}
 }
 
+// TestFailedLogWritesNoCheckpoint: after a failed append or fsync the
+// in-memory state may hold an effect whose client got an error, so no
+// checkpoint may persist it — neither one the server captures
+// (WriteSnapshot) nor a leader's bytes (WriteSnapshotPayload).
+func TestFailedLogWritesNoCheckpoint(t *testing.T) {
+	opt := testOptions(t, SyncAlways)
+	l := openEmpty(t, opt)
+	defer l.Close()
+	failure := fmt.Errorf("simulated disk failure")
+	l.fail(failure)
+	if _, err := l.Append(mutateRecord("emp", 1)); err == nil {
+		t.Fatal("Append succeeded on a failed log")
+	}
+	if _, _, err := l.WriteSnapshot(testSnapshot(1)); err != failure {
+		t.Errorf("WriteSnapshot on a failed log: err = %v, want %v", err, failure)
+	}
+	if _, _, err := l.WriteSnapshotPayload(1, []byte(`{"version":1,"seq":1}`)); err != failure {
+		t.Errorf("WriteSnapshotPayload on a failed log: err = %v, want %v", err, failure)
+	}
+	if ckpts, _ := filepath.Glob(filepath.Join(opt.Dir, "snap-*")); len(ckpts) != 0 {
+		t.Errorf("a failed log wrote checkpoint files %v", ckpts)
+	}
+	if l.SnapshotSeq() != 0 {
+		t.Errorf("SnapshotSeq = %d after refused checkpoints", l.SnapshotSeq())
+	}
+}
+
 func TestCRCDetectsFlip(t *testing.T) {
 	frame, err := appendFrame(nil, mutateRecord("emp", 7, "x"))
 	if err != nil {

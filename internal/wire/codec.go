@@ -41,7 +41,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	if len(r.Attrs) > 0 {
 		e.cold(`,"attrs":`, r.Attrs)
 	}
-	e.str(`,"attr":`, r.Attr)
 	e.str(`,"source":`, r.Source)
 	e.str(`,"name":`, r.Name)
 	if r.Pred != nil {
@@ -359,8 +358,6 @@ func DecodeRequest(line []byte, r *Request) error {
 			return d.string(&r.Relation)
 		case "attrs":
 			return d.cold(&r.Attrs)
-		case "attr":
-			return d.string(&r.Attr)
 		case "source":
 			return d.string(&r.Source)
 		case "name":
@@ -511,8 +508,6 @@ func internOp(b []byte) string {
 	switch string(b) {
 	case OpDeclare:
 		return OpDeclare
-	case OpIndex:
-		return OpIndex
 	case OpRule:
 		return OpRule
 	case OpDropRule:

@@ -95,7 +95,7 @@ func foldedKey(line []byte) bool {
 }
 
 var protocolKeys = []string{
-	"id", "op", "relation", "attrs", "attr", "source", "name", "pred", "pred_id",
+	"id", "op", "relation", "attrs", "source", "name", "pred", "pred_id",
 	"tuple_id", "tuple", "tuples", "rules", "preds", "from_seq", "min_seq", "trace",
 	"type", "ok", "error", "matches", "batch", "stats", "firings", "backup", "wal_seq",
 	"leader", "seq", "rule", "event_op", "event_id", "depth", "dropped", "snap", "rec",
@@ -245,7 +245,7 @@ func (g *gen) rawJSON() json.RawMessage {
 }
 
 func (g *gen) request() *wire.Request {
-	r := &wire.Request{ID: g.u64(), Op: g.str(), Relation: g.str(), Attr: g.str(), Source: g.str(), Name: g.str(),
+	r := &wire.Request{ID: g.u64(), Op: g.str(), Relation: g.str(), Source: g.str(), Name: g.str(),
 		PredID: int64(g.u64()), TupleID: int64(g.u64()), Tuple: g.tuple(), Preds: g.flag(),
 		FromSeq: g.u64(), MinSeq: g.u64(), Trace: g.trace()}
 	if g.flag() {

@@ -37,7 +37,6 @@ const MaxReplFrameBytes = 128 << 20
 // Request operation names.
 const (
 	OpDeclare     = "declare"     // declare a relation schema
-	OpIndex       = "index"       // create a secondary storage index
 	OpRule        = "rule"        // define a rule from source text
 	OpDropRule    = "droprule"    // drop a rule by name
 	OpAddPred     = "addpred"     // register a bare predicate (server assigns the ID)
@@ -95,9 +94,8 @@ type Request struct {
 	ID uint64 `json:"id"`
 	Op string `json:"op"`
 
-	Relation string     `json:"relation,omitempty"` // declare, index, insert/update/delete, match*
+	Relation string     `json:"relation,omitempty"` // declare, insert/update/delete, match*
 	Attrs    []Attr     `json:"attrs,omitempty"`    // declare
-	Attr     string     `json:"attr,omitempty"`     // index
 	Source   string     `json:"source,omitempty"`   // rule
 	Name     string     `json:"name,omitempty"`     // droprule
 	Pred     *Predicate `json:"pred,omitempty"`     // addpred

@@ -27,7 +27,6 @@ type request struct {
 
 	Relation string          `json:"relation,omitempty"`
 	Attrs    []wire.Attr     `json:"attrs,omitempty"`
-	Attr     string          `json:"attr,omitempty"`
 	Source   string          `json:"source,omitempty"`
 	Name     string          `json:"name,omitempty"`
 	Pred     *wire.Predicate `json:"pred,omitempty"`
