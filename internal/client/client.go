@@ -489,7 +489,9 @@ func (c *Client) MatchAt(rel string, t tuple.Tuple, minSeq uint64) ([]pred.ID, e
 	return wire.ToIDs(m.Matches), nil
 }
 
-// MatchBatch matches a batch of tuples against one index snapshot.
+// MatchBatch matches a batch of tuples against one index snapshot. The
+// rows are capped sub-slices of one flat slice, so appending to one
+// never writes into the next.
 func (c *Client) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.ID, error) {
 	raw := make([]wire.Tuple, len(tuples))
 	for i, t := range tuples {
@@ -499,9 +501,21 @@ func (c *Client) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.ID, erro
 	if err != nil {
 		return nil, err
 	}
+	n := 0
+	for _, ids := range m.Batch {
+		n += len(ids)
+	}
+	flat := make([]pred.ID, 0, n)
 	out := make([][]pred.ID, len(m.Batch))
 	for i, ids := range m.Batch {
-		out[i] = wire.ToIDs(ids)
+		if ids == nil {
+			continue
+		}
+		start := len(flat)
+		for _, id := range ids {
+			flat = append(flat, pred.ID(id))
+		}
+		out[i] = flat[start:len(flat):len(flat)]
 	}
 	return out, nil
 }

@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
+	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +19,7 @@ import (
 	"predmatch/internal/interval"
 	"predmatch/internal/pred"
 	"predmatch/internal/schema"
+	"predmatch/internal/seqscan"
 	"predmatch/internal/server"
 	"predmatch/internal/tuple"
 	"predmatch/internal/value"
@@ -90,8 +94,15 @@ func (p *pipeListener) dial() net.Conn {
 // TestPipeMatchAllocs is the allocation budget of one match on the
 // server side — read, decode, dispatch, stab, encode, write — over
 // net.Pipe, with the benchmark's shape of frame: 15 int attributes in,
-// three predicate IDs out. The client side of the pipe allocates
-// nothing, so the whole count is the server's.
+// three predicate IDs out; then of a match followed by a matchbatch of
+// 1 and of 64 such tuples. The client side of the pipe allocates
+// nothing, so the whole count is the server's: the two allocations
+// net.Pipe makes for a write deadline's timer, per answer (a TCP socket
+// makes none). The request path itself allocates nothing, whatever the
+// batch size: the relation name repeats, the tuples are decoded into
+// the connection's tuple scratch and coerced in place, and the answers
+// are built in its match scratch. The same test at the commit before
+// that scratch: 7 for a match.
 func TestPipeMatchAllocs(t *testing.T) {
 	ln := newPipeListener()
 	s := server.New(server.Config{})
@@ -149,8 +160,27 @@ func TestPipeMatchAllocs(t *testing.T) {
 	}
 	n := testing.AllocsPerRun(500, func() { call(frame) })
 	t.Logf("one match over net.Pipe: %v allocs", n)
-	if n > 12 {
-		t.Errorf("one match over net.Pipe: %v allocs, want <= 12", n)
+	if n > 2 {
+		t.Errorf("one match over net.Pipe: %v allocs, want <= 2", n)
+	}
+
+	// A matchbatch after a match, as the benchmark sends them, reuses the
+	// same scratch: the pair's count must not grow with the number of
+	// tuples.
+	for _, size := range []int{1, 64} {
+		batch := make([]wire.Tuple, size)
+		for i := range batch {
+			batch[i] = tup
+		}
+		batchFrame, _ := wire.AppendRequest(nil, &wire.Request{ID: 100, Op: wire.OpMatchBatch, Relation: "wide", Tuples: batch})
+		if line := call(batchFrame); bytes.Count(line, []byte(`[1099511627776,1099511627777,1099511627778]`)) != size {
+			t.Fatalf("matchbatch of %d answer %s, want three matches per tuple", size, line)
+		}
+		n := testing.AllocsPerRun(200, func() { call(frame); call(batchFrame) })
+		t.Logf("one match and one %d-tuple matchbatch over net.Pipe: %v allocs", size, n)
+		if n > 4 {
+			t.Errorf("one match and one %d-tuple matchbatch over net.Pipe: %v allocs, want <= 4", size, n)
+		}
 	}
 }
 
@@ -159,12 +189,13 @@ func TestPipeMatchAllocs(t *testing.T) {
 // that fires 8 `do log` rules, logged to a write-ahead log (fsync off:
 // the budget is the encoder's, not the disk's), with one subscriber
 // receiving the 8 notifications over a second pipe. Both client ends
-// allocate nothing, so the count is the server's: the request's
-// relation string, the coerced tuple and its stored copy, two result
-// buffers inside the stab, the rows map's amortized growth, and three
-// for the timers net.Pipe makes of a write deadline (a TCP socket makes
-// none) — nothing per firing, per notification or per attribute. The
-// same test at the commit before statistics on demand: 58.
+// allocate nothing, so the count is the server's: the coerced tuple
+// and its stored copy, two result buffers inside the stab, the rows
+// map's amortized growth, and the timers net.Pipe makes of a write
+// deadline (a TCP socket makes none) — nothing per firing, per
+// notification or per attribute, and no relation name, which the
+// decoder reuses while it repeats. The same test at the commit before
+// statistics on demand: 58.
 func TestPipeInsertAllocs(t *testing.T) {
 	ln := newPipeListener()
 	s, err := server.Open(server.Config{DataDir: t.TempDir(), Sync: wal.SyncOff})
@@ -513,6 +544,7 @@ func TestServerScribbledBuffers(t *testing.T) {
 	t.Run("SlowSubscriber", TestServerSlowSubscriberDoesNotBlock)
 	t.Run("HintIndex", TestServerHintIndexE2E)
 	t.Run("DurableRestart", TestDurableRestart)
+	t.Run("PipelinedMatches", testPipelinedMatches)
 	t.Run("Pipelined", func(t *testing.T) {
 		// Many requests in one write: the line buffer holds later
 		// requests while earlier ones are scribbled over.
@@ -542,4 +574,125 @@ func TestServerScribbledBuffers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// testPipelinedMatches writes one burst of match and matchbatch requests
+// over two relations and checks every answer against the seqscan
+// oracle. The answers are encoded from the connection's match scratch,
+// which the aliasing guard overwrites after each one, while later
+// requests of the burst still wait in the line buffer.
+func testPipelinedMatches(t *testing.T) {
+	_, addr, stop := startServer(t, server.Config{})
+	defer stop()
+	c := dial(t, addr)
+	defer c.Close()
+	cat := schema.NewCatalog()
+	oracle := seqscan.New(cat, pred.NewRegistry())
+	rng := rand.New(rand.NewSource(7))
+	for _, rel := range []*schema.Relation{empRel, auditRel} {
+		if err := c.DeclareRelation(rel); err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.Add(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		lo := int64(10000 + rng.Intn(80000))
+		p := pred.New(0, "emp", pred.IvClause("salary", interval.Closed(value.Int(lo), value.Int(lo+20000))))
+		if i%2 == 1 {
+			p = pred.New(0, "audit", pred.IvClause("level", interval.AtLeast(value.Int(int64(rng.Intn(10))))))
+		}
+		id, err := c.AddPredicate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ID = id
+		if err := oracle.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	randomTuple := func(rel string) tuple.Tuple {
+		if rel == "emp" {
+			return randomEmp(rng)
+		}
+		return tuple.New(value.String_("note"), value.Int(int64(rng.Intn(12))))
+	}
+	// sorted copies ids in ascending order, never nil: an empty answer
+	// is omitted from a frame, an empty row is [].
+	sorted := func(ids []int64) []int64 {
+		ids = append([]int64{}, ids...)
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		return ids
+	}
+	want := func(rel string, tp tuple.Tuple) []int64 {
+		ids, err := oracle.Match(rel, tp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sorted(wire.FromIDs(ids))
+	}
+
+	// Every request's expected answer: one row for a match, one per
+	// tuple for a matchbatch (of 1 to 70 tuples, so the scratch both
+	// grows and is reused at smaller sizes).
+	var burst []byte
+	var wants [][][]int64
+	for id := uint64(1); id <= 300; id++ {
+		rel := []string{"emp", "audit"}[rng.Intn(2)]
+		req := &wire.Request{ID: id, Op: wire.OpMatch, Relation: rel}
+		var rows [][]int64
+		if id%3 == 0 {
+			req.Op = wire.OpMatchBatch
+			for n := 1 + rng.Intn(70); n > 0; n-- {
+				tp := randomTuple(rel)
+				req.Tuples = append(req.Tuples, wire.FromTuple(tp))
+				rows = append(rows, want(rel, tp))
+			}
+		} else {
+			tp := randomTuple(rel)
+			req.Tuple = wire.FromTuple(tp)
+			rows = append(rows, want(rel, tp))
+		}
+		var err error
+		if burst, err = wire.AppendRequest(burst, req); err != nil {
+			t.Fatal(err)
+		}
+		wants = append(wants, rows)
+	}
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r := bufio.NewReader(nc)
+	for i, rows := range wants {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("response %d: %v", i+1, err)
+		}
+		var m wire.Message
+		if err := wire.DecodeMessage(line, &m); err != nil || !m.OK || m.ID != uint64(i+1) {
+			t.Fatalf("response %d = %q (%v)", i+1, line, err)
+		}
+		got := [][]int64{m.Matches}
+		if m.Batch != nil {
+			got = m.Batch
+		}
+		if len(got) != len(rows) {
+			t.Fatalf("response %d: %d rows, want %d: %q", i+1, len(got), len(rows), line)
+		}
+		for j := range rows {
+			if m.Batch != nil && got[j] == nil {
+				t.Fatalf("response %d row %d is null: %q", i+1, j, line)
+			}
+			if g := sorted(got[j]); !reflect.DeepEqual(g, rows[j]) {
+				t.Fatalf("response %d row %d = %v, oracle says %v", i+1, j, g, rows[j])
+			}
+		}
+	}
 }

@@ -590,6 +590,76 @@ type conn struct {
 	// is the last sequence shipped to it (stats surface).
 	replica atomic.Bool
 	replSeq atomic.Uint64
+	// scratch is the reader's own: only the reader goroutine touches it.
+	scratch scratch
+}
+
+// scratch is the memory a reader reuses from one request to the next,
+// the one mutable search state beside the shared, immutable index
+// snapshot. The reader encodes each answer into c.out before it
+// decodes the next request, so all of it is free again by then.
+type scratch struct {
+	// tuple and batch are the tuple decode scratch DecodeRequest reuses.
+	// A request that carries no tuple must decode with a nil Tuple, and
+	// one with no batch with nil Tuples, so the scratch waits here
+	// between them: a connection mixing match and matchbatch decodes
+	// into one scratch. Mutations copy out of it (wire.ToTuple); match
+	// and matchbatch coerce in place, because nothing keeps their tuples.
+	tuple wire.Tuple
+	batch []wire.Tuple
+
+	// The match scratch.
+	tuples []tuple.Tuple // matchbatch's coerced tuples
+	ids    []pred.ID     // the stab's results, tuple after tuple
+	ends   []int         // where each matchbatch tuple's results end in ids
+	wire   []int64       // ids in the answer's form
+	rows   [][]int64     // matchbatch's answer rows, capped sub-slices of wire
+}
+
+// lend hands req the decode scratch, for DecodeRequest.
+func (sc *scratch) lend(req *wire.Request) {
+	req.Tuple, req.Tuples = sc.tuple, sc.batch
+}
+
+// release takes back the decode scratch req used and readies the whole
+// scratch for the next request. Under the aliasing guard it overwrites
+// the match scratch first (ScribbleTuples does the decode scratch); a
+// scratch one large request grew past wire.RetainBytes is dropped, as
+// c.out is.
+func (sc *scratch) release(req *wire.Request) {
+	if req.Tuple != nil {
+		sc.tuple = req.Tuple
+	}
+	if req.Tuples != nil {
+		sc.batch = req.Tuples
+	}
+	if scribbleReleased {
+		scribble(sc.tuples, nil)
+		scribble(sc.ids, -1)
+		scribble(sc.ends, -1)
+		scribble(sc.wire, -1)
+		scribble(sc.rows, nil)
+	}
+	values := cap(sc.tuple)
+	for _, t := range sc.batch[:cap(sc.batch)] {
+		values += cap(t)
+	}
+	// A value.Value is 40 bytes, a slice header 24, an ID, an int or an
+	// int64 8.
+	held := 40*values + 24*(cap(sc.batch)+cap(sc.tuples)+cap(sc.rows)) +
+		8*(cap(sc.ids)+cap(sc.ends)+cap(sc.wire))
+	if held > wire.RetainBytes {
+		*sc = scratch{}
+	}
+}
+
+// scribble is wire.Scribble for a slice of anything: it sets all of s's
+// capacity to v.
+func scribble[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // subscribed reports whether the connection has an active subscription
@@ -603,9 +673,9 @@ func (c *conn) subscribed() bool {
 
 // scribbleReleased is the aliasing guard's switch, flipped only by
 // tests: with it on, a connection's reused memory — the request line,
-// the tuple decode scratch, the encode buffers — is overwritten the
-// moment the request or write that used it completes, so anything that
-// still points into it reads as garbage.
+// the tuple decode scratch, the match scratch, the encode buffers — is
+// overwritten the moment the request or write that used it completes,
+// so anything that still points into it reads as garbage.
 var scribbleReleased bool
 
 // flushBytes is the encoded size at which a writer writes even though
@@ -616,8 +686,8 @@ func (c *conn) readLoop() {
 	defer c.s.wg.Done()
 	defer c.close()
 	lr := wire.NewLineReader(c.nc, wire.MaxLineBytes)
-	// One Request per connection: DecodeRequest reuses its tuple scratch
-	// and allocates everything else afresh.
+	// One Request per connection: DecodeRequest decodes tuples into the
+	// connection's scratch and allocates everything else afresh.
 	var req wire.Request
 	armed := false // a read deadline of ours is on the socket
 	for {
@@ -670,6 +740,7 @@ func (c *conn) readLoop() {
 		if len(line) == 0 {
 			continue
 		}
+		c.scratch.lend(&req)
 		if err := wire.DecodeRequest(line, &req); err != nil {
 			// Framing is broken; answer once and hang up.
 			c.answer(errMsg(0, fmt.Errorf("bad request frame: %w", err)))
@@ -686,6 +757,7 @@ func (c *conn) readLoop() {
 			wire.Scribble(raw)
 			wire.ScribbleTuples(&req)
 		}
+		c.scratch.release(&req)
 		if !ok {
 			return
 		}
@@ -905,9 +977,9 @@ func (s *Server) dispatch(c *conn, req *wire.Request, sp *trace.Span) wire.Messa
 	case wire.OpInsert, wire.OpUpdate, wire.OpDelete:
 		return s.handleMutation(req, sp)
 	case wire.OpMatch:
-		return s.handleMatch(req, sp)
+		return s.handleMatch(c, req, sp)
 	case wire.OpMatchBatch:
-		return s.handleMatchBatch(req)
+		return s.handleMatchBatch(c, req)
 	case wire.OpSubscribe:
 		return s.handleSubscribe(c, req)
 	case wire.OpUnsubscribe:
@@ -928,9 +1000,10 @@ func (s *Server) dispatch(c *conn, req *wire.Request, sp *trace.Span) wire.Messa
 // command is where every DDL handler ends, once it has checked what
 // only a request needs and built the command's wal.Record. It applies
 // the record through applyRecord — the code that recovery and followers
-// replay it with — and acks it log-before-ack: apply under mu, append
-// the record under mu (so log order equals apply order), release mu,
-// then wait for durability — the group-commit window, in which other
+// replay it with — and acks it log-before-ack: refuse it under mu if
+// the log has failed (logErr), else apply under mu, append the record
+// under mu (so log order equals apply order), release mu, then wait
+// for durability — the group-commit window, in which other
 // mutators append and share the fsync. An addpred record gets its ID
 // here, under mu, so that ID allocation, the snapshot registry and the
 // log record are one atomic step with respect to checkpoints: a
@@ -943,6 +1016,10 @@ func (s *Server) dispatch(c *conn, req *wire.Request, sp *trace.Span) wire.Messa
 // applied state covers it.
 func (s *Server) command(id uint64, rec *wal.Record, sp *trace.Span) wire.Message {
 	s.mu.Lock()
+	if err := s.logErr(); err != nil {
+		s.mu.Unlock()
+		return errMsg(id, err)
+	}
 	if rec.Kind == wal.KindAddPred {
 		rec.PredID = s.nextPredID.Load()
 	}
@@ -1004,11 +1081,16 @@ func (s *Server) handleRemovePred(req *wire.Request, sp *trace.Span) wire.Messag
 // Durability: the events the request applied (captured by onEventWAL,
 // including rule cascades) are appended as one atomic WAL record while
 // mu is still held, and the response is not sent until the record is
-// durable under the sync policy — log-before-ack. A mutation whose
+// durable under the sync policy — log-before-ack. Once the log has
+// failed, a mutation is refused before it is applied. A mutation whose
 // rule raised still applied events, so it is logged and committed even
 // though the response carries the rule's error.
 func (s *Server) handleMutation(req *wire.Request, sp *trace.Span) wire.Message {
 	s.mu.Lock()
+	if err := s.logErr(); err != nil {
+		s.mu.Unlock()
+		return errMsg(req.ID, err)
+	}
 	s.pending = s.pending[:0]
 	if sp != nil {
 		// Hand the engine the root span for the duration of this mutation
@@ -1024,9 +1106,9 @@ func (s *Server) handleMutation(req *wire.Request, sp *trace.Span) wire.Message 
 	s.mu.Unlock()
 	if err := s.commit(seq, werr, sp); err != nil {
 		// The in-memory state changed but cannot be made durable; the log
-		// is poisoned and every further state change will fail the same
-		// way. Surface the WAL error over the rule-level outcome.
-		return errMsg(req.ID, fmt.Errorf("wal: %w", err))
+		// is poisoned and every further state change is refused before it
+		// is applied. Surface the WAL error over the rule-level outcome.
+		return errMsg(req.ID, err)
 	}
 	m.WalSeq = seq
 	return m
@@ -1077,8 +1159,10 @@ func (s *Server) applyMutation(req *wire.Request) wire.Message {
 // handleMatch stabs the sharded matcher's lock-free snapshot; it never
 // touches the mutation mutex. A min_seq token makes the read wait until
 // the server's applied state covers that sequence (read-your-writes
-// across replicas; see docs/REPLICATION.md).
-func (s *Server) handleMatch(req *wire.Request, sp *trace.Span) wire.Message {
+// across replicas; see docs/REPLICATION.md). The tuple is coerced in
+// place and the answer's IDs sit in c's scratch, so a match allocates
+// nothing.
+func (s *Server) handleMatch(c *conn, req *wire.Request, sp *trace.Span) wire.Message {
 	if req.MinSeq > 0 {
 		wsp := sp.Child("repl.wait")
 		wsp.SetInt("min_seq", int64(req.MinSeq))
@@ -1092,23 +1176,23 @@ func (s *Server) handleMatch(req *wire.Request, sp *trace.Span) wire.Message {
 	if !ok {
 		return errMsg(req.ID, fmt.Errorf("unknown relation %q", req.Relation))
 	}
-	t, err := wire.ToTuple(rel, req.Tuple)
+	t, err := wire.CoerceTuple(tuple.Tuple(req.Tuple[:0]), rel, req.Tuple)
 	if err != nil {
 		return errMsg(req.ID, err)
 	}
-	ids, err := s.sm.MatchTraced(req.Relation, t, nil, sp)
-	if err != nil {
+	sc := &c.scratch
+	if sc.ids, err = s.sm.MatchTraced(req.Relation, t, sc.ids[:0], sp); err != nil {
 		return errMsg(req.ID, err)
 	}
+	sc.wire = wire.AppendIDs(sc.wire[:0], sc.ids)
 	m := okMsg(req.ID)
-	m.Matches = wire.FromIDs(ids)
-	if m.Matches == nil {
-		m.Matches = []int64{}
-	}
+	m.Matches = sc.wire
 	return m
 }
 
-func (s *Server) handleMatchBatch(req *wire.Request) wire.Message {
+// handleMatchBatch is handleMatch for a batch, through c's scratch too:
+// the rows are capped sub-slices of one flat answer.
+func (s *Server) handleMatchBatch(c *conn, req *wire.Request) wire.Message {
 	if err := s.waitMinSeq(req.MinSeq); err != nil {
 		return s.minSeqErr(req.ID, err)
 	}
@@ -1116,26 +1200,33 @@ func (s *Server) handleMatchBatch(req *wire.Request) wire.Message {
 	if !ok {
 		return errMsg(req.ID, fmt.Errorf("unknown relation %q", req.Relation))
 	}
-	tuples := make([]tuple.Tuple, len(req.Tuples))
+	sc := &c.scratch
+	sc.tuples = sc.tuples[:0]
 	for i, raw := range req.Tuples {
-		t, err := wire.ToTuple(rel, raw)
+		t, err := wire.CoerceTuple(tuple.Tuple(raw[:0]), rel, raw)
 		if err != nil {
 			return errMsg(req.ID, fmt.Errorf("tuple %d: %w", i, err))
 		}
-		tuples[i] = t
+		sc.tuples = append(sc.tuples, t)
 	}
-	results, err := s.sm.MatchBatch(req.Relation, tuples)
-	if err != nil {
+	var err error
+	if sc.ids, sc.ends, err = s.sm.AppendBatch(req.Relation, sc.tuples, sc.ids[:0], sc.ends[:0]); err != nil {
 		return errMsg(req.ID, err)
 	}
-	m := okMsg(req.ID)
-	m.Batch = make([][]int64, len(results))
-	for i, ids := range results {
-		m.Batch[i] = wire.FromIDs(ids)
-		if m.Batch[i] == nil {
-			m.Batch[i] = []int64{}
-		}
+	if sc.wire == nil {
+		// A row cut from a nil slice is nil, which encodes as null; an
+		// empty row must encode as [].
+		sc.wire = []int64{}
 	}
+	sc.wire = wire.AppendIDs(sc.wire[:0], sc.ids)
+	sc.rows = sc.rows[:0]
+	start := 0
+	for _, end := range sc.ends {
+		sc.rows = append(sc.rows, sc.wire[start:end:end])
+		start = end
+	}
+	m := okMsg(req.ID)
+	m.Batch = sc.rows
 	return m
 }
 

@@ -130,6 +130,16 @@ func (s *Server) logPending(sp *trace.Span) (uint64, error) {
 	return s.logCommand(&s.mutRec, sp)
 }
 
+// logErr is the log's sticky error (nil without a WAL). command and
+// handleMutation check it under mu before they apply anything, so once
+// the log has failed no later write becomes visible in memory.
+func (s *Server) logErr() error {
+	if s.wal == nil {
+		return nil
+	}
+	return s.wal.Err()
+}
+
 // logCommand appends one record — a DDL command, or a mutation's events
 // — and records the append as a wal.append span. Returns seq 0 when the
 // server has no WAL.

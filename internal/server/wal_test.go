@@ -3,6 +3,8 @@ package server_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -394,4 +396,89 @@ func TestPeriodicSnapshot(t *testing.T) {
 		st, err := c.Stats()
 		return err == nil && st.WAL != nil && st.WAL.SnapshotSeq > 0
 	})
+}
+
+// TestFailedLogRefusesWrites: once the log has failed, a write is
+// refused before it is applied. Removing the data directory under a
+// log that rotates on every record makes the next rotation fail; the
+// write that hit it stays applied (its client gets the error), but
+// every later insert, rule and addpred must get the log's error and
+// leave the rows, the rules, the predicates and a match unchanged.
+func TestFailedLogRefusesWrites(t *testing.T) {
+	dataDir := filepath.Join(t.TempDir(), "data")
+	_, addr, stop := startDurable(t, server.Config{DataDir: dataDir, WALSegmentBytes: 1})
+	defer stop()
+	c := dial(t, addr)
+	defer c.Close()
+	if err := c.DeclareRelation(empRel); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddPredicate(pred.New(0, "emp", pred.IvClause("salary", interval.Greater(value.Int(100))))); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dataDir); err != nil {
+		t.Fatal(err)
+	}
+	probe := tuple.New(value.String_("a"), value.Int(30), value.Int(500), value.String_("shoe"))
+	// checkWALErr wants the log's error with the one "wal:" prefix every
+	// internal/wal error carries.
+	checkWALErr := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: no error", what)
+		}
+		if n := strings.Count(err.Error(), "wal:"); n != 1 {
+			t.Errorf("%s: %q, want one \"wal:\" prefix", what, err)
+		}
+	}
+	_, _, err := c.Insert("emp", probe)
+	checkWALErr("the insert that fails the log", err)
+
+	type state struct {
+		rows, preds int
+		rules       []string
+		matches     []pred.ID
+	}
+	read := func() state {
+		t.Helper()
+		st, err := c.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := c.Match("emp", probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := state{preds: st.Predicates, rules: st.Rules, matches: ids}
+		for _, r := range st.Relations {
+			if r.Name == "emp" {
+				s.rows = r.Rows
+			}
+		}
+		return s
+	}
+	before := read()
+	if before.rows != 1 || len(before.matches) != 1 {
+		t.Fatalf("after the failing insert: %+v, want its row applied and one match", before)
+	}
+	writes := []struct {
+		what string
+		do   func() error
+	}{
+		{"a later insert", func() error { _, _, err := c.Insert("emp", probe); return err }},
+		{"a rule", func() error {
+			_, err := c.DefineRule("rule r on insert to emp when salary > 0 do log 'x'")
+			return err
+		}},
+		{"an addpred", func() error {
+			_, err := c.AddPredicate(pred.New(0, "emp", pred.IvClause("age", interval.Less(value.Int(99)))))
+			return err
+		}},
+	}
+	for _, w := range writes {
+		checkWALErr(w.what, w.do())
+		if after := read(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s changed the state: %+v, was %+v", w.what, after, before)
+		}
+	}
 }

@@ -311,30 +311,44 @@ func (m *ShardedMatcher) admit(snap *core.View, rel string, t tuple.Tuple) bool 
 // once for the whole batch, in order, on the caller's goroutine.
 // results[i] holds the matches of tuples[i]; all tuples observe the
 // same predicate-set version even while writers publish concurrently.
+// The rows are capped sub-slices of one flat slice, so appending to one
+// never writes into the next.
 func (m *ShardedMatcher) MatchBatch(rel string, tuples []tuple.Tuple) ([][]pred.ID, error) {
+	flat, ends, err := m.AppendBatch(rel, tuples, nil, make([]int, 0, len(tuples)))
 	results := make([][]pred.ID, len(tuples))
-	sh := m.shard(rel)
-	if sh == nil || len(tuples) == 0 {
-		return results, nil
+	start := 0
+	for i, end := range ends {
+		results[i] = flat[start:end:end]
+		start = end
 	}
-	if m.met != nil {
-		m.met.batchTuples.Observe(float64(len(tuples)))
-		defer m.met.batchSecs.ObserveSince(time.Now())
-	}
-	snap := sh.snap.Load()
-	if snap == nil {
-		return results, nil
+	return results, err
+}
+
+// AppendBatch is MatchBatch into the caller's memory: it appends every
+// tuple's matches to dst, one tuple after another, and appends to ends
+// the length dst has once tuples[i]'s matches are in, so tuple i's
+// matches are dst[ends[i-1]:ends[i]] (from the starting length for
+// i = 0). It allocates nothing when dst and ends have the room. On an
+// error, ends covers only the tuples matched before it.
+func (m *ShardedMatcher) AppendBatch(rel string, tuples []tuple.Tuple, dst []pred.ID, ends []int) ([]pred.ID, []int, error) {
+	var snap *core.View
+	if sh := m.shard(rel); sh != nil && len(tuples) > 0 {
+		if m.met != nil {
+			m.met.batchTuples.Observe(float64(len(tuples)))
+			defer m.met.batchSecs.ObserveSince(time.Now())
+		}
+		snap = sh.snap.Load()
 	}
 	var err error
-	for i, t := range tuples {
-		if !m.admit(snap, rel, t) {
-			continue
+	for _, t := range tuples {
+		if snap != nil && m.admit(snap, rel, t) {
+			if dst, err = snap.Match(rel, t, dst); err != nil {
+				return dst, ends, err
+			}
 		}
-		if results[i], err = snap.Match(rel, t, nil); err != nil {
-			return results, err
-		}
+		ends = append(ends, len(dst))
 	}
-	return results, nil
+	return dst, ends, nil
 }
 
 // Snapshot returns rel's current frozen view, or nil if the relation

@@ -182,7 +182,7 @@ func (l *Log) write(seq uint64, buf []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if err := l.sticky(); err != nil {
+	if err := l.Err(); err != nil {
 		return 0, err
 	}
 	if l.segBytes > 0 && l.segBytes+int64(len(buf)) > l.opt.SegmentBytes {
@@ -255,9 +255,10 @@ func (l *Log) Commit(seq uint64) error {
 	return l.failed
 }
 
-// sticky returns the first write/fsync failure, after which the log
+// Err returns the first write/fsync failure, after which the log
 // refuses further work: a WAL that cannot persist must not keep acking.
-func (l *Log) sticky() error {
+// A writer checks it before applying what it would log.
+func (l *Log) Err() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	return l.failed
@@ -420,7 +421,7 @@ func (l *Log) Advance(seq uint64) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.sticky(); err != nil {
+	if err := l.Err(); err != nil {
 		return err
 	}
 	if l.seq != 0 || l.segBytes != 0 {

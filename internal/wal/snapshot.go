@@ -89,7 +89,7 @@ func (l *Log) WriteSnapshotPayload(seq uint64, payload []byte) (string, int64, e
 // checkpoint captures may then hold an effect whose append or fsync
 // failed, and whose client got an error.
 func (l *Log) writeSnapshot(seq uint64, payload []byte, t0 time.Time) (string, int64, error) {
-	if err := l.sticky(); err != nil {
+	if err := l.Err(); err != nil {
 		return "", 0, err
 	}
 	path, err := writeCheckpoint(l.opt.Dir, seq, payload)

@@ -340,12 +340,15 @@ const maxDepth = 10000
 // value wins, null leaves a scalar at its zero value, and anything after
 // the closing brace is ignored.
 //
-// The capacity of r.Tuple and r.Tuples (and nothing else) is reused from
-// the previous decode, so a connection's read loop decodes tuples into
-// one scratch; ToTuple copies out of it. Every string, including those
-// inside tuples, is freshly allocated and never points into line.
+// The capacity of r.Tuple and r.Tuples is reused from the previous
+// decode, so a connection's read loop decodes tuples into one scratch;
+// ToTuple copies out of it, and a match coerces in place. r.Relation is
+// the previous decode's string again when the bytes repeat, so a
+// connection that keeps naming one relation allocates its name once.
+// Every other string, including those inside tuples, is freshly
+// allocated, and none points into line.
 func DecodeRequest(line []byte, r *Request) error {
-	tuple, tuples := r.Tuple[:0], r.Tuples[:0]
+	tuple, tuples, rel := r.Tuple[:0], r.Tuples[:0], r.Relation
 	*r = Request{}
 	d := decoder{b: line}
 	return d.object(func(key []byte) error {
@@ -355,7 +358,12 @@ func DecodeRequest(line []byte, r *Request) error {
 		case "op":
 			return d.interned(&r.Op, internOp)
 		case "relation":
-			return d.string(&r.Relation)
+			return d.interned(&r.Relation, func(b []byte) string {
+				if string(b) == rel {
+					return rel
+				}
+				return string(b)
+			})
 		case "attrs":
 			return d.cold(&r.Attrs)
 		case "source":
@@ -1028,13 +1036,42 @@ func (d *decoder) elemsHint() int {
 }
 
 func (d *decoder) ints(v *[]int64) error {
-	out := make([]int64, 0, d.elemsHint())
-	null, err := d.array("array of integers", func() error {
+	out, null, err := d.appendInts(make([]int64, 0, d.elemsHint()))
+	if *v = out; null {
+		*v = nil
+	}
+	return err
+}
+
+// appendInts appends the JSON array of integers at the cursor to dst.
+func (d *decoder) appendInts(dst []int64) (out []int64, null bool, err error) {
+	null, err = d.array("array of integers", func() error {
 		var n int64
 		if err := d.int(&n); err != nil {
 			return err
 		}
-		out = append(out, n)
+		dst = append(dst, n)
+		return nil
+	})
+	return dst, null, err
+}
+
+// batch decodes every row into one flat backing array and hands each
+// row out as a capped sub-slice of it, so appending to one row never
+// writes into the next.
+func (d *decoder) batch(v *[][]int64) error {
+	rows, elems := d.batchHint()
+	out := make([][]int64, 0, rows)
+	flat := make([]int64, 0, elems)
+	null, err := d.array("array of integer arrays", func() error {
+		start := len(flat)
+		var null bool
+		var err error
+		if flat, null, err = d.appendInts(flat); null || err != nil {
+			out = append(out, nil)
+			return err
+		}
+		out = append(out, flat[start:len(flat):len(flat)])
 		return nil
 	})
 	if *v = out; null {
@@ -1043,20 +1080,31 @@ func (d *decoder) ints(v *[]int64) error {
 	return err
 }
 
-func (d *decoder) batch(v *[][]int64) error {
-	out := [][]int64{}
-	null, err := d.array("array of integer arrays", func() error {
-		var ids []int64
-		if err := d.ints(&ids); err != nil {
-			return err
-		}
-		out = append(out, ids)
-		return nil
-	})
-	if *v = out; null {
-		*v = nil
+// batchHint guesses, for the array of arrays at the cursor, how many
+// rows it holds and how many integers at most: the commas at its top
+// level, and all of its commas. A wrong guess costs only a regrowth:
+// a row cut from the array before it grew still holds its integers.
+func (d *decoder) batchHint() (rows, elems int) {
+	if d.peek() != '[' {
+		return 0, 0
 	}
-	return err
+	depth := 0
+	for _, c := range d.b[d.i:] {
+		switch c {
+		case '[':
+			depth++
+		case ']':
+			if depth--; depth <= 0 {
+				return rows + 1, elems + 1
+			}
+		case ',':
+			elems++
+			if depth == 1 {
+				rows++
+			}
+		}
+	}
+	return rows + 1, elems + 1
 }
 
 func (d *decoder) strings(v *[]string) error {

@@ -35,6 +35,13 @@ func checkDecode(t *testing.T, line []byte) {
 	if got == nil && !wiretest.SameRequest(&req, want) {
 		t.Fatalf("request %q:\ncodec         %+v\nencoding/json %+v", line, req, *want)
 	}
+	// Again into the same Request, which reuses its tuple scratch and
+	// its relation string.
+	if got == nil {
+		if err := wire.DecodeRequest(line, &req); err != nil || !wiretest.SameRequest(&req, want) {
+			t.Fatalf("request %q decoded again: %v\ncodec         %+v\nencoding/json %+v", line, err, req, *want)
+		}
+	}
 	var msg wire.Message
 	got = wire.DecodeMessage(line, &msg)
 	wantMsg, werr := wiretest.UnmarshalMessage(line)
@@ -527,6 +534,51 @@ func TestLiteralDecoderReuse(t *testing.T) {
 	}
 }
 
+// TestDecodeReuse: a request naming the previous request's relation
+// gets the previous string, never a view into its line, and a request
+// naming none gets none; a batch's rows are capped sub-slices of one
+// array, so appending to one leaves the next alone.
+func TestDecodeReuse(t *testing.T) {
+	var r wire.Request
+	decode := func(frame string) {
+		t.Helper()
+		line := []byte(frame)
+		if err := wire.DecodeRequest(line, &r); err != nil {
+			t.Fatal(err)
+		}
+		wire.Scribble(line)
+	}
+	decode(`{"id":1,"op":"match","relation":"emp"}`)
+	first := r.Relation
+	decode(`{"id":2,"op":"match","relation":"emp"}`)
+	if r.Relation != "emp" || unsafe.StringData(r.Relation) != unsafe.StringData(first) {
+		t.Errorf("repeated relation %q decoded afresh", r.Relation)
+	}
+	decode(`{"id":3,"op":"match","relation":"dept"}`)
+	if r.Relation != "dept" {
+		t.Errorf("relation = %q, want dept", r.Relation)
+	}
+	decode(`{"id":4,"op":"stats"}`)
+	if r.Relation != "" {
+		t.Errorf("a request naming no relation decoded as %q", r.Relation)
+	}
+
+	var m wire.Message
+	if err := wire.DecodeMessage([]byte(`{"batch":[[1,2],[],null,[3]]}`), &m); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int64{{1, 2}, {}, nil, {3}}
+	if !reflect.DeepEqual(m.Batch, want) || m.Batch[1] == nil {
+		t.Fatalf("batch = %#v, want %#v", m.Batch, want)
+	}
+	if unsafe.Pointer(&m.Batch[3][0]) != unsafe.Add(unsafe.Pointer(&m.Batch[0][0]), 2*unsafe.Sizeof(int64(0))) {
+		t.Error("the rows do not share one array")
+	}
+	if grown := append(m.Batch[0], 9); len(grown) != 3 || m.Batch[3][0] != 3 {
+		t.Errorf("appending to row 0 changed row 3 to %v", m.Batch[3])
+	}
+}
+
 // TestReplPayloadsVerbatim: AppendMessage copies snap and rec as they
 // are, where encoding/json would compact and escape them; the sender
 // owns their form (the log's payloads are already encoding/json's).
@@ -541,8 +593,10 @@ func TestReplPayloadsVerbatim(t *testing.T) {
 
 // TestCodecAllocs is the codec's allocation budget on the benchmark's
 // frames: nothing to encode into a warmed buffer; a 15-int match
-// request decodes into the relation string and the reused tuple
-// scratch; a 3-ID response into its ID slice.
+// request decodes into the reused tuple scratch and the previous
+// request's relation string, allocating nothing; a 3-ID response into
+// its ID slice; a 64-row batch response into its rows and one flat
+// array of IDs.
 func TestCodecAllocs(t *testing.T) {
 	tup := make(wire.Tuple, 15)
 	for i := range tup {
@@ -565,8 +619,8 @@ func TestCodecAllocs(t *testing.T) {
 		if err := wire.DecodeRequest(reqFrame, &back); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Errorf("DecodeRequest: %v allocs, want <= 3", n)
+	}); n != 0 {
+		t.Errorf("DecodeRequest: %v allocs, want 0", n)
 	}
 	var mback wire.Message
 	if n := testing.AllocsPerRun(200, func() {
@@ -578,6 +632,18 @@ func TestCodecAllocs(t *testing.T) {
 	}
 	if !wiretest.SameRequest(&back, req) || !wiretest.SameMessage(&mback, msg) {
 		t.Errorf("round trip: %+v / %+v", back, mback)
+	}
+	batch := make([][]int64, 64)
+	for i := range batch {
+		batch[i] = msg.Matches
+	}
+	batchFrame, _ := wire.AppendMessage(nil, &wire.Message{Type: wire.TypeResponse, ID: 1, OK: true, Batch: batch})
+	if n := testing.AllocsPerRun(200, func() {
+		if err := wire.DecodeMessage(batchFrame, &mback); err != nil || len(mback.Batch) != len(batch) {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("DecodeMessage of a %d-row batch: %v allocs, want <= 2", len(batch), n)
 	}
 
 	// A subscriber's 15-attribute tuples, each unlike the last: one copy

@@ -428,17 +428,24 @@ func ToValue(kind value.Kind, raw any) (value.Value, error) {
 }
 
 // ToTuple coerces a wire tuple to a relation's attribute kinds, into a
-// freshly allocated tuple (raw may be a connection's decode scratch).
-// The rules are those ToValue applies to a json.Number: an int
+// freshly allocated tuple (raw may be a connection's decode scratch),
+// by the rules of CoerceTuple.
+func ToTuple(rel *schema.Relation, raw Tuple) (tuple.Tuple, error) {
+	return CoerceTuple(make(tuple.Tuple, 0, len(raw)), rel, raw)
+}
+
+// CoerceTuple appends raw, coerced to a relation's attribute kinds, to
+// dst. The rules are those ToValue applies to a json.Number: an int
 // attribute takes only an int-shaped literal in int64 range, a float
 // attribute any finite number, strings and booleans only themselves.
-func ToTuple(rel *schema.Relation, raw Tuple) (tuple.Tuple, error) {
+// dst may be raw's own memory (tuple.Tuple(raw[:0])), coercing in
+// place: each value is read before its slot is written.
+func CoerceTuple(dst tuple.Tuple, rel *schema.Relation, raw Tuple) (tuple.Tuple, error) {
 	attrs := rel.Attrs()
 	if len(raw) != len(attrs) {
 		return nil, fmt.Errorf("wire: tuple arity %d does not match relation %s (arity %d)",
 			len(raw), rel.Name(), len(attrs))
 	}
-	t := make(tuple.Tuple, len(raw))
 	for i, v := range raw {
 		kind := attrs[i].Type
 		switch {
@@ -447,9 +454,9 @@ func ToTuple(rel *schema.Relation, raw Tuple) (tuple.Tuple, error) {
 			// scalar at all: no attribute kind takes it.
 			return nil, fmt.Errorf("wire: attribute %s of %s: cannot decode %v as %s", attrs[i].Name, rel.Name(), v, kind)
 		case v.Kind() == kind:
-			t[i] = v
+			dst = append(dst, v)
 		case kind == value.KindFloat && v.Kind() == value.KindInt:
-			t[i] = value.Float(float64(v.AsInt()))
+			dst = append(dst, value.Float(float64(v.AsInt())))
 		case kind == value.KindInt && v.Kind() == value.KindFloat:
 			return nil, fmt.Errorf("wire: attribute %s of %s: %v is not an int", attrs[i].Name, rel.Name(), v)
 		default:
@@ -457,7 +464,7 @@ func ToTuple(rel *schema.Relation, raw Tuple) (tuple.Tuple, error) {
 				attrs[i].Name, rel.Name(), v.Kind(), v, kind)
 		}
 	}
-	return t, nil
+	return dst, nil
 }
 
 // FromPredicate converts an engine predicate to its wire form (the ID is
@@ -537,11 +544,15 @@ func FromIDs(ids []pred.ID) []int64 {
 	if ids == nil {
 		return nil
 	}
-	out := make([]int64, len(ids))
-	for i, id := range ids {
-		out[i] = int64(id)
+	return AppendIDs(make([]int64, 0, len(ids)), ids)
+}
+
+// AppendIDs appends ids to dst in the wire integer form.
+func AppendIDs(dst []int64, ids []pred.ID) []int64 {
+	for _, id := range ids {
+		dst = append(dst, int64(id))
 	}
-	return out
+	return dst
 }
 
 // ToIDs converts wire integers back to predicate IDs.
