@@ -11,7 +11,7 @@ import (
 // representative frame: every section printStats knows (prefilter,
 // shards, trees, relations, wal, replication, connections) is present,
 // including a subscriber whose queue is pinned at capacity and a replica
-// stream. The frame is rendered twice, once as a leader and once as a
+// stream, which never subscribed and so has no queue. The frame is rendered twice, once as a leader and once as a
 // follower, since a frame carries one replication role. Regenerate with
 // `go test ./cmd/predmatch -run TestPrintStats -update`.
 func TestPrintStats(t *testing.T) {
@@ -41,8 +41,7 @@ func TestPrintStats(t *testing.T) {
 		Connections: []wire.ConnStat{
 			{Remote: "127.0.0.1:50001", Subscribed: true, Queue: 128, QueueCap: 128,
 				Delivered: 90, Dropped: 10, LastSeq: 228},
-			{Remote: "127.0.0.1:50002", Queue: 0, QueueCap: 128,
-				Replica: true, ReplSeq: 226},
+			{Remote: "127.0.0.1:50002", Replica: true, ReplSeq: 226},
 		},
 	}
 	var b strings.Builder

@@ -73,9 +73,9 @@ import (
 func main() {
 	addr := flag.String("addr", ":7341", "TCP listen address")
 	maxConns := flag.Int("max-conns", 128, "maximum concurrent client connections")
-	queue := flag.Int("queue", 1024, "per-connection notification queue capacity")
+	queue := flag.Int("queue", 1024, "notification queue capacity of each subscribing connection")
 	writeTimeout := flag.Duration("write-timeout", 10*time.Second, "deadline for writing one frame to a client")
-	idleTimeout := flag.Duration("idle-timeout", 0, "close unsubscribed connections idle for this long (0 = never)")
+	idleTimeout := flag.Duration("idle-timeout", 0, "close connections neither subscribed nor replicating that are idle for this long (0 = never)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget before force-closing connections")
 	adminAddr := flag.String("admin", "", "admin HTTP listen address for /metrics, /varz, /healthz and /debug/pprof (empty = disabled)")
 	slowReq := flag.Duration("slowreq", 0, "log requests slower than this threshold (0 = disabled)")

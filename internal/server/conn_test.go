@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"reflect"
 	"regexp"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -114,6 +116,95 @@ func TestServerConnGoroutines(t *testing.T) {
 
 	dialRaw(t, addr).mustOK(wire.Request{Op: wire.OpReplicate})
 	waitGoroutines(t, s, "replication connection", 2, 1)
+}
+
+// liveHeap is the heap still reachable after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// totalAlloc is every byte the process has allocated so far.
+func totalAlloc() int64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.TotalAlloc)
+}
+
+// TestServerConnMemory: a connection holds no notification queue until
+// it subscribes. An idle connection and a dial rejected at the
+// connection limit each cost a few KiB, not a queue of QueueLen
+// notifications (1,024 by default, 344 B each), and stats reports
+// queue capacity 0 for a connection that never subscribed, a
+// replication stream among them, and QueueLen from its first subscribe
+// to its close.
+func TestServerConnMemory(t *testing.T) {
+	const n, budget = 50, 64 << 10
+	t.Run("idle", func(t *testing.T) {
+		_, addr, stop := startServer(t, server.Config{})
+		defer stop()
+		before := liveHeap()
+		conns := make([]*rawConn, n)
+		for i := range conns {
+			conns[i] = dialRaw(t, addr)
+			conns[i].mustOK(wire.Request{Op: wire.OpPing})
+		}
+		per := (liveHeap() - before) / n
+		t.Logf("an idle connection holds %d B of heap", per)
+		if per >= budget {
+			t.Fatalf("%d idle connections hold %d B of heap each, want < %d", n, per, budget)
+		}
+		runtime.KeepAlive(conns)
+	})
+	t.Run("rejected", func(t *testing.T) {
+		_, addr, stop := startServer(t, server.Config{MaxConns: 1})
+		defer stop()
+		dialRaw(t, addr).mustOK(wire.Request{Op: wire.OpPing})
+		before := totalAlloc()
+		for i := 0; i < n; i++ {
+			rc := dialRaw(t, addr)
+			if m := rc.next(); !strings.Contains(m.Error, "connection limit") {
+				t.Fatalf("dial %d past MaxConns=1 answered %+v", i, m)
+			}
+			rc.nc.Close()
+		}
+		per := (totalAlloc() - before) / n
+		t.Logf("a rejected dial allocates %d B", per)
+		if per >= budget {
+			t.Fatalf("%d rejected dials allocate %d B each, want < %d", n, per, budget)
+		}
+	})
+	t.Run("queue_cap", func(t *testing.T) {
+		const queueLen = 16
+		_, addr, stop := startDurable(t, server.Config{DataDir: t.TempDir(), QueueLen: queueLen})
+		defer stop()
+		idle, replica, sub := dialRaw(t, addr), dialRaw(t, addr), dialRaw(t, addr)
+		idle.mustOK(wire.Request{Op: wire.OpPing})
+		replica.mustOK(wire.Request{Op: wire.OpReplicate})
+		sub.mustOK(wire.Request{Op: wire.OpPing})
+		check := func(when string, subCap int) {
+			t.Helper()
+			want := map[string]int{
+				idle.nc.LocalAddr().String():    0,
+				replica.nc.LocalAddr().String(): 0,
+				sub.nc.LocalAddr().String():     subCap,
+			}
+			got := map[string]int{}
+			for _, cs := range idle.mustOK(wire.Request{Op: wire.OpStats}).Stats.Connections {
+				got[cs.Remote] = cs.QueueCap
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: queue_cap by connection %v, want %v", when, got, want)
+			}
+		}
+		check("before subscribe", 0)
+		sub.mustOK(wire.Request{Op: wire.OpSubscribe})
+		check("subscribed", queueLen)
+		sub.mustOK(wire.Request{Op: wire.OpUnsubscribe})
+		check("unsubscribed", queueLen)
+	})
 }
 
 // TestServerPipelinedSubscribeOrder: one burst that subscribes and then

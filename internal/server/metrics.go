@@ -67,6 +67,8 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Notifications currently queued across all connections.", func() float64 {
 			s.connMu.Lock()
 			defer s.connMu.Unlock()
+			s.subMu.Lock() // a subscribe sets c.notes under it
+			defer s.subMu.Unlock()
 			total := 0
 			for c := range s.conns {
 				total += len(c.notes)
@@ -83,15 +85,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		"Replication payload bytes streamed to followers (records and snapshots).")
 	reg.GaugeFunc("predmatch_repl_followers",
 		"Replication streams currently served.", func() float64 {
-			s.connMu.Lock()
-			defer s.connMu.Unlock()
-			n := 0
-			for c := range s.conns {
-				if c.replica.Load() {
-					n++
-				}
-			}
-			return float64(n)
+			return float64(s.followers())
 		})
 	return m
 }

@@ -3,14 +3,21 @@ package server_test
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"os"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
+	"predmatch/internal/client"
+	"predmatch/internal/interval"
 	"predmatch/internal/obs"
+	"predmatch/internal/pred"
 	"predmatch/internal/repl"
 	"predmatch/internal/server"
+	"predmatch/internal/tuple"
+	"predmatch/internal/value"
 )
 
 // docRow matches one metric row of a docs/OBSERVABILITY.md catalogue
@@ -103,6 +110,129 @@ func TestIBSCountersFollowIndex(t *testing.T) {
 			if _, ok := got[name]; ok != (index != "hint") {
 				t.Errorf("Index %q: %s registered = %v", index, name, ok)
 			}
+		}
+	}
+}
+
+// TestServerSubscribeWhileScraped: connections subscribe, with and
+// without predicate matches, unsubscribe and subscribe again while a
+// writer fires notifications, the registry is scraped and stats are
+// answered. A connection's first subscribe makes its queue, so under
+// the race detector this checks that everything reading the queue
+// takes the subscription lock.
+func TestServerSubscribeWhileScraped(t *testing.T) {
+	const subscribers, queueLen = 6, 8
+	reg := obs.NewRegistry()
+	_, addr, stop := startServer(t, server.Config{Registry: reg, QueueLen: queueLen})
+	defer stop()
+	admin := dial(t, addr)
+	defer admin.Close()
+	if err := admin.DeclareRelation(empRel); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.DefineRule(e2eRules[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := admin.AddPredicate(pred.New(0, "emp",
+		pred.IvClause("age", interval.Less(value.Int(30))))); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // the writer
+		defer bg.Done()
+		w, err := client.Dial(addr)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer w.Close()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, _, err := w.Insert("emp", tuple.New(value.String_("e"),
+				value.Int(int64(20+i%20)), value.Int(25000), value.String_("d"))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // the scraper
+		defer bg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := admin.Stats(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	subs := make([]*client.Client, subscribers)
+	var wg sync.WaitGroup
+	for i := range subs {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		subs[i] = c
+		wg.Add(1)
+		go func(preds bool) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				if round > 0 {
+					if _, _, err := c.Unsubscribe(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				ch, err := c.Subscribe(preds)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if round == 0 {
+					go func() { // drain, so the client never stalls its responses
+						for range ch {
+						}
+					}()
+				}
+			}
+		}(i%2 == 0)
+	}
+	wg.Wait()
+	close(done)
+	bg.Wait()
+
+	st, err := admin.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Subs != subscribers {
+		t.Fatalf("stats counts %d subscriptions, want %d", st.Subs, subscribers)
+	}
+	for _, cs := range st.Connections {
+		want := 0
+		if cs.Subscribed {
+			want = queueLen
+		}
+		if cs.QueueCap != want {
+			t.Errorf("connection %s (subscribed %v) reports queue_cap %d, want %d",
+				cs.Remote, cs.Subscribed, cs.QueueCap, want)
 		}
 	}
 }

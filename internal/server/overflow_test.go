@@ -11,15 +11,25 @@ import (
 	"predmatch/internal/wire"
 )
 
+// subscribe subscribes c through dispatch, where its queue is made, and
+// returns the subscription.
+func subscribe(t *testing.T, c *conn, req *wire.Request) *subscription {
+	t.Helper()
+	req.Op = wire.OpSubscribe
+	if m := c.s.dispatch(c, req, nil); !m.OK {
+		t.Fatalf("subscribe: %+v", m)
+	}
+	return c.s.subs[c] //predmatchvet:ignore guardedby single-goroutine test, nothing else sees s
+}
+
 // TestServerOverflowPolicy pins the drop-newest overflow contract at
 // the fanout layer, without sockets: a sequence number is assigned to
 // every generated notification, drops are counted per subscription and
 // globally, and what stays queued is the oldest prefix.
 func TestServerOverflowPolicy(t *testing.T) {
 	s := New(Config{QueueLen: 2})
-	c := &conn{s: s, notes: make(chan wire.Message, 2)}
-	sub := &subscription{}
-	s.subs[c] = sub //predmatchvet:ignore guardedby single-goroutine test, nothing else sees s yet
+	c := &conn{s: s}
+	sub := subscribe(t, c, &wire.Request{})
 
 	for i := 1; i <= 5; i++ {
 		s.onFire(engine.FiringEvent{
@@ -53,8 +63,8 @@ func TestServerOverflowPolicy(t *testing.T) {
 
 	// A filtered subscription never even generates a sequence number
 	// for rules outside its filter.
-	filtered := &subscription{rules: map[string]bool{"other": true}}
-	s.subs[c] = filtered //predmatchvet:ignore guardedby single-goroutine test, nothing else sees s yet
+	s.dispatch(c, &wire.Request{Op: wire.OpUnsubscribe}, nil)
+	filtered := subscribe(t, c, &wire.Request{Rules: []string{"other"}})
 	s.onFire(engine.FiringEvent{Rule: "r", Rel: "emp", Op: storage.OpInsert})
 	if filtered.seq != 0 {
 		t.Fatalf("filtered seq = %d, want 0", filtered.seq)
@@ -72,7 +82,7 @@ func TestServerOverflowPolicy(t *testing.T) {
 // frame carrying the image at firing time.
 func TestQueuedNotificationKeepsFiringImage(t *testing.T) {
 	s := New(Config{})
-	c := &conn{s: s, notes: make(chan wire.Message, 8)}
+	c := &conn{s: s}
 	do := func(req *wire.Request) wire.Message {
 		t.Helper()
 		m := s.dispatch(c, req, nil)

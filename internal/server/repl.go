@@ -312,13 +312,7 @@ func (s *Server) replNotify(rec *wal.Record) {
 		return
 	}
 	s.subMu.Lock()
-	wanted := false
-	for _, sub := range s.subs {
-		if sub.preds {
-			wanted = true
-			break
-		}
-	}
+	wanted := s.predsWanted()
 	s.subMu.Unlock()
 	if !wanted {
 		return
@@ -453,13 +447,18 @@ func (s *Server) replStat() *wire.ReplStat {
 		}
 		return rs
 	}
-	rs := &wire.ReplStat{Role: "leader"}
+	return &wire.ReplStat{Role: "leader", Followers: s.followers()}
+}
+
+// followers counts the replication streams the server is serving.
+func (s *Server) followers() int {
 	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	n := 0
 	for c := range s.conns {
 		if c.replica.Load() {
-			rs.Followers++
+			n++
 		}
 	}
-	s.connMu.Unlock()
-	return rs
+	return n
 }

@@ -18,15 +18,15 @@
 //     buffer. A subscribe adds a notifier goroutine and a replicate a
 //     streamer; the three share one write lock on the socket.
 //   - Subscriptions stream rule firings (via the engine's OnFire hook)
-//     and predicate matches to clients. Every connection has a bounded
-//     notification queue with a drop-newest overflow policy: a slow
-//     consumer loses notifications (counted, and visible to the client
-//     as sequence-number gaps) but can never block the match path.
+//     and predicate matches to clients. A first subscribe gives the
+//     connection a bounded queue with a drop-newest overflow policy: a
+//     slow consumer loses notifications (counted, and visible to the
+//     client as sequence-number gaps) but never blocks the match path.
 //
-// Robustness contract: per-write deadlines, an idle read timeout
-// for unsubscribed connections, a connection limit that rejects rather
-// than queues, and context-driven graceful shutdown that drains
-// in-flight requests and queued notifications.
+// Robustness contract: per-write deadlines, an idle read timeout for
+// connections neither subscribed nor replicating, a connection limit
+// that rejects rather than queues, and context-driven graceful shutdown
+// that drains in-flight requests and queued notifications.
 package server
 
 import (
@@ -72,9 +72,9 @@ type Config struct {
 	// MaxConns bounds concurrent client connections; further dials are
 	// rejected with an error frame (default 128).
 	MaxConns int
-	// QueueLen is the per-connection notification queue capacity; when
-	// full, new notifications for that connection are dropped and
-	// counted (default 1024).
+	// QueueLen is the notification queue capacity of each subscribing
+	// connection; when full, new notifications for that connection are
+	// dropped and counted (default 1024).
 	QueueLen int
 	// WriteTimeout bounds writing one frame to a client; a missed
 	// deadline tears the connection down (default 10s).
@@ -359,19 +359,11 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // startConn admits or rejects one accepted connection.
 func (s *Server) startConn(nc net.Conn) {
-	c := &conn{
-		s:     s,
-		nc:    nc,
-		notes: make(chan wire.Message, s.cfg.QueueLen),
-		quit:  make(chan struct{}),
-	}
 	s.connMu.Lock()
-	select {
-	case <-s.done:
+	if s.Stopping() {
 		s.connMu.Unlock()
 		nc.Close()
 		return
-	default:
 	}
 	if len(s.conns) >= s.cfg.MaxConns {
 		s.connMu.Unlock()
@@ -389,6 +381,7 @@ func (s *Server) startConn(nc net.Conn) {
 		nc.Close()
 		return
 	}
+	c := &conn{s: s, nc: nc, quit: make(chan struct{})}
 	s.conns[c] = struct{}{}
 	n := len(s.conns)
 	// Increment while still holding connMu: Shutdown closes done and then
@@ -498,20 +491,26 @@ func (s *Server) onFire(ev engine.FiringEvent) {
 	}
 }
 
+// predsWanted reports whether any subscription asked for
+// direct-predicate matches.
+//
+//predmatchvet:holds subMu
+func (s *Server) predsWanted() bool {
+	for _, sub := range s.subs {
+		if sub.preds {
+			return true
+		}
+	}
+	return false
+}
+
 // onEventPreds streams direct-predicate matches: when any subscription
 // asked for them, re-match the event's tuple and report the matching
 // client-registered predicate IDs.
 func (s *Server) onEventPreds(ev storage.Event) error {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	wanted := false
-	for _, sub := range s.subs {
-		if sub.preds {
-			wanted = true
-			break
-		}
-	}
-	if !wanted {
+	if !s.predsWanted() {
 		return nil
 	}
 	t := ev.New
@@ -571,10 +570,12 @@ func (s *Server) offer(c *conn, sub *subscription, m wire.Message) {
 // notifier, started by the first subscribe, and the streamer of a
 // replicate request. Whole writes on the socket are serialized by wmu.
 type conn struct {
-	s     *Server
-	nc    net.Conn
-	wmu   sync.Mutex // held across each write on nc
-	out   []byte     // responses the reader encoded but has not written
+	s   *Server
+	nc  net.Conn
+	wmu sync.Mutex // held across each write on nc
+	out []byte     // responses the reader encoded but has not written
+	// notes is the notification queue, nil until the first subscribe
+	// makes it under Server.subMu; the notifier starts after that.
 	notes chan wire.Message
 	// quit closes when the reader stops: the notifier drains, a
 	// replication streamer stops. notified closes when the notifier
@@ -1242,6 +1243,10 @@ func (s *Server) handleSubscribe(c *conn, req *wire.Request) wire.Message {
 	defer s.subMu.Unlock()
 	if _, dup := s.subs[c]; dup {
 		return errMsg(req.ID, errors.New("already subscribed"))
+	}
+	// offer on a nil queue would drop every notification.
+	if c.notes == nil {
+		c.notes = make(chan wire.Message, s.cfg.QueueLen)
 	}
 	s.subs[c] = sub
 	return okMsg(req.ID)

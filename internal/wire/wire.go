@@ -159,7 +159,8 @@ type ConnStat struct {
 	Remote     string `json:"remote"`
 	Subscribed bool   `json:"subscribed"`
 	// Queue/QueueCap are the notification queue's current depth and
-	// capacity; a queue pinned at capacity is a slow consumer.
+	// capacity, both 0 until the connection's first subscribe makes the
+	// queue; a queue pinned at capacity is a slow consumer.
 	Queue    int `json:"queue"`
 	QueueCap int `json:"queue_cap"`
 	// Delivered counts notifications actually written to this
